@@ -5,23 +5,24 @@ normalized to unit L2 norm over the transverse plane except the bare
 Gaussian envelope, which is 1 on axis at the waist.  Propagation support is
 a thin scale-and-phase wrapper: the transverse profile at z is the waist
 profile with w(z), f(z) scaled together plus curvature and Gouy phases.
+
+Ince-Gauss and helical Ince-Gauss fields are evaluated as sums of
+Laguerre-Gauss modes of their Gouy order p, weighted by the expansion of
+``quantum.decompose``.  The elliptic-coordinate series route lives in
+``verify`` as the independent oracle for these sums.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from .errors import GridError, InvalidModeError
-from .ince import ModeIndex, Parity, eval_angular, eval_radial, solve_ince
-from .linalg import plane_quadrature_grid
-
-_NORM_HALF_WIDTH_WAISTS = 8.0
-_NORM_NODES = 160
+from .ince import ModeIndex, Parity
+from .quantum import LGIndex, decompose, helical_state
 
 
 @dataclass(frozen=True)
@@ -100,24 +101,19 @@ class ComplexField:
         return self.origin[1] + self.spacing * np.arange(self.ny)
 
 
-def _elliptic_coords(x, y, semifocal: float):
-    """(xi, eta) arrays via the complex arccosh branch with xi >= 0."""
+def cartesian_to_elliptic(x, y, semifocal: float) -> EllipticPoint:
+    """Invert x = f cosh(xi) cos(eta), y = f sinh(xi) sin(eta).
+
+    Uses the complex arccosh branch with xi >= 0, so it is stable near the
+    foci and the inter-focal segment; round-trips to 1e-12 relative.
+    Scalar inputs yield scalar fields.
+    """
     if semifocal <= 0.0:
         raise ValueError(f"semifocal separation must be positive, got {semifocal}")
     w = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / semifocal
     zeta = np.arccosh(w.astype(complex))
     xi = np.abs(zeta.real)
     eta = np.mod(zeta.imag, 2.0 * np.pi)
-    return xi, eta
-
-
-def cartesian_to_elliptic(x, y, semifocal: float) -> EllipticPoint:
-    """Invert x = f cosh(xi) cos(eta), y = f sinh(xi) sin(eta).
-
-    Stable near the foci and the inter-focal segment; round-trips to 1e-12
-    relative.  Scalar inputs yield scalar fields.
-    """
-    xi, eta = _elliptic_coords(x, y, semifocal)
     if np.ndim(xi) == 0:
         return EllipticPoint(xi=float(xi), eta=float(eta))
     return EllipticPoint(xi=xi, eta=eta)
@@ -138,10 +134,32 @@ def eval_gaussian(geometry: BeamGeometry, x, y):
     return amplitude * np.exp(1j * phase)
 
 
-def _lg_radial(n: int, l: int, w: float, r2):
+def _lg_sum(terms, order: int, geometry: BeamGeometry, x, y):
+    """Sum of c * LG(index) over (LGIndex, c) terms of one Gouy order 2n + l.
+
+    r^2, phi, the envelope and the curvature and Gouy phases are computed
+    once; each (n, l) radial factor once for its even and odd terms.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w = geometry.width
+    r2 = x**2 + y**2
     arg = 2.0 * r2 / w**2
-    norm = math.sqrt(2.0 * math.factorial(n) / (math.pi * math.factorial(n + l))) / w
-    return norm * arg ** (l / 2.0) * eval_genlaguerre(n, l, arg) * np.exp(-r2 / w**2)
+    phi = np.arctan2(y, x)
+    pairs = {}
+    for index, c in terms:
+        pairs.setdefault((index.n, index.l), [0.0, 0.0])[index.parity is Parity.ODD] = c
+    total = 0.0
+    for (n, l), (even, odd) in pairs.items():
+        norm = math.sqrt(2.0 * math.factorial(n) / (math.pi * math.factorial(n + l)))
+        radial = norm * arg ** (l / 2.0) * eval_genlaguerre(n, l, arg)
+        if l == 0:
+            angular = even
+        else:
+            angular = math.sqrt(2.0) * (even * np.cos(l * phi) + odd * np.sin(l * phi))
+        total = total + radial * angular
+    phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
+    return total / w * np.exp(-r2 / w**2 + 1j * phase)
 
 
 def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
@@ -157,22 +175,15 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
         raise InvalidModeError(f"unknown LG kind {kind!r}")
     if kind != "even" and l == 0:
         raise InvalidModeError(f"LG kind {kind!r} requires l >= 1")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = x**2 + y**2
-    phi = np.arctan2(y, x)
-    radial = _lg_radial(n, l, geometry.width, r2)
-    if kind == "even":
-        angular = np.cos(l * phi) * (math.sqrt(2.0) if l > 0 else 1.0)
-    elif kind == "odd":
-        angular = np.sin(l * phi) * math.sqrt(2.0)
-    elif kind == "helical_plus":
-        angular = np.exp(1j * l * phi)
+    if kind in ("even", "odd"):
+        terms = [(LGIndex(Parity(kind), n, l), 1.0)]
     else:
-        angular = np.exp(-1j * l * phi)
-    order = 2 * n + l
-    phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
-    return radial * angular * np.exp(1j * phase)
+        s = 1.0 if kind == "helical_plus" else -1.0
+        terms = [
+            (LGIndex(Parity.EVEN, n, l), 1.0 / math.sqrt(2.0)),
+            (LGIndex(Parity.ODD, n, l), s * 1j / math.sqrt(2.0)),
+        ]
+    return _lg_sum(terms, 2 * n + l, geometry, x, y)
 
 
 def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
@@ -199,57 +210,25 @@ def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     return field * np.exp(1j * phase)
 
 
-def _ig_profile(poly, semifocal: float, waist: float, x, y):
-    """Unnormalized waist-plane IG profile: radial * angular * envelope."""
-    xi, eta = _elliptic_coords(x, y, semifocal)
-    r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
-    return eval_radial(poly, xi) * eval_angular(poly, eta) * np.exp(-r2 / waist**2)
-
-
-@lru_cache(maxsize=2048)
-def _ig_norm_constant(p: int, m: int, parity_value: str, ellipticity: float, waist: float) -> float:
-    """1 / L2 norm of the unnormalized waist-plane profile (quadrature).
-
-    The Gaussian envelope confines every mode, so a fixed window of
-    8 waists always captures the norm to well below 1e-10.
-    """
-    poly = solve_ince(ModeIndex(p, m, Parity(parity_value)), ellipticity)
-    f0 = waist * math.sqrt(ellipticity / 2.0)
-    X, Y, W = plane_quadrature_grid(_NORM_HALF_WIDTH_WAISTS * waist, _NORM_NODES)
-    profile = _ig_profile(poly, f0, waist, X, Y)
-    return 1.0 / math.sqrt(float(np.sum(profile**2 * W)))
-
-
 def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     """Unit-norm Ince-Gauss field at the given transverse points and z.
 
-    Odd modes absorb the factor i from the sine series at imaginary
-    argument into their (real, positive) normalization constant, so even
-    and odd fields are both real at the waist.
+    Evaluated as its Laguerre-Gauss expansion sum D_j LG_j (see
+    ``quantum.decompose``); all terms share the Gouy order p, so the field
+    propagates exactly.  Even and odd fields are both real at the waist.
     """
     if ellipticity <= 0.0:
         raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
-    poly = solve_ince(mode, ellipticity)
-    norm = _ig_norm_constant(mode.p, mode.m, mode.parity.value, float(ellipticity), geometry.waist)
-    fz = geometry.semifocal(ellipticity)
-    xi, eta = _elliptic_coords(x, y, fz)
-    profile = eval_radial(poly, xi) * eval_angular(poly, eta) * norm
-    envelope = eval_gaussian(geometry, x, y)
-    # order-p Gouy phase from the longitudinal separation equation
-    return profile * envelope * np.exp(-1j * mode.p * geometry.gouy)
+    return _lg_sum(decompose(mode, ellipticity).terms, mode.p, geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    if mode.m < 1:
-        raise InvalidModeError("helical modes need m >= 1 (no odd partner for m = 0)")
     sign = getattr(sign, "value", sign)
     if sign not in ("plus", "minus"):
         raise InvalidModeError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    even = eval_ig(ModeIndex(mode.p, mode.m, Parity.EVEN), ellipticity, geometry, x, y)
-    odd = eval_ig(ModeIndex(mode.p, mode.m, Parity.ODD), ellipticity, geometry, x, y)
-    s = 1.0 if sign == "plus" else -1.0
-    return (even + s * 1j * odd) / math.sqrt(2.0)
+    state = helical_state(mode, sign, ellipticity)
+    return _lg_sum(state.amplitudes.items(), mode.p, geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:

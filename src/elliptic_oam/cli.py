@@ -1,9 +1,9 @@
 """Command-line frontend; every capability as a reproducible file emitter.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-3 internal numerical failure.  Each emitted file is accompanied by a
-``<file>.manifest.json`` recording the subcommand, parameters, tool version
-and a sha256 checksum of the payload bytes.  All output is deterministic:
+3 numerical or any other internal failure.  Each emitted file is accompanied
+by a ``<file>.manifest.json`` recording the subcommand, parameters, tool
+version and a sha256 checksum of the payload bytes.  All output is deterministic:
 numbers are formatted with 17 significant digits and no RNG runs anywhere.
 """
 
@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,20 +30,6 @@ EXIT_NUMERICAL = 3
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def worker_count() -> int:
-    """Worker cap from ELLIPTIC_OAM_THREADS; defaults to 1 (serial)."""
-    raw = os.environ.get("ELLIPTIC_OAM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise InvalidModeError(f"ELLIPTIC_OAM_THREADS must be a positive integer, got {raw!r}") from exc
-    if count < 1:
-        raise InvalidModeError(f"ELLIPTIC_OAM_THREADS must be a positive integer, got {raw!r}")
-    return count
 
 
 def _emit(payload: bytes, args, parameters: dict) -> None:
@@ -125,7 +110,7 @@ def cmd_oam_curve(args) -> int:
         grid = np.geomspace(args.eps_min, args.eps_max, args.steps)
     else:
         grid = np.linspace(args.eps_min, args.eps_max, args.steps)
-    curve = quantum.oam_curve(mode, args.sign, grid, workers=worker_count())
+    curve = quantum.oam_curve(mode, args.sign, grid)
     lines = ["epsilon,oam"]
     lines += [f"{_fmt(e)},{_fmt(v)}" for e, v in zip(curve.epsilons, curve.oam)]
     payload = ("\n".join(lines) + "\n").encode("utf-8")
@@ -136,7 +121,7 @@ def cmd_oam_curve(args) -> int:
         other = ModeIndex(args.cross[0], args.cross[1], Parity.EVEN)
         if other.m < 1:
             raise InvalidModeError("crossing partner needs m >= 1")
-        partner = quantum.oam_curve(other, args.sign, grid, workers=worker_count())
+        partner = quantum.oam_curve(other, args.sign, grid)
         sidecar["crossings"] = {
             "partner": {"p": other.p, "m": other.m},
             "epsilons": quantum.find_crossings(curve, partner),
@@ -318,6 +303,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except EllipticOamError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:  # exit 1 is reserved for a failed verification
+        print(f"internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,9 +145,12 @@ def eigenvalue_rank(mode: ModeIndex) -> int:
     return (mode.m - 1) // 2
 
 
-@lru_cache(maxsize=8192)
-def _solve_cached(p: int, m: int, parity_value: str, ellipticity: float) -> IncePolynomial:
-    mode = ModeIndex(p, m, Parity(parity_value))
+def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
+    """Ince polynomial of the given mode at ellipticity eps >= 0.
+
+    Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
+    so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
+    """
     matrix = build_recurrence_matrix(mode, ellipticity)
     solution = eigen_tridiagonal(matrix)
     rank = eigenvalue_rank(mode)
@@ -158,8 +160,8 @@ def _solve_cached(p: int, m: int, parity_value: str, ellipticity: float) -> Ince
         tight = np.flatnonzero(gaps < 1e-12 * (1.0 + np.abs(values[:-1])))
         if tight.size:
             raise SolverError(
-                f"eigenvalue collision at rank {int(tight[0])} for p={p}, parity={parity_value}, "
-                f"eps={ellipticity:g}; ascending-rank labeling is ill-defined"
+                f"eigenvalue collision at rank {int(tight[0])} for p={mode.p}, "
+                f"parity={mode.parity.value}, eps={ellipticity:g}; ascending-rank labeling is ill-defined"
             )
     return IncePolynomial(
         mode=mode,
@@ -168,17 +170,6 @@ def _solve_cached(p: int, m: int, parity_value: str, ellipticity: float) -> Ince
         fourier=solution.eigenvectors[:, rank],
         harmonics=series_harmonics(mode),
     )
-
-
-def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
-    """Ince polynomial of the given mode at ellipticity eps >= 0.
-
-    Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
-    so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
-    """
-    if ellipticity < 0.0:
-        raise InvalidModeError(f"ellipticity must be non-negative, got {ellipticity}")
-    return _solve_cached(mode.p, mode.m, mode.parity.value, float(ellipticity))
 
 
 def eval_angular(poly: IncePolynomial, eta):
@@ -193,8 +184,7 @@ def eval_radial(poly: IncePolynomial, xi):
     """Real factor of the series at imaginary argument i*xi.
 
     Even series give sum A_r cosh(k_r xi); odd series give
-    sum B_r sinh(k_r xi), with the leftover factor i absorbed into the
-    odd-mode normalization at the beam layer.
+    sum B_r sinh(k_r xi), without the leftover global factor i.
     """
     xi = np.asarray(xi, dtype=float)
     args = np.multiply.outer(xi, poly.harmonics.astype(float))

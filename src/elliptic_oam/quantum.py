@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -122,23 +121,6 @@ def admissible_lg_terms(mode: ModeIndex):
     return [((mode.p - l) // 2, l) for l in range(start, stop, -2)]
 
 
-@lru_cache(maxsize=8192)
-def _decompose_cached(p: int, m: int, parity_value: str, ellipticity: float) -> Decomposition:
-    mode = ModeIndex(p, m, Parity(parity_value))
-    poly = solve_ince(mode, ellipticity)
-    harmonic_index = {int(h): j for j, h in enumerate(poly.harmonics)}
-    raw = []
-    for n, l in admissible_lg_terms(mode):
-        fourier = poly.fourier[harmonic_index[l]]
-        factor = math.sqrt((2.0 if l == 0 else 1.0) * math.factorial(n + l) * math.factorial(n))
-        raw.append((n, l, _expansion_sign(n, l, p, m) * factor * fourier))
-    scale = 1.0 / math.sqrt(sum(d * d for _, _, d in raw))
-    terms = tuple(
-        (LGIndex(parity=mode.parity, n=n, l=l), d * scale) for n, l, d in raw
-    )
-    return Decomposition(mode=mode, ellipticity=float(ellipticity), terms=terms)
-
-
 def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     """LG weights of one IG mode at the given ellipticity.
 
@@ -148,7 +130,23 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     """
     if ellipticity < 0.0:
         raise InvalidModeError(f"ellipticity must be non-negative, got {ellipticity}")
-    return _decompose_cached(mode.p, mode.m, mode.parity.value, float(ellipticity))
+    poly = solve_ince(mode, ellipticity)
+    harmonic_index = {int(h): j for j, h in enumerate(poly.harmonics)}
+    raw = []
+    # (n + l)! n! relative to its l = p value: from l + 2 to l it gains the
+    # factor n / (n + l + 1), so no factorial overflows at high order
+    factorials = 1.0
+    for n, l in admissible_lg_terms(mode):
+        if n > 0:
+            factorials *= n / (n + l + 1)
+        factor = math.sqrt((2.0 if l == 0 else 1.0) * factorials)
+        fourier = poly.fourier[harmonic_index[l]]
+        raw.append((n, l, _expansion_sign(n, l, mode.p, mode.m) * factor * fourier))
+    scale = 1.0 / math.sqrt(sum(d * d for _, _, d in raw))
+    terms = tuple(
+        (LGIndex(parity=mode.parity, n=n, l=l), d * scale) for n, l, d in raw
+    )
+    return Decomposition(mode=mode, ellipticity=float(ellipticity), terms=terms)
 
 
 def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
@@ -225,23 +223,15 @@ def oam_distribution(state: QuantumModeState) -> dict:
     return dict(sorted(probabilities.items()))
 
 
-def oam_curve(mode: ModeIndex, sign, epsilons, workers: int | None = None) -> OamCurve:
+def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
     """<Lz>(eps) of the helical state over a strictly increasing eps grid."""
     sign = _as_sign(sign)
     eps = np.asarray(list(epsilons), dtype=float)
     if np.any(eps <= 0.0):
         raise InvalidModeError("all ellipticities must be positive")
-
-    def _one(value: float) -> float:
-        return oam_expectation(helical_state(mode, sign, value))
-
-    if workers and workers > 1 and eps.size > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = np.fromiter(pool.map(_one, eps), dtype=float, count=eps.size)
-    else:
-        values = np.fromiter((_one(e) for e in eps), dtype=float, count=eps.size)
+    values = np.fromiter(
+        (oam_expectation(helical_state(mode, sign, e)) for e in eps), dtype=float, count=eps.size
+    )
     return OamCurve(mode=mode, sign=sign, epsilons=eps, oam=values)
 
 

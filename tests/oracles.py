@@ -3,7 +3,7 @@
 These deliberately avoid the code paths they check: eigenvalues come from
 Sturm-sequence bisection on the characteristic polynomial, series values
 from plain term-by-term summation, and expansion weights from overlap
-quadrature of the sampled fields.
+quadrature of the elliptic-series fields (``verify.series_ig``).
 """
 
 import math
@@ -13,6 +13,7 @@ import numpy as np
 from elliptic_oam import beams, quantum
 from elliptic_oam.beams import BeamGeometry
 from elliptic_oam.linalg import plane_quadrature_grid
+from elliptic_oam.verify import series_ig
 
 
 def sturm_count(diag, sub, sup, x):
@@ -71,7 +72,7 @@ def overlap_weights(mode, eps, waist=1.0, nodes=128, half_width=8.0):
     """LG weights of an IG mode from overlap integrals of the sampled fields."""
     geo = geometry(waist)
     X, Y, W = plane_quadrature_grid(half_width * waist, nodes)
-    ig = beams.eval_ig(mode, eps, geo, X, Y)
+    ig = series_ig(mode, eps, geo, X, Y)
     out = {}
     for index, _ in quantum.decompose(mode, eps).terms:
         lg = beams.eval_lg(index.n, index.l, mode.parity.value, geo, X, Y)

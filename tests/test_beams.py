@@ -20,6 +20,7 @@ from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity, valid_modes
 from elliptic_oam.linalg import integrate_plane, plane_quadrature_grid
 from elliptic_oam.quantum import decompose
+from elliptic_oam.verify import series_ig
 
 from oracles import geometry
 
@@ -154,7 +155,7 @@ class TestInceGauss:
         mode = ModeIndex(2, 2, Parity.EVEN)
         weights = decompose(mode, 0.5)
         X, Y, W = plane_quadrature_grid(8.0, 128)
-        ig = eval_ig(mode, 0.5, geo, X, Y)
+        ig = series_ig(mode, 0.5, geo, X, Y)
         synth = sum(d * eval_lg(i.n, i.l, "even", geo, X, Y) for i, d in weights.terms)
         l2_error = math.sqrt(float(np.sum(np.abs(ig - synth) ** 2 * W)))
         assert l2_error < 1e-8
@@ -167,9 +168,22 @@ class TestInceGauss:
         weights = decompose(mode, 0.5)
         xs = np.linspace(-3.0, 3.0, 21)
         X, Y = np.meshgrid(xs, xs)
-        ig = eval_ig(mode, 0.5, geo, X, Y)
+        ig = series_ig(mode, 0.5, geo, X, Y)
         synth = sum(d * eval_lg(i.n, i.l, "even", geo, X, Y) for i, d in weights.terms)
         assert np.max(np.abs(ig - synth)) < 1e-12
+
+    def test_high_order_and_ellipticity_stay_normalized(self):
+        # the elliptic series cancels catastrophically here; the LG sum does not
+        geo = geometry()
+        mode = ModeIndex(30, 4, Parity.ODD)
+        X, Y, W = plane_quadrature_grid(10.0, 220)
+        ig = eval_ig(mode, 200.0, geo, X, Y)
+        assert abs(float(np.sum(np.abs(ig) ** 2 * W)) - 1.0) < 1e-8
+        overlaps = [
+            np.sum(np.conj(eval_lg(n, l, "odd", geo, X, Y)) * ig * W)
+            for n, l in ((n, 30 - 2 * n) for n in range(15))
+        ]
+        assert abs(sum(abs(c) ** 2 for c in overlaps) - 1.0) < 1e-8
 
     def test_norm_preserved_under_propagation(self):
         geo = geometry(z=0.8)
@@ -249,6 +263,18 @@ class TestHelical:
         even = eval_ig(mode, 2.0, geo, 1.3, 0.0)
         hig = eval_hig(mode, "plus", 2.0, geo, 1.3, 0.0)
         assert abs(abs(hig) ** 2 - abs(even) ** 2 / 2.0) < 1e-14
+
+    @pytest.mark.parametrize("z", [0.0, 0.8])
+    @pytest.mark.parametrize("sign,s", [("plus", 1.0), ("minus", -1.0)])
+    def test_equals_even_odd_combination(self, z, sign, s):
+        geo = geometry(z=z)
+        xs = np.linspace(-4.0, 4.0, 41)
+        X, Y = np.meshgrid(xs, xs)
+        even = eval_ig(ModeIndex(5, 3, Parity.EVEN), 2.0, geo, X, Y)
+        odd = eval_ig(ModeIndex(5, 3, Parity.ODD), 2.0, geo, X, Y)
+        hig = eval_hig(ModeIndex(5, 3, Parity.EVEN), sign, 2.0, geo, X, Y)
+        expected = (even + s * 1j * odd) / math.sqrt(2.0)
+        assert np.max(np.abs(hig - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_small_ellipticity_limit_is_helical_lg(self):
         geo = geometry()

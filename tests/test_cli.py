@@ -72,6 +72,11 @@ class TestDecompose:
     def test_invalid_mode_exits_2(self, tmp_path):
         assert run_cli(["decompose", "-p", "2", "-m", "3", "--parity", "odd", "-e", "1.0", "-o", str(tmp_path / "x")]) == 2
 
+    def test_order_past_factorial_overflow(self, tmp_path):
+        out = tmp_path / "dec.json"
+        assert run_cli(["decompose", "-p", "200", "-m", "2", "--parity", "even", "-e", "0.5", "-o", str(out)]) == 0
+        assert abs(json.loads(out.read_text())["sum_sq"] - 1.0) < 1e-12
+
 
 class TestOamCurve:
     def test_left_edge_and_csv_format(self, tmp_path):
@@ -111,16 +116,6 @@ class TestOamCurve:
                         "-o", str(tmp_path / "x.csv")]) == 2
         assert run_cli(["oam-curve", "-p", "2", "-m", "0", "--eps-min", "0.1", "--eps-max", "1",
                         "-o", str(tmp_path / "y.csv")]) == 2
-
-    def test_thread_env_does_not_change_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial.csv"
-        run_cli(["oam-curve", "-p", "5", "-m", "3", "--eps-min", "0.1", "--eps-max", "5",
-                 "--steps", "32", "-o", str(serial)])
-        monkeypatch.setenv("ELLIPTIC_OAM_THREADS", "3")
-        threaded = tmp_path / "threaded.csv"
-        run_cli(["oam-curve", "-p", "5", "-m", "3", "--eps-min", "0.1", "--eps-max", "5",
-                 "--steps", "32", "-o", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
 
 
 class TestField:
@@ -199,15 +194,10 @@ class TestVerify:
         # canary: corrupting the expansion sign factor must not go unnoticed
         original = quantum._expansion_sign
         monkeypatch.setattr(quantum, "_expansion_sign", lambda n, l, p, m: -original(n, l, p, m))
-        quantum._decompose_cached.cache_clear()
-        try:
-            report = verify.run_checks("fast")
-            assert not report.ok
-            failing = [r.name for r in report.results if not r.passed]
-            assert "ig22-closed-form" in failing or any("overlap" in name for name in failing)
-        finally:
-            monkeypatch.undo()
-            quantum._decompose_cached.cache_clear()
+        report = verify.run_checks("fast")
+        assert not report.ok
+        failing = [r.name for r in report.results if not r.passed]
+        assert "ig22-closed-form" in failing or any("overlap" in name for name in failing)
 
 
 class TestEntryPoint:
@@ -227,7 +217,10 @@ class TestEntryPoint:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["eigenvalue"] == pytest.approx(0.5, abs=1e-12)
 
-    def test_thread_env_validation(self, monkeypatch):
-        monkeypatch.setenv("ELLIPTIC_OAM_THREADS", "zero")
-        assert run_cli(["oam-curve", "-p", "2", "-m", "2", "--eps-min", "0.1",
-                        "--eps-max", "1", "--steps", "8"]) == 2
+    def test_unexpected_exception_exits_3(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_solve_ince", broken)
+        assert run_cli(["solve-ince", "-p", "1", "-m", "1", "--parity", "even", "-e", "0.5"]) == 3
+        assert capsys.readouterr().err == "internal failure: RuntimeError: boom\n"
