@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_hermite
 
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex, Parity
@@ -134,32 +133,45 @@ def eval_gaussian(geometry: BeamGeometry, x, y):
     return amplitude * np.exp(1j * phase)
 
 
+def _genlaguerre(n: int, l: int, x):
+    """Generalized Laguerre polynomial L_n^l(x) by its three-term recurrence."""
+    previous, current = np.zeros_like(x), np.ones_like(x)
+    for k in range(n):
+        previous, current = current, ((2 * k + 1 + l - x) * current - (k + l) * previous) / (k + 1)
+    return current
+
+
 def _lg_sum(terms, order: int, geometry: BeamGeometry, x, y):
     """Sum of c * LG(index) over (LGIndex, c) terms of one Gouy order 2n + l.
 
-    r^2, phi, the envelope and the curvature and Gouy phases are computed
-    once; each (n, l) radial factor once for its even and odd terms.
+    r^2, phi, log(2 r^2 / w^2) and the curvature and Gouy phases are computed
+    once; each (n, l) radial factor once for its even and odd terms.  The
+    norm, the power of r and the Gaussian envelope are summed as logarithms,
+    so no factorial or power overflows at high order.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = geometry.width
     r2 = x**2 + y**2
     arg = 2.0 * r2 / w**2
+    with np.errstate(divide="ignore"):
+        log_arg = np.log(arg)
     phi = np.arctan2(y, x)
     pairs = {}
     for index, c in terms:
         pairs.setdefault((index.n, index.l), [0.0, 0.0])[index.parity is Parity.ODD] = c
     total = 0.0
     for (n, l), (even, odd) in pairs.items():
-        norm = math.sqrt(2.0 * math.factorial(n) / (math.pi * math.factorial(n + l)))
-        radial = norm * arg ** (l / 2.0) * eval_genlaguerre(n, l, arg)
+        # log of sqrt(2 n! / (pi (n + l)!)) * arg^(l/2) * exp(-arg/2)
+        log_weight = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n + 1) - math.lgamma(n + l + 1) - arg)
         if l == 0:
             angular = even
         else:
+            log_weight = log_weight + 0.5 * l * log_arg
             angular = math.sqrt(2.0) * (even * np.cos(l * phi) + odd * np.sin(l * phi))
-        total = total + radial * angular
+        total = total + np.exp(log_weight) * _genlaguerre(n, l, arg) * angular
     phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
-    return total / w * np.exp(-r2 / w**2 + 1j * phase)
+    return total / w * np.exp(1j * phase)
 
 
 def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
@@ -194,18 +206,14 @@ def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     y = np.asarray(y, dtype=float)
     w = geometry.width
     r2 = x**2 + y**2
-    norm = (
-        math.sqrt(2.0 / math.pi)
-        / math.sqrt(2.0 ** (nx_index + ny_index) * math.factorial(nx_index) * math.factorial(ny_index))
-        / w
-    )
-    field = (
-        norm
-        * eval_hermite(nx_index, math.sqrt(2.0) * x / w)
-        * eval_hermite(ny_index, math.sqrt(2.0) * y / w)
-        * np.exp(-r2 / w**2)
-    )
     order = nx_index + ny_index
+    # sqrt(2 / (pi 2^order nx! ny!)) through logarithms, so no factorial overflows
+    log_norm = math.log(2.0 / math.pi) - order * math.log(2.0)
+    norm = math.exp(0.5 * (log_norm - math.lgamma(nx_index + 1) - math.lgamma(ny_index + 1))) / w
+    # physicists' Hermite polynomials H_n, as coefficient vectors e_n
+    hx = np.polynomial.hermite.hermval(math.sqrt(2.0) * x / w, [0] * nx_index + [1])
+    hy = np.polynomial.hermite.hermval(math.sqrt(2.0) * y / w, [0] * ny_index + [1])
+    field = norm * hx * hy * np.exp(-r2 / w**2)
     phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
     return field * np.exp(1j * phase)
 

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import NonSymmetrizableError, SolverError
 
 _EPS = np.finfo(float).eps
+_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -48,12 +49,7 @@ class TridiagonalMatrix:
         return self.diag.size
 
     def to_dense(self) -> np.ndarray:
-        n = self.dimension
-        dense = np.diag(self.diag)
-        for i in range(n - 1):
-            dense[i, i + 1] = self.sup[i]
-            dense[i + 1, i] = self.sub[i]
-        return dense
+        return np.diag(self.diag) + np.diag(self.sup, 1) + np.diag(self.sub, -1)
 
 
 @dataclass(frozen=True)
@@ -75,16 +71,17 @@ class EigenSolution:
             object.__setattr__(self, name, arr)
 
 
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, max_sweeps: int = 60):
+def _ql_implicit_shift(d: np.ndarray, e: np.ndarray):
     """Eigen-decomposition of a symmetric tridiagonal matrix.
 
     ``d`` is the diagonal, ``e[i]`` the coupling between i and i+1.  Returns
     (eigenvalues, eigenvector columns), unsorted.  Classic QL iteration with
     implicit Wilkinson shifts; O(n^2) per sweep, fine for the tiny matrices
-    this package produces.
+    this package produces.  Zero couplings deflate the iteration, so
+    independent blocks are solved without mixing.
     """
     n = d.size
-    d = d.astype(float).copy()
+    d = d.astype(float)
     e = np.append(e.astype(float), 0.0)
     vecs = np.eye(n)
     for low in range(n):
@@ -99,7 +96,7 @@ def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, max_sweeps: int = 60):
             if split == low:
                 break
             sweeps += 1
-            if sweeps > max_sweeps:
+            if sweeps > _MAX_SWEEPS:
                 raise SolverError("QL iteration failed to converge")
             g = (d[low + 1] - d[low]) / (2.0 * e[low])
             r = math.hypot(g, 1.0)
@@ -135,13 +132,6 @@ def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, max_sweeps: int = 60):
     return d, vecs
 
 
-def _sign_fix(vec: np.ndarray) -> np.ndarray:
-    nz = np.flatnonzero(np.abs(vec) > 0.0)
-    if nz.size and vec[nz[0]] < 0.0:
-        return -vec
-    return vec
-
-
 def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
     """Full real spectrum of a diagonally-symmetrizable tridiagonal matrix.
 
@@ -149,7 +139,6 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
     zero on both sides split the problem into independent blocks.  Raises
     :class:`NonSymmetrizableError` otherwise.
     """
-    n = matrix.dimension
     sub, sup = matrix.sub, matrix.sup
     products = sub * sup
     if np.any(products < 0.0):
@@ -164,38 +153,27 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
             f"coupling {bad} is zero on one side only; matrix is defective under symmetrization"
         )
 
-    eigenvalues = np.empty(n)
-    eigenvectors = np.zeros((n, n))
-    block_edges = [0] + [i + 1 for i in range(n - 1) if products[i] == 0.0] + [n]
-    for start, stop in zip(block_edges[:-1], block_edges[1:]):
-        width = stop - start
-        d_block = matrix.diag[start:stop]
-        e_block = np.sqrt(products[start : stop - 1])
-        # scale factors mapping the original block onto the symmetric one
-        scale = np.ones(width)
-        for i in range(width - 1):
-            scale[i + 1] = scale[i] * math.sqrt(sup[start + i] / sub[start + i])
-        vals, vecs = _ql_implicit_shift(d_block, e_block)
-        vecs = vecs / scale[:, None]
-        for j in range(width):
-            eigenvalues[start + j] = vals[j]
-            v = vecs[:, j]
-            eigenvectors[start:stop, start + j] = v / np.linalg.norm(v)
+    # scale[i+1] / scale[i] = sqrt(sup[i] / sub[i]) maps the matrix onto its
+    # symmetric form; across a coupling zero on both sides any ratio will do
+    ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=products > 0.0))
+    scale = np.concatenate(([1.0], np.cumprod(ratios)))
+    eigenvalues, eigenvectors = _ql_implicit_shift(matrix.diag, np.sqrt(products))
+    eigenvectors = eigenvectors / scale[:, None]
+    eigenvectors /= np.linalg.norm(eigenvectors, axis=0)
 
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     eigenvectors = eigenvectors[:, order]
-    for j in range(n):
-        eigenvectors[:, j] = _sign_fix(eigenvectors[:, j])
+    first_nonzero = np.argmax(eigenvectors != 0.0, axis=0)
+    eigenvectors *= np.where(eigenvectors[first_nonzero, np.arange(eigenvalues.size)] < 0.0, -1.0, 1.0)
 
-    dense = matrix.to_dense()
-    for j in range(n):
-        v = eigenvectors[:, j]
-        residual = np.linalg.norm(dense @ v - eigenvalues[j] * v)
-        if residual > 1e-10 * (1.0 + abs(eigenvalues[j])):
-            raise SolverError(
-                f"eigenpair {j} residual {residual:.3e} exceeds bound; matrix badly scaled?"
-            )
+    residuals = np.linalg.norm(matrix.to_dense() @ eigenvectors - eigenvectors * eigenvalues, axis=0)
+    bad = np.flatnonzero(residuals > 1e-10 * (1.0 + np.abs(eigenvalues)))
+    if bad.size:
+        j = int(bad[0])
+        raise SolverError(
+            f"eigenpair {j} residual {residuals[j]:.3e} exceeds bound; matrix badly scaled?"
+        )
     return EigenSolution(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 

@@ -100,16 +100,23 @@ def series_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y)
     return profile(x, y) * np.exp(-1j * mode.p * geometry.gouy) / norm
 
 
-def _quadrature_weights(mode: ModeIndex, eps: float, waist: float, nodes: int = 128):
+def quadrature_weights(mode: ModeIndex, eps: float, waist: float = 1.0):
     """Independent overlap-integral route to the LG weights."""
     geometry = _geometry(waist)
-    X, Y, W = plane_quadrature_grid(8.0 * waist, nodes)
+    X, Y, W = plane_quadrature_grid(8.0 * waist, 128)
     ig = series_ig(mode, eps, geometry, X, Y)
     out = {}
     for index, _ in quantum.decompose(mode, eps).terms:
         lg = beams.eval_lg(index.n, index.l, mode.parity.value, geometry, X, Y)
         out[index] = float(np.sum(np.conj(lg) * ig * W).real)
     return out
+
+
+def ig22_closed_form(eps: float) -> dict:
+    """Closed-form LG weights {LGIndex: D} of IG(2,2,even) under the confirmed sign variant."""
+    root = math.sqrt(1.0 + eps**2)
+    denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
+    return {LGIndex(Parity.EVEN, 0, 2): eps / denom, LGIndex(Parity.EVEN, 1, 0): (1.0 - root) / denom}
 
 
 def _pseudo_states(count: int):
@@ -152,12 +159,8 @@ def run_checks(level: str = "fast") -> Report:
     add(CheckResult("eigenvalue-harmonic-limit", worst, 1e-10, worst <= 1e-10))
 
     # two-term closed form at eps = 0.5 under the confirmed sign variant
-    eps = 0.5
-    root = math.sqrt(1.0 + eps**2)
-    denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
-    closed_form = {2: eps / denom, 0: (1.0 - root) / denom}
-    computed = {i.l: d for i, d in quantum.decompose(ModeIndex(2, 2, Parity.EVEN), eps).terms}
-    worst = max(abs(computed[l] - closed_form[l]) for l in closed_form)
+    computed = quantum.decompose(ModeIndex(2, 2, Parity.EVEN), 0.5).weights()
+    worst = max(abs(computed[i] - d) for i, d in ig22_closed_form(0.5).items())
     add(CheckResult("ig22-closed-form", worst, 1e-10, worst <= 1e-10, IG22_NOTE))
 
     # expansion weights against the overlap-integral oracle
@@ -166,7 +169,7 @@ def run_checks(level: str = "fast") -> Report:
         worst = 0.0
         for mode in valid_modes(p_max):
             weights = dict(quantum.decompose(mode, eps).terms)
-            oracle = _quadrature_weights(mode, eps, waist=1.0)
+            oracle = quadrature_weights(mode, eps)
             worst = max(worst, max(abs(weights[i] - oracle[i]) for i in oracle))
         add(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
 
@@ -289,8 +292,8 @@ def run_checks(level: str = "fast") -> Report:
     # waist independence of the weights along the quadrature route
     worst = 0.0
     for mode in (ModeIndex(3, 1, Parity.EVEN), ModeIndex(4, 2, Parity.ODD)):
-        a = _quadrature_weights(mode, 2.0, waist=1.0)
-        b = _quadrature_weights(mode, 2.0, waist=1.6)
+        a = quadrature_weights(mode, 2.0, waist=1.0)
+        b = quadrature_weights(mode, 2.0, waist=1.6)
         worst = max(worst, max(abs(a[i] - b[i]) for i in a))
     add(CheckResult("waist-independence-quadrature", worst, 1e-9, worst <= 1e-9))
 

@@ -2,18 +2,17 @@
 
 These deliberately avoid the code paths they check: eigenvalues come from
 Sturm-sequence bisection on the characteristic polynomial, series values
-from plain term-by-term summation, and expansion weights from overlap
-quadrature of the elliptic-series fields (``verify.series_ig``).
+from plain term-by-term summation, and LG and HG field values from their
+closed forms in 40-digit mpmath arithmetic.  Expansion weights from overlap
+quadrature of the elliptic-series fields are ``verify.quadrature_weights``.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 
-from elliptic_oam import beams, quantum
 from elliptic_oam.beams import BeamGeometry
-from elliptic_oam.linalg import plane_quadrature_grid
-from elliptic_oam.verify import series_ig
 
 
 def sturm_count(diag, sub, sup, x):
@@ -68,16 +67,38 @@ def geometry(waist=1.0, z=0.0):
     return BeamGeometry(waist=waist, wavenumber=2.0 * math.pi, z=z)
 
 
-def overlap_weights(mode, eps, waist=1.0, nodes=128, half_width=8.0):
-    """LG weights of an IG mode from overlap integrals of the sampled fields."""
-    geo = geometry(waist)
-    X, Y, W = plane_quadrature_grid(half_width * waist, nodes)
-    ig = series_ig(mode, eps, geo, X, Y)
-    out = {}
-    for index, _ in quantum.decompose(mode, eps).terms:
-        lg = beams.eval_lg(index.n, index.l, mode.parity.value, geo, X, Y)
-        out[index] = float(np.sum(np.conj(lg) * ig * W).real)
-    return out
+def mp_lg(n, l, kind, geo, x, y):
+    """Normalized LG field at one point from its closed form, in mpmath."""
+    with mp.workdps(40):
+        x, y, w = mp.mpf(x), mp.mpf(y), mp.mpf(geo.width)
+        r2 = x**2 + y**2
+        arg = 2 * r2 / w**2
+        phi = mp.atan2(y, x)
+        norm = mp.sqrt(2 * mp.factorial(n) / (mp.pi * mp.factorial(n + l))) / w
+        radial = norm * arg ** (mp.mpf(l) / 2) * mp.laguerre(n, l, arg) * mp.exp(-r2 / w**2)
+        angular = {
+            "even": mp.sqrt(2) * mp.cos(l * phi) if l else 1,
+            "odd": mp.sqrt(2) * mp.sin(l * phi),
+            "helical_plus": mp.expj(l * phi),
+            "helical_minus": mp.expj(-l * phi),
+        }[kind]
+        return complex(radial * angular * _mp_phase(2 * n + l, geo, r2))
+
+
+def mp_hg(nx, ny, geo, x, y):
+    """Normalized HG field at one point from its closed form, in mpmath."""
+    with mp.workdps(40):
+        x, y, w = mp.mpf(x), mp.mpf(y), mp.mpf(geo.width)
+        r2 = x**2 + y**2
+        norm = mp.sqrt(2 / mp.pi) / mp.sqrt(2 ** (nx + ny) * mp.factorial(nx) * mp.factorial(ny)) / w
+        hermite = mp.hermite(nx, mp.sqrt(2) * x / w) * mp.hermite(ny, mp.sqrt(2) * y / w)
+        return complex(norm * hermite * mp.exp(-r2 / w**2) * _mp_phase(nx + ny, geo, r2))
+
+
+def _mp_phase(order, geo, r2):
+    """Curvature and order-(order + 1) Gouy phase factor."""
+    k, inverse_r, gouy = (mp.mpf(v) for v in (geo.wavenumber, geo.inverse_curvature, geo.gouy))
+    return mp.expj(k * inverse_r * r2 / 2 - (order + 1) * gouy)
 
 
 def plane_sum(values, weights):

@@ -7,7 +7,6 @@ kept as stated and fail with the measured numbers in the message rather
 than being loosened.  README.md discusses both.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,14 +17,18 @@ from elliptic_oam.ince import ModeIndex, Parity, ince_ode_residual, solve_ince, 
 from elliptic_oam.linalg import plane_quadrature_grid
 from elliptic_oam.quantum import LGIndex, QuantumModeState
 
-from oracles import geometry, overlap_weights
+from elliptic_oam.verify import (
+    GOLDEN_CROSSING_75_77,
+    GOLDEN_OAM_22_AT_2,
+    GOLDEN_TURNING_POINT_73,
+    GOLDEN_TURNING_POINT_75,
+    ig22_closed_form,
+    quadrature_weights,
+)
+
+from oracles import geometry
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
-
-GOLDEN_TURNING_POINT_73 = 1.933672
-GOLDEN_TURNING_POINT_75 = 5.822778
-GOLDEN_CROSSING_75_77 = 12.096803
-GOLDEN_OAM_22_AT_2 = 1.70130161670408
 
 
 def report(number, ok, detail):
@@ -63,7 +66,7 @@ def test_criterion_03_decomposition_quadrature_equivalence():
     for eps in (0.5, 2.0, 5.0):
         for mode in valid_modes(8):
             weights = quantum.decompose(mode, eps).weights()
-            oracle = overlap_weights(mode, eps)
+            oracle = quadrature_weights(mode, eps)
             worst = max(worst, max(abs(weights[i] - oracle[i]) for i in oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed <= 60.0
@@ -73,12 +76,8 @@ def test_criterion_03_decomposition_quadrature_equivalence():
 
 
 def test_criterion_04_ig22_closed_form():
-    eps = 0.5
-    root = math.sqrt(1.0 + eps**2)
-    denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
-    closed_form = {2: eps / denom, 0: (1.0 - root) / denom}
-    computed = {i.l: d for i, d in quantum.decompose(ModeIndex(2, 2, Parity.EVEN), eps).terms}
-    worst = max(abs(computed[l] - closed_form[l]) for l in closed_form)
+    computed = quantum.decompose(ModeIndex(2, 2, Parity.EVEN), 0.5).weights()
+    worst = max(abs(computed[i] - d) for i, d in ig22_closed_form(0.5).items())
     logged = "1 - sqrt(1 + eps^2)" in verify.IG22_NOTE
     ok = worst <= 1e-10 and logged
     report(4, ok, f"max closed-form deviation {worst:.3e} (<= 1e-10), typo resolution logged: {logged}")
@@ -245,8 +244,8 @@ def test_criterion_12_quantum_consistency_identities():
     # the weights depend only on ellipticity; recover <Lz> through the
     # field-overlap route at two waists and compare
     def field_route_oam(waist):
-        even = overlap_weights(ModeIndex(7, 3, Parity.EVEN), 2.0, waist=waist)
-        odd = overlap_weights(ModeIndex(7, 3, Parity.ODD), 2.0, waist=waist)
+        even = quadrature_weights(ModeIndex(7, 3, Parity.EVEN), 2.0, waist=waist)
+        odd = quadrature_weights(ModeIndex(7, 3, Parity.ODD), 2.0, waist=waist)
         return sum(i.l * d * even[LGIndex(Parity.EVEN, i.n, i.l)] for i, d in odd.items())
 
     waist_gap = abs(field_route_oam(1.0) - field_route_oam(1.6))

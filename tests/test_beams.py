@@ -22,7 +22,7 @@ from elliptic_oam.linalg import integrate_plane, plane_quadrature_grid
 from elliptic_oam.quantum import decompose
 from elliptic_oam.verify import series_ig
 
-from oracles import geometry
+from oracles import geometry, mp_hg, mp_lg
 
 
 class TestEllipticCoordinates:
@@ -110,6 +110,52 @@ class TestLaguerreGauss:
             eval_lg(-1, 2, "even", geo, 0.1, 0.1)
         with pytest.raises(InvalidModeError):
             eval_lg(0, 1, "twisty", geo, 0.1, 0.1)
+
+
+def closed_form_errors(evaluate, oracle, order, z):
+    """Relative errors of a field against its mpmath closed form.
+
+    Points lie on, inside and outside the radius sqrt(order / 2) w(z) of
+    the intensity ring, off the axes.  A point whose oracle magnitude is
+    below 1e-3 of the largest is skipped: relative error means nothing at
+    a node.
+    """
+    geo = geometry(z=z)
+    ring = geo.width * math.sqrt(max(order, 1) / 2.0)
+    points = [
+        (f * ring * math.cos(a), f * ring * math.sin(a)) for f in (0.5, 0.9, 1.0, 1.1) for a in (0.3, 1.1)
+    ]
+    pairs = [(complex(evaluate(geo, x, y)), oracle(geo, x, y)) for x, y in points]
+    peak = max(abs(ref) for _, ref in pairs)
+    errors = [abs(got - ref) / abs(ref) for got, ref in pairs if abs(ref) >= 1e-3 * peak]
+    assert len(errors) >= 4
+    return errors
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("n, l", [(0, 0), (3, 2), (10, 7), (40, 25), (0, 172), (20, 160)])
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_lg_matches_mpmath(self, n, l, z):
+        kinds = ["even"] if l == 0 else ["even", "odd", "helical_plus", "helical_minus"]
+        for kind in kinds:
+            errors = closed_form_errors(
+                lambda geo, x, y: eval_lg(n, l, kind, geo, x, y),
+                lambda geo, x, y: mp_lg(n, l, kind, geo, x, y),
+                2 * n + l,
+                z,
+            )
+            assert max(errors) <= 1e-12, kind
+
+    @pytest.mark.parametrize("nx, ny", [(0, 0), (2, 0), (3, 5), (12, 7), (30, 21), (160, 0), (120, 90)])
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_hg_matches_mpmath(self, nx, ny, z):
+        errors = closed_form_errors(
+            lambda geo, x, y: eval_hg(nx, ny, geo, x, y),
+            lambda geo, x, y: mp_hg(nx, ny, geo, x, y),
+            nx + ny,
+            z,
+        )
+        assert max(errors) <= 1e-12
 
 
 class TestHermiteGauss:

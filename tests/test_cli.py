@@ -119,6 +119,14 @@ class TestOamCurve:
 
 
 class TestField:
+    def test_order_past_factorial_overflow(self, tmp_path):
+        out = tmp_path / "field.csv"
+        args = ["field", "-p", "172", "-m", "172", "--kind", "even", "-e", "0.5",
+                "--window", "14", "--resolution", "16", "-o", str(out)]
+        assert run_cli(args) == 0
+        values = [complex(*map(float, row.split(",")[2:])) for row in out.read_text().splitlines()[1:]]
+        assert len(values) == 16 * 16 and max(abs(v) for v in values) > 0.0
+
     def test_csv_round_trips_sample_grid(self, tmp_path):
         out = tmp_path / "field.csv"
         run_cli(["field", "-p", "3", "-m", "1", "--kind", "even", "-e", "1.5",
@@ -211,6 +219,15 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["eigenvalue"] == pytest.approx(1.25, abs=1e-12)
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, elliptic_oam.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_stdout_when_no_output_file(self, capsys):
         assert run_cli(["solve-ince", "-p", "1", "-m", "1", "--parity", "odd", "-e", "0.5"]) == 0

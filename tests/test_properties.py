@@ -1,0 +1,51 @@
+"""Property tests of the LG expansion and the OAM algebra.
+
+Hypothesis draws admissible modes of order p <= 20 and log-uniform
+ellipticities in [1e-3, 1e3]; runs are derandomized, so they repeat.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from elliptic_oam.ince import ModeIndex, Parity
+from elliptic_oam.quantum import decompose, helical_state, oam_distribution, oam_expectation
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None)
+ELLIPTICITIES = st.floats(-3.0, 3.0).map(lambda t: 10.0**t)
+
+
+@st.composite
+def modes(draw, helical=False):
+    """Admissible (p, m, parity): m = p mod 2, ..., p; odd parity and helical states need m >= 1."""
+    p = draw(st.integers(1 if helical else 0, 20))
+    m = draw(st.sampled_from([m for m in range(p % 2, p + 1, 2) if m >= 1 or not helical]))
+    parity = draw(st.sampled_from([Parity.EVEN, Parity.ODD] if m >= 1 else [Parity.EVEN]))
+    return ModeIndex(p, m, parity)
+
+
+@PROPERTY
+@given(modes(), ELLIPTICITIES)
+def test_weights_are_normalized(mode, eps):
+    assert abs(sum(d * d for _, d in decompose(mode, eps).terms) - 1.0) < 1e-12
+
+
+@PROPERTY
+@given(modes(helical=True), ELLIPTICITIES)
+def test_oam_flips_sign_exactly(mode, eps):
+    plus = oam_expectation(helical_state(mode, "plus", eps))
+    minus = oam_expectation(helical_state(mode, "minus", eps))
+    assert plus == -minus
+
+
+@PROPERTY
+@given(modes(helical=True), ELLIPTICITIES)
+def test_oam_bounded_by_order(mode, eps):
+    assert abs(oam_expectation(helical_state(mode, "plus", eps))) <= mode.p + 1e-12
+
+
+@PROPERTY
+@given(modes(helical=True), ELLIPTICITIES, st.sampled_from(["plus", "minus"]))
+def test_oam_is_first_moment_of_distribution(mode, eps, sign):
+    state = helical_state(mode, sign, eps)
+    moment = sum(l * weight for l, weight in oam_distribution(state).items())
+    assert abs(moment - oam_expectation(state)) < 1e-12

@@ -21,7 +21,7 @@ from elliptic_oam.quantum import (
     sam_expectation,
 )
 
-from oracles import overlap_weights
+from elliptic_oam.verify import ig22_closed_form, quadrature_weights
 
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
@@ -50,17 +50,16 @@ class TestDecompose:
         weights = result.weights()
         total = sum(d * d for d in weights.values())
         assert abs(total - 1.0) < 1e-12
-        oracle = overlap_weights(M22, 0.5)
+        oracle = quadrature_weights(M22, 0.5)
         for index, d in weights.items():
             assert abs(d - oracle[index]) < 1e-8
 
     def test_closed_form_at_half(self):
-        eps = 0.5
-        root = math.sqrt(1.0 + eps**2)
-        denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
-        weights = decompose(M22, eps).weights()
-        assert abs(weights[LGIndex(Parity.EVEN, 0, 2)] - eps / denom) < 1e-10
-        assert abs(weights[LGIndex(Parity.EVEN, 1, 0)] - (1.0 - root) / denom) < 1e-10
+        weights = decompose(M22, 0.5).weights()
+        closed_form = ig22_closed_form(0.5)
+        assert closed_form.keys() == {LGIndex(Parity.EVEN, 0, 2), LGIndex(Parity.EVEN, 1, 0)}
+        for index, d in closed_form.items():
+            assert abs(weights[index] - d) < 1e-10
 
     def test_gouy_order_structure(self):
         for mode in (ModeIndex(7, 3, Parity.ODD), ModeIndex(8, 0, Parity.EVEN)):
@@ -75,7 +74,7 @@ class TestDecompose:
     def test_matches_overlap_oracle_through_p5(self, eps):
         for mode in valid_modes(5):
             weights = decompose(mode, eps).weights()
-            oracle = overlap_weights(mode, eps)
+            oracle = quadrature_weights(mode, eps)
             for index, d in weights.items():
                 assert abs(d - oracle[index]) < 1e-7
 
@@ -274,7 +273,7 @@ class TestCurveAnalysis:
 
 class TestWaistIndependence:
     def test_quadrature_weights_ignore_waist(self):
-        a = overlap_weights(ModeIndex(3, 1, Parity.EVEN), 2.0, waist=1.0)
-        b = overlap_weights(ModeIndex(3, 1, Parity.EVEN), 2.0, waist=1.7)
+        a = quadrature_weights(ModeIndex(3, 1, Parity.EVEN), 2.0, waist=1.0)
+        b = quadrature_weights(ModeIndex(3, 1, Parity.EVEN), 2.0, waist=1.7)
         for index in a:
             assert abs(a[index] - b[index]) < 1e-9
