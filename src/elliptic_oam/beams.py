@@ -198,6 +198,19 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     return _lg_sum(terms, 2 * n + l, geometry, x, y)
 
 
+def _hermite_function(n: int, u):
+    """Unit-norm Hermite function H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi)).
+
+    Built by its three-term recurrence, whose terms stay bounded like the
+    function itself, so no Hermite polynomial or factorial overflows at
+    high order.
+    """
+    previous, current = np.zeros_like(u), np.pi**-0.25 * np.exp(-0.5 * u**2)
+    for k in range(n):
+        previous, current = current, math.sqrt(2.0 / (k + 1)) * u * current - math.sqrt(k / (k + 1)) * previous
+    return current
+
+
 def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     """Normalized Hermite-Gauss mode; used for the large-ellipticity limit."""
     if nx_index < 0 or ny_index < 0:
@@ -207,13 +220,8 @@ def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     w = geometry.width
     r2 = x**2 + y**2
     order = nx_index + ny_index
-    # sqrt(2 / (pi 2^order nx! ny!)) through logarithms, so no factorial overflows
-    log_norm = math.log(2.0 / math.pi) - order * math.log(2.0)
-    norm = math.exp(0.5 * (log_norm - math.lgamma(nx_index + 1) - math.lgamma(ny_index + 1))) / w
-    # physicists' Hermite polynomials H_n, as coefficient vectors e_n
-    hx = np.polynomial.hermite.hermval(math.sqrt(2.0) * x / w, [0] * nx_index + [1])
-    hy = np.polynomial.hermite.hermval(math.sqrt(2.0) * y / w, [0] * ny_index + [1])
-    field = norm * hx * hy * np.exp(-r2 / w**2)
+    scale = math.sqrt(2.0) / w
+    field = scale * _hermite_function(nx_index, scale * x) * _hermite_function(ny_index, scale * y)
     phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
     return field * np.exp(1j * phase)
 

@@ -1,13 +1,13 @@
 """Small dense linear-algebra and quadrature kernels.
 
 No physics lives here: a diagonally-symmetrizable tridiagonal eigensolver
-(implicit-shift QL on the symmetrized bands) and a tensor-product
-Gauss-Legendre quadrature over a square window.
+(LAPACK ``eigh`` on the symmetrized bands, then one step of inverse
+iteration on the original matrix) and a tensor-product Gauss-Legendre
+quadrature over a square window.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import NonSymmetrizableError, SolverError
 
-_EPS = np.finfo(float).eps
-_MAX_SWEEPS = 60
+_SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -71,67 +70,6 @@ class EigenSolution:
             object.__setattr__(self, name, arr)
 
 
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray):
-    """Eigen-decomposition of a symmetric tridiagonal matrix.
-
-    ``d`` is the diagonal, ``e[i]`` the coupling between i and i+1.  Returns
-    (eigenvalues, eigenvector columns), unsorted.  Classic QL iteration with
-    implicit Wilkinson shifts; O(n^2) per sweep, fine for the tiny matrices
-    this package produces.  Zero couplings deflate the iteration, so
-    independent blocks are solved without mixing.
-    """
-    n = d.size
-    d = d.astype(float)
-    e = np.append(e.astype(float), 0.0)
-    vecs = np.eye(n)
-    for low in range(n):
-        sweeps = 0
-        while True:
-            for split in range(low, n - 1):
-                scale = abs(d[split]) + abs(d[split + 1])
-                if abs(e[split]) <= _EPS * scale:
-                    break
-            else:
-                split = n - 1
-            if split == low:
-                break
-            sweeps += 1
-            if sweeps > _MAX_SWEEPS:
-                raise SolverError("QL iteration failed to converge")
-            g = (d[low + 1] - d[low]) / (2.0 * e[low])
-            r = math.hypot(g, 1.0)
-            g = d[split] - d[low] + e[low] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(split - 1, low - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[split] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = vecs[:, i + 1].copy()
-                vecs[:, i + 1] = s * vecs[:, i] + c * col
-                vecs[:, i] = c * vecs[:, i] - s * col
-            if underflow:
-                continue
-            d[low] -= p
-            e[low] = g
-            e[split] = 0.0
-    return d, vecs
-
-
 def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
     """Full real spectrum of a diagonally-symmetrizable tridiagonal matrix.
 
@@ -157,17 +95,33 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
     # symmetric form; across a coupling zero on both sides any ratio will do
     ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=products > 0.0))
     scale = np.concatenate(([1.0], np.cumprod(ratios)))
-    eigenvalues, eigenvectors = _ql_implicit_shift(matrix.diag, np.sqrt(products))
-    eigenvectors = eigenvectors / scale[:, None]
+    coupling = np.sqrt(products)
+    symmetric = TridiagonalMatrix(diag=matrix.diag, sub=coupling, sup=coupling)
+    dense = matrix.to_dense()
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(symmetric.to_dense())
+        # unscaling amplifies the eigh error in the small entries; one step of
+        # inverse iteration on the original matrix, shifted just off each
+        # eigenvalue, restores them.  The offset scales with the largest
+        # eigenvalue, as the eigh error does, so no shifted system is exactly
+        # singular.  Columns are solved in batches of _SOLVE_BLOCK so the
+        # stacked systems stay O(dimension^2) in memory.
+        shifts = eigenvalues + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
+        columns = (eigenvectors / scale[:, None]).T
+        identity = np.eye(matrix.dimension)
+        for block in range(0, matrix.dimension, _SOLVE_BLOCK):
+            rows = slice(block, block + _SOLVE_BLOCK)
+            systems = dense - shifts[rows, None, None] * identity
+            columns[rows] = np.linalg.solve(systems, columns[rows, :, None])[:, :, 0]
+        eigenvectors = columns.T
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
     eigenvectors /= np.linalg.norm(eigenvectors, axis=0)
 
-    order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
     first_nonzero = np.argmax(eigenvectors != 0.0, axis=0)
     eigenvectors *= np.where(eigenvectors[first_nonzero, np.arange(eigenvalues.size)] < 0.0, -1.0, 1.0)
 
-    residuals = np.linalg.norm(matrix.to_dense() @ eigenvectors - eigenvectors * eigenvalues, axis=0)
+    residuals = np.linalg.norm(dense @ eigenvectors - eigenvectors * eigenvalues, axis=0)
     bad = np.flatnonzero(residuals > 1e-10 * (1.0 + np.abs(eigenvalues)))
     if bad.size:
         j = int(bad[0])
@@ -200,14 +154,3 @@ def plane_quadrature_grid(half_width: float, nodes_per_axis: int):
     w = w * half_width
     X, Y = np.meshgrid(x, x, indexing="xy")
     return X, Y, np.outer(w, w)
-
-
-def integrate_plane(f, half_width: float, nodes_per_axis: int) -> complex:
-    """Tensor Gauss-Legendre integral of f(x, y) over the centered square.
-
-    ``f`` must accept equal-shaped coordinate arrays and evaluate pointwise.
-    Exact for bivariate polynomials up to degree 2*nodes_per_axis - 1.
-    """
-    X, Y, W = plane_quadrature_grid(half_width, nodes_per_axis)
-    values = np.asarray(f(X, Y))
-    return complex(np.sum(values * W))

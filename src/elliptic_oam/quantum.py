@@ -186,11 +186,6 @@ def oam_expectation(state: QuantumModeState) -> float:
     return float(total)
 
 
-def sam_expectation(polarization) -> float:
-    """Spin angular momentum of a circular polarization state, +-1 hbar."""
-    return float(_as_sign(polarization).value_int)
-
-
 def oam_distribution(state: QuantumModeState) -> dict:
     """Probability of each signed integer OAM under an LG-basis projection.
 

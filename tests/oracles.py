@@ -1,10 +1,12 @@
 """Independent numerical oracles for the test suite.
 
 These deliberately avoid the code paths they check: eigenvalues come from
-Sturm-sequence bisection on the characteristic polynomial, series values
-from plain term-by-term summation, and LG and HG field values from their
-closed forms in 40-digit mpmath arithmetic.  Expansion weights from overlap
-quadrature of the elliptic-series fields are ``verify.quadrature_weights``.
+Sturm-sequence bisection on the characteristic polynomial or, with their
+eigenvectors, from mpmath's symmetric eigensolver in extended precision;
+series values from plain term-by-term summation, and LG and HG field values
+from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
+from overlap quadrature of the elliptic-series fields are
+``verify.quadrature_weights``.
 """
 
 import math
@@ -53,6 +55,34 @@ def sturm_eigenvalues(diag, sub, sup, tol=1e-13):
                 hi = mid
         out[k] = 0.5 * (lo + hi)
     return out
+
+
+def mp_eigenpairs(matrix, digits=50):
+    """Ascending eigenvalues and eigenvector columns of a tridiagonal matrix.
+
+    ``mp.eigsy`` runs on the symmetrized bands at ``digits`` decimal digits;
+    the vectors are then unscaled back to the original matrix, normalized
+    and sign-fixed (first nonzero entry positive), and returned as floats.
+    """
+    n = matrix.dimension
+    with mp.workdps(digits):
+        sub = [mp.mpf(float(v)) for v in matrix.sub]
+        sup = [mp.mpf(float(v)) for v in matrix.sup]
+        symmetric = mp.matrix(n, n)
+        scale = [mp.mpf(1)]
+        for i in range(n):
+            symmetric[i, i] = mp.mpf(float(matrix.diag[i]))
+        for i in range(n - 1):
+            symmetric[i, i + 1] = symmetric[i + 1, i] = mp.sqrt(sub[i] * sup[i])
+            scale.append(scale[-1] * (mp.sqrt(sup[i] / sub[i]) if sub[i] * sup[i] else 1))
+        values, vectors = mp.eigsy(symmetric)  # values ascending
+        out = np.empty((n, n))
+        for j in range(n):
+            v = [vectors[i, j] / scale[i] for i in range(n)]
+            norm = mp.sqrt(mp.fsum(x**2 for x in v))
+            sign = 1 if next(x for x in v if x != 0) > 0 else -1
+            out[:, j] = [float(sign * x / norm) for x in v]
+        return np.array([float(a) for a in values]), out
 
 
 def series_sum(harmonics, coeffs, func, arg):

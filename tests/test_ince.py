@@ -1,6 +1,7 @@
 """Tests for the Ince eigenproblem, series evaluation, and the ODE oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from elliptic_oam.ince import (
     ModeIndex,
     Parity,
     build_recurrence_matrix,
+    eigenvalue_rank,
     eval_angular,
     eval_radial,
     ince_ode_residual,
@@ -19,7 +21,7 @@ from elliptic_oam.ince import (
 )
 from elliptic_oam.linalg import eigen_tridiagonal
 
-from oracles import series_sum
+from oracles import mp_eigenpairs, series_sum
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -106,6 +108,49 @@ class TestSolveInce:
                 for m in range(2 if parity is Parity.ODD else 0, 9, 2)
             ]
             assert all(a < b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("m", [2, 92, 200])
+    def test_high_order_solves_every_pair(self, m):
+        # the residual guard covers all 100 eigenpairs of this matrix
+        poly = solve_ince(ModeIndex(200, m, Parity.ODD), 188.965)
+        assert ince_ode_residual(poly) <= 1e-9
+
+    def test_shift_offset_clears_eigh_error(self):
+        # an offset of 1e-13 (1 + |a|) from eigh's eigenvalue -2.586 left the
+        # shifted system exactly singular here; eigh errs by about one ulp of
+        # the largest eigenvalue, 643
+        poly = solve_ince(ModeIndex(20, 4, Parity.ODD), 30.366025352309492)
+        assert ince_ode_residual(poly) <= 1e-9
+
+    def test_high_order_memory_stays_quadratic(self):
+        # one stack of shifted systems for all 201 columns would peak near
+        # 125 MB here; solving them in blocks keeps it near 31 MB
+        tracemalloc.start()
+        try:
+            solve_ince(ModeIndex(400, 2, Parity.EVEN), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    @pytest.mark.parametrize("p", [20, 41, 60])
+    def test_matches_extended_precision_eigenpairs(self, p, parity):
+        m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
+        for eps in (1e-3, 3.0, 30.0, 300.0):
+            values, vectors = mp_eigenpairs(build_recurrence_matrix(ModeIndex(p, m0, parity), eps))
+            # double-precision symmetrization perturbs the spectrum by about
+            # one ulp of its largest eigenvalue, so interior eigenvalues are
+            # compared on that scale
+            bound = 1e-14 * (1.0 + np.max(np.abs(values)))
+            for m in range(m0, p + 1, 2):
+                mode = ModeIndex(p, m, parity)
+                rank = eigenvalue_rank(mode)
+                poly = solve_ince(mode, eps)
+                assert abs(poly.eigenvalue - values[rank]) <= bound
+                assert np.max(np.abs(poly.fourier - vectors[:, rank])) <= 1e-13
 
 
 class TestSeriesEvaluation:

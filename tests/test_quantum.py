@@ -18,7 +18,6 @@ from elliptic_oam.quantum import (
     oam_curve,
     oam_distribution,
     oam_expectation,
-    sam_expectation,
 )
 
 from elliptic_oam.verify import ig22_closed_form, quadrature_weights
@@ -151,15 +150,13 @@ class TestOamExpectation:
             oam_expectation(state)
 
 
-class TestSamExpectation:
-    def test_values(self):
-        assert sam_expectation("plus") == 1.0
-        assert sam_expectation("minus") == -1.0
-
+class TestHelicalSign:
     def test_enum_round_trip(self):
         from elliptic_oam.quantum import HelicalSign
 
-        assert sam_expectation(HelicalSign("plus")) == 1.0
+        assert HelicalSign("plus") is HelicalSign.PLUS
+        assert HelicalSign(HelicalSign.MINUS.value).value_int == -1
+        assert helical_state(M22, HelicalSign("plus"), 0.5) == helical_state(M22, "plus", 0.5)
 
 
 class TestOamDistribution:
