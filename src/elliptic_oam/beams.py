@@ -65,14 +65,6 @@ class BeamGeometry:
 
 
 @dataclass(frozen=True)
-class EllipticPoint:
-    """Elliptic coordinates with xi >= 0 and eta wrapped to [0, 2*pi)."""
-
-    xi: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class ComplexField:
     """Complex samples on a uniform rectangular grid, row-major in y then x."""
 
@@ -100,37 +92,17 @@ class ComplexField:
         return self.origin[1] + self.spacing * np.arange(self.ny)
 
 
-def cartesian_to_elliptic(x, y, semifocal: float) -> EllipticPoint:
-    """Invert x = f cosh(xi) cos(eta), y = f sinh(xi) sin(eta).
-
-    Uses the complex arccosh branch with xi >= 0, so it is stable near the
-    foci and the inter-focal segment; round-trips to 1e-12 relative.
-    Scalar inputs yield scalar fields.
-    """
-    if semifocal <= 0.0:
-        raise ValueError(f"semifocal separation must be positive, got {semifocal}")
-    w = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / semifocal
-    zeta = np.arccosh(w.astype(complex))
-    xi = np.abs(zeta.real)
-    eta = np.mod(zeta.imag, 2.0 * np.pi)
-    if np.ndim(xi) == 0:
-        return EllipticPoint(xi=float(xi), eta=float(eta))
-    return EllipticPoint(xi=xi, eta=eta)
-
-
-def elliptic_to_cartesian(point: EllipticPoint, semifocal: float):
-    x = semifocal * np.cosh(point.xi) * np.cos(point.eta)
-    y = semifocal * np.sinh(point.xi) * np.sin(point.eta)
-    return x, y
+def _propagation_phase(geometry: BeamGeometry, r2, order: int):
+    """Curvature and Gouy phase factor exp(i (k r^2 / 2R - (order + 1) gouy))."""
+    k_over_2r = 0.5 * geometry.wavenumber * geometry.inverse_curvature
+    return np.exp(1j * (k_over_2r * r2 - (order + 1) * geometry.gouy))
 
 
 def eval_gaussian(geometry: BeamGeometry, x, y):
     """Fundamental Gaussian envelope, amplitude 1 on axis at the waist."""
     r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
     w = geometry.width
-    amplitude = (geometry.waist / w) * np.exp(-r2 / w**2)
-    phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - geometry.gouy
-    return amplitude * np.exp(1j * phase)
+    return (geometry.waist / w) * np.exp(-r2 / w**2) * _propagation_phase(geometry, r2, 0)
 
 
 def _genlaguerre(n: int, l: int, x):
@@ -170,8 +142,7 @@ def _lg_sum(terms, order: int, geometry: BeamGeometry, x, y):
             log_weight = log_weight + 0.5 * l * log_arg
             angular = math.sqrt(2.0) * (even * np.cos(l * phi) + odd * np.sin(l * phi))
         total = total + np.exp(log_weight) * _genlaguerre(n, l, arg) * angular
-    phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
-    return total / w * np.exp(1j * phase)
+    return total / w * _propagation_phase(geometry, r2, order)
 
 
 def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
@@ -217,13 +188,9 @@ def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
         raise InvalidModeError("HG indices must be non-negative")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = geometry.width
-    r2 = x**2 + y**2
-    order = nx_index + ny_index
-    scale = math.sqrt(2.0) / w
+    scale = math.sqrt(2.0) / geometry.width
     field = scale * _hermite_function(nx_index, scale * x) * _hermite_function(ny_index, scale * y)
-    phase = 0.5 * geometry.wavenumber * geometry.inverse_curvature * r2 - (order + 1) * geometry.gouy
-    return field * np.exp(1j * phase)
+    return field * _propagation_phase(geometry, x**2 + y**2, nx_index + ny_index)
 
 
 def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
@@ -240,9 +207,6 @@ def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    sign = getattr(sign, "value", sign)
-    if sign not in ("plus", "minus"):
-        raise InvalidModeError(f"sign must be 'plus' or 'minus', got {sign!r}")
     state = helical_state(mode, sign, ellipticity)
     return _lg_sum(state.amplitudes.items(), mode.p, geometry, x, y)
 
@@ -255,8 +219,8 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
     """
     if resolution < 16:
         raise GridError(f"resolution must be at least 16, got {resolution}")
-    if window_half_width <= 0.0:
-        raise GridError("window_half_width must be positive")
+    if not 0.0 < window_half_width < np.inf:
+        raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
     coords = np.linspace(-window_half_width, window_half_width, resolution)
     X, Y = np.meshgrid(coords, coords, indexing="xy")
     values = np.asarray(field(X, Y), dtype=complex)

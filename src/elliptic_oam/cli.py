@@ -76,7 +76,7 @@ def cmd_solve_ince(args) -> int:
         "harmonics": poly.harmonics.tolist(),
         "residual": ince_ode_residual(poly),
     }
-    _emit(_json_bytes(document), args, _params(args, "p", "m", "parity", "epsilon"))
+    _emit(_json_bytes(document), args, _params(args))
     return EXIT_OK
 
 
@@ -92,20 +92,23 @@ def cmd_decompose(args) -> int:
         "terms": terms,
         "sum_sq": float(sum(t["D"] ** 2 for t in terms)),
     }
-    _emit(_json_bytes(document), args, _params(args, "p", "m", "parity", "epsilon"))
+    _emit(_json_bytes(document), args, _params(args))
     return EXIT_OK
 
 
 def cmd_oam_curve(args) -> int:
-    if args.eps_min <= 0.0:
-        raise InvalidModeError(f"eps-min must be positive, got {args.eps_min}")
-    if args.eps_max <= args.eps_min:
-        raise InvalidModeError("eps-max must exceed eps-min")
-    if args.steps < 2:
-        raise InvalidModeError("need at least 2 steps")
+    if not 0.0 < args.eps_min < math.inf:
+        raise InvalidModeError(f"eps-min must be positive and finite, got {args.eps_min}")
+    if not args.eps_min < args.eps_max < math.inf:
+        raise InvalidModeError(f"eps-max must be finite and exceed eps-min, got {args.eps_max}")
+    if args.steps < 3:
+        raise InvalidModeError("need at least 3 steps")
     mode = ModeIndex(args.p, args.m, Parity.EVEN)
     if mode.m < 1:
         raise InvalidModeError("OAM curves need m >= 1")
+    other = ModeIndex(args.cross[0], args.cross[1], Parity.EVEN) if args.cross else None
+    if other is not None and other.m < 1:
+        raise InvalidModeError("crossing partner needs m >= 1")
     if args.log_spacing:
         grid = np.geomspace(args.eps_min, args.eps_max, args.steps)
     else:
@@ -114,19 +117,15 @@ def cmd_oam_curve(args) -> int:
     lines = ["epsilon,oam"]
     lines += [f"{_fmt(e)},{_fmt(v)}" for e, v in zip(curve.epsilons, curve.oam)]
     payload = ("\n".join(lines) + "\n").encode("utf-8")
-    parameters = _params(args, "p", "m", "sign", "eps_min", "eps_max", "steps", "log_spacing")
 
     sidecar = {"turning_points": quantum.find_turning_points(curve)}
-    if args.cross:
-        other = ModeIndex(args.cross[0], args.cross[1], Parity.EVEN)
-        if other.m < 1:
-            raise InvalidModeError("crossing partner needs m >= 1")
+    if other is not None:
         partner = quantum.oam_curve(other, args.sign, grid)
         sidecar["crossings"] = {
             "partner": {"p": other.p, "m": other.m},
             "epsilons": quantum.find_crossings(curve, partner),
         }
-    _emit(payload, args, parameters)
+    _emit(payload, args, _params(args))
     if args.output:
         with open(f"{args.output}.analysis.json", "w", encoding="utf-8") as handle:
             json.dump(sidecar, handle, indent=2, sort_keys=True)
@@ -149,9 +148,6 @@ def _field_callable(args, geometry):
 def cmd_field(args) -> int:
     geometry = _geometry_from(args, z=args.z)
     field = beams.sample_grid(_field_callable(args, geometry), args.window, args.resolution)
-    parameters = _params(
-        args, "p", "m", "kind", "epsilon", "window", "resolution", "z", "format", "waist", "wavenumber"
-    )
     if args.format == "csv":
         xs = field.x_coords()
         ys = field.y_coords()
@@ -169,7 +165,7 @@ def cmd_field(args) -> int:
             levels = np.rint(65535.0 * intensity / peak).astype(np.uint16)
         header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
         payload = header + levels.astype(">u2").tobytes()
-    _emit(payload, args, parameters)
+    _emit(payload, args, _params(args))
     return EXIT_OK
 
 
@@ -186,7 +182,7 @@ def cmd_vortices(args) -> int:
         wavenumber=args.wavenumber,
     )
     _, detections = census[0]
-    semifocal = args.waist * math.sqrt(args.epsilon / 2.0)
+    semifocal = _geometry_from(args).semifocal(args.epsilon)
     document = {
         "p": mode.p,
         "m": mode.m,
@@ -196,29 +192,20 @@ def cmd_vortices(args) -> int:
         "foci": [[semifocal, 0.0], [-semifocal, 0.0]],
         "vortices": [{"x": v.x, "y": v.y, "charge": v.charge} for v in detections],
     }
-    _emit(
-        _json_bytes(document),
-        args,
-        _params(args, "p", "m", "sign", "epsilon", "resolution", "waist", "wavenumber"),
-    )
+    _emit(_json_bytes(document), args, _params(args))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     report = verify.run_checks(args.level)
     payload = report.render().encode("utf-8")
-    _emit(payload, args, _params(args, "level"))
+    _emit(payload, args, _params(args))
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _params(args, *names) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(args, name)
-        if isinstance(value, (list, tuple)):
-            value = list(value)
-        out[name] = value
-    return out
+def _params(args) -> dict:
+    """Every parsed option of the subcommand, as recorded in its manifest."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
 
 
 def _add_mode_arguments(parser, with_parity: bool = True):

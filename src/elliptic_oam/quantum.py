@@ -31,9 +31,10 @@ class HelicalSign(enum.Enum):
 
 
 def _as_sign(sign) -> HelicalSign:
-    if isinstance(sign, HelicalSign):
-        return sign
-    return HelicalSign(sign)
+    try:
+        return HelicalSign(sign)
+    except ValueError:
+        raise InvalidModeError(f"sign must be 'plus' or 'minus', got {sign!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,6 @@ class OamCurve:
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "oam", oam)
 
-    @property
-    def samples(self):
-        return list(zip(self.epsilons.tolist(), self.oam.tolist()))
-
 
 def _expansion_sign(n: int, l: int, p: int, m: int) -> float:
     # hook point for the verification canary; the exponent is always an
@@ -114,33 +111,24 @@ def _expansion_sign(n: int, l: int, p: int, m: int) -> float:
     return -1.0 if (n + l + (p + m) // 2) % 2 else 1.0
 
 
-def admissible_lg_terms(mode: ModeIndex):
-    """All (n, l) with p = 2n + l and parity-admissible l, l descending."""
-    start = mode.p
-    stop = -1 if mode.is_even else 0
-    return [((mode.p - l) // 2, l) for l in range(start, stop, -2)]
-
-
 def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     """LG weights of one IG mode at the given ellipticity.
 
-    Every admissible equal-Gouy-order term is present; weights are real with
-    a deterministic overall sign (positive normalization constant on top of
+    Every admissible equal-Gouy-order term is present: the charges l are the
+    series harmonics, taken in descending order.  Weights are real with a
+    deterministic overall sign (positive normalization constant on top of
     the sign-fixed Fourier vector), and sum of squares is 1.
     """
-    if ellipticity < 0.0:
-        raise InvalidModeError(f"ellipticity must be non-negative, got {ellipticity}")
     poly = solve_ince(mode, ellipticity)
-    harmonic_index = {int(h): j for j, h in enumerate(poly.harmonics)}
     raw = []
     # (n + l)! n! relative to its l = p value: from l + 2 to l it gains the
     # factor n / (n + l + 1), so no factorial overflows at high order
     factorials = 1.0
-    for n, l in admissible_lg_terms(mode):
+    for l, fourier in zip(poly.harmonics[::-1].tolist(), poly.fourier[::-1]):
+        n = (mode.p - l) // 2
         if n > 0:
             factorials *= n / (n + l + 1)
         factor = math.sqrt((2.0 if l == 0 else 1.0) * factorials)
-        fourier = poly.fourier[harmonic_index[l]]
         raw.append((n, l, _expansion_sign(n, l, mode.p, mode.m) * factor * fourier))
     scale = 1.0 / math.sqrt(sum(d * d for _, _, d in raw))
     terms = tuple(
@@ -153,7 +141,7 @@ def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState
     """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes."""
     if mode.m < 1:
         raise InvalidModeError("helical states need m >= 1 (no odd partner for m = 0)")
-    if ellipticity <= 0.0:
+    if not ellipticity > 0.0:
         raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
     sign = _as_sign(sign)
     even = decompose(ModeIndex(mode.p, mode.m, Parity.EVEN), ellipticity)
@@ -222,8 +210,6 @@ def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
     """<Lz>(eps) of the helical state over a strictly increasing eps grid."""
     sign = _as_sign(sign)
     eps = np.asarray(list(epsilons), dtype=float)
-    if np.any(eps <= 0.0):
-        raise InvalidModeError("all ellipticities must be positive")
     values = np.fromiter(
         (oam_expectation(helical_state(mode, sign, e)) for e in eps), dtype=float, count=eps.size
     )

@@ -18,8 +18,6 @@ from .beams import BeamGeometry, ComplexField, eval_hig, sample_grid
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
 
-DEFAULT_AMPLITUDE_FLOOR = 1e-9
-
 
 @dataclass(frozen=True)
 class Vortex:
@@ -62,20 +60,18 @@ def _bilinear_zero(f00, f10, f01, f11) -> tuple:
     return min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
 
 
-def find_vortices(field: ComplexField, amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR):
+def find_vortices(field: ComplexField):
     """Detect phase singularities and their charges on a sampled field.
 
     For each plaquette the wrapped phase differences around the four corners
     are summed; a nonzero multiple of 2*pi marks an enclosed singularity,
     positioned at the bilinear zero-crossing estimate.  Plaquettes whose
-    corner amplitudes do not all clear ``amplitude_floor * max|field|`` are
-    treated as numerical noise, as are plaquettes without a sign change in
-    both field quadratures.  Result is sorted by x then y.
+    corner amplitudes do not all clear 1e-9 * max|field| are treated as
+    numerical noise, as are plaquettes without a sign change in both field
+    quadratures.  Result is sorted by x then y.
     """
     if field.nx < 8 or field.ny < 8:
         raise GridError(f"grid {field.ny}x{field.nx} too small for winding detection (need 8x8)")
-    if amplitude_floor < 0.0:
-        raise GridError("amplitude_floor must be non-negative")
     values = field.values
     phase = np.angle(values)
     p00 = phase[:-1, :-1]
@@ -88,7 +84,7 @@ def find_vortices(field: ComplexField, amplitude_floor: float = DEFAULT_AMPLITUD
     charge = np.rint(winding / (2.0 * np.pi)).astype(int)
 
     amplitude = np.abs(values)
-    floor = amplitude_floor * float(amplitude.max())
+    floor = 1e-9 * float(amplitude.max())
     corner_min = np.minimum(
         np.minimum(amplitude[:-1, :-1], amplitude[:-1, 1:]),
         np.minimum(amplitude[1:, :-1], amplitude[1:, 1:]),
@@ -183,7 +179,6 @@ def vortex_census(
     resolution: int,
     waist: float = 1.0,
     wavenumber: float = 2.0 * math.pi,
-    amplitude_floor: float = DEFAULT_AMPLITUDE_FLOOR,
 ):
     """Vortex inventory of a helical mode across ellipticities.
 
@@ -200,5 +195,5 @@ def vortex_census(
         field = sample_grid(
             lambda x, y: eval_hig(mode, sign, eps, geometry, x, y), half_width, resolution
         )
-        results.append((float(eps), find_vortices(field, amplitude_floor)))
+        results.append((float(eps), find_vortices(field)))
     return results

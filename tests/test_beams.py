@@ -7,8 +7,6 @@ import pytest
 
 from elliptic_oam.beams import (
     BeamGeometry,
-    cartesian_to_elliptic,
-    elliptic_to_cartesian,
     eval_gaussian,
     eval_hg,
     eval_hig,
@@ -20,7 +18,7 @@ from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity, valid_modes
 from elliptic_oam.linalg import plane_quadrature_grid
 from elliptic_oam.quantum import decompose
-from elliptic_oam.verify import series_ig
+from elliptic_oam.verify import cartesian_to_elliptic, elliptic_to_cartesian, series_ig
 
 from oracles import geometry, mp_hg, mp_lg
 

@@ -111,11 +111,17 @@ class TestOamCurve:
         assert len(sidecar["crossings"]["epsilons"]) >= 1
         assert abs(sidecar["crossings"]["epsilons"][0] - 12.0968) < 1e-2
 
-    def test_bad_domain_exits_2(self, tmp_path):
+    def test_bad_domain_exits_2(self, tmp_path, monkeypatch, capsys):
         assert run_cli(["oam-curve", "-p", "2", "-m", "2", "--eps-min", "0", "--eps-max", "1",
                         "-o", str(tmp_path / "x.csv")]) == 2
         assert run_cli(["oam-curve", "-p", "2", "-m", "0", "--eps-min", "0.1", "--eps-max", "1",
                         "-o", str(tmp_path / "y.csv")]) == 2
+        capsys.readouterr()
+        # too few steps is refused before any curve is computed
+        monkeypatch.setattr(quantum, "oam_curve", None)
+        assert run_cli(["oam-curve", "-p", "2", "-m", "2", "--eps-min", "0.1", "--eps-max", "1",
+                        "--steps", "2", "-o", str(tmp_path / "z.csv")]) == 2
+        assert capsys.readouterr().err == "error: need at least 3 steps\n"
 
 
 class TestField:
@@ -196,7 +202,7 @@ class TestVerify:
         assert count >= 20
         assert "overall: PASS" in text
         assert "FAIL" not in text.replace("overall: PASS", "")
-        assert (tmp_path / "report.txt.manifest.json").exists()
+        assert read_manifest(out)["parameters"] == {"level": "fast"}
 
     def test_perturbed_weight_sign_fails(self, monkeypatch):
         # canary: corrupting the expansion sign factor must not go unnoticed
@@ -206,6 +212,57 @@ class TestVerify:
         assert not report.ok
         failing = [r.name for r in report.results if not r.passed]
         assert "ig22-closed-form" in failing or any("overlap" in name for name in failing)
+
+
+MANIFEST_CASES = [
+    ["solve-ince", "-p", "3", "-m", "1", "--parity", "odd", "-e", "0.7"],
+    ["decompose", "-p", "4", "-m", "2", "--parity", "even", "-e", "1.5"],
+    ["oam-curve", "-p", "3", "-m", "3", "--eps-min", "0.1", "--eps-max", "2", "--steps", "8"],
+    ["oam-curve", "-p", "7", "-m", "5", "--sign", "minus", "--eps-min", "0.1", "--eps-max", "2",
+     "--steps", "8", "--log-spacing", "--cross", "7", "7"],
+    ["field", "-p", "2", "-m", "2", "--kind", "helical_minus", "-e", "1.0", "--window", "3",
+     "--resolution", "16", "--z", "0.2", "--format", "pgm", "--waist", "1.5"],
+    ["vortices", "-p", "2", "-m", "2", "-e", "2.0", "--resolution", "64", "--wavenumber", "3"],
+]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv", MANIFEST_CASES, ids=lambda argv: argv[0])
+    def test_parameters_are_the_parsed_options(self, tmp_path, argv):
+        out = tmp_path / "payload"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        parsed = vars(cli.build_parser().parse_args(argv))
+        expected = {k: v for k, v in parsed.items() if k not in ("command", "func", "output")}
+        manifest = read_manifest(out)
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["parameters"] == expected
+        if "--cross" in argv:
+            assert manifest["parameters"]["cross"] == [7, 7]
+
+
+NON_FINITE_CASES = [
+    ["solve-ince", "-p", "5", "-m", "3", "--parity", "odd", "-e", "nan"],
+    ["decompose", "-p", "5", "-m", "3", "--parity", "odd", "-e", "inf"],
+    ["vortices", "-p", "5", "-m", "3", "-e", "nan", "--resolution", "64"],
+    ["vortices", "-p", "5", "-m", "3", "-e", "inf", "--resolution", "64"],
+    ["oam-curve", "-p", "7", "-m", "5", "--eps-min", "nan", "--eps-max", "30"],
+    ["oam-curve", "-p", "7", "-m", "5", "--eps-min", "0.1", "--eps-max", "inf"],
+    ["oam-curve", "-p", "7", "-m", "5", "--eps-min", "0.1", "--eps-max", "inf", "--log-spacing"],
+]
+
+
+class TestNonFiniteEllipticity:
+    @pytest.mark.parametrize("argv", NON_FINITE_CASES, ids=" ".join)
+    def test_domain_error_without_warnings(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestEntryPoint:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from elliptic_oam.errors import GridError, InvalidModeError, UnnormalizedStateError
-from elliptic_oam.ince import ModeIndex, Parity, valid_modes
+from elliptic_oam.ince import ModeIndex, Parity, solve_ince, valid_modes
 from elliptic_oam.quantum import (
     LGIndex,
     OamCurve,
@@ -61,13 +61,14 @@ class TestDecompose:
             assert abs(weights[index] - d) < 1e-10
 
     def test_gouy_order_structure(self):
-        for mode in (ModeIndex(7, 3, Parity.ODD), ModeIndex(8, 0, Parity.EVEN)):
+        for mode in valid_modes(12):
             result = decompose(mode, 2.0)
             for index, _ in result.terms:
                 assert 2 * index.n + index.l == mode.p
                 assert index.parity is mode.parity
             ls = [index.l for index, _ in result.terms]
-            assert ls == sorted(ls, reverse=True)
+            assert ls == list(range(mode.p, 0 if mode.parity is Parity.ODD else -1, -2))
+            assert ls == solve_ince(mode, 2.0).harmonics[::-1].tolist()
 
     @pytest.mark.parametrize("eps", [0.5, 2.0, 5.0])
     def test_matches_overlap_oracle_through_p5(self, eps):
@@ -120,6 +121,13 @@ class TestHelicalState:
         with pytest.raises(InvalidModeError):
             helical_state(ModeIndex(2, 0, Parity.EVEN), "plus", 1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ellipticity(self, eps):
+        with pytest.raises(InvalidModeError):
+            decompose(M22, eps)
+        with pytest.raises(InvalidModeError):
+            helical_state(M22, "plus", eps)
+
 
 class TestOamExpectation:
     def test_helical_lg_eigenvalue(self):
@@ -157,6 +165,19 @@ class TestHelicalSign:
         assert HelicalSign("plus") is HelicalSign.PLUS
         assert HelicalSign(HelicalSign.MINUS.value).value_int == -1
         assert helical_state(M22, HelicalSign("plus"), 0.5) == helical_state(M22, "plus", 0.5)
+
+    @pytest.mark.parametrize("sign", ["up", "Plus", 1, None])
+    def test_unknown_sign_rejected(self, sign):
+        from elliptic_oam.beams import eval_hig
+
+        from oracles import geometry
+
+        with pytest.raises(InvalidModeError):
+            helical_state(M22, sign, 0.5)
+        with pytest.raises(InvalidModeError):
+            oam_curve(M22, sign, [0.5, 1.0])
+        with pytest.raises(InvalidModeError):
+            eval_hig(M22, sign, 0.5, geometry(), 0.1, 0.1)
 
 
 class TestOamDistribution:
@@ -213,6 +234,8 @@ class TestOamCurve:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(InvalidModeError):
             oam_curve(M22, "plus", [0.0, 1.0])
+        with pytest.raises(InvalidModeError):
+            oam_curve(M22, "plus", [math.nan, 1.0])
 
     def test_grid_must_increase(self):
         with pytest.raises(GridError):
