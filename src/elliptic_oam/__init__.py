@@ -33,7 +33,6 @@ from .ince import (
 from .linalg import EigenSolution, TridiagonalMatrix, eigen_tridiagonal
 from .quantum import (
     Decomposition,
-    LGIndex,
     OamCurve,
     QuantumModeState,
     decompose,
@@ -55,7 +54,6 @@ __all__ = [
     "GridError",
     "IncePolynomial",
     "InvalidModeError",
-    "LGIndex",
     "ModeIndex",
     "NonSymmetrizableError",
     "OamCurve",

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, InvalidModeError
-from .ince import ModeIndex, Parity
-from .quantum import LGIndex, decompose, helical_state
+from .ince import ModeIndex
+from .quantum import QuantumModeState, _parity_state, decompose, helical_state
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,12 @@ class BeamGeometry:
     z: float = 0.0
 
     def __post_init__(self):
-        if self.waist <= 0.0:
-            raise InvalidModeError(f"waist must be positive, got {self.waist}")
-        if self.wavenumber <= 0.0:
-            raise InvalidModeError(f"wavenumber must be positive, got {self.wavenumber}")
+        if not 0.0 < self.waist < math.inf:
+            raise InvalidModeError(f"waist must be positive and finite, got {self.waist}")
+        if not 0.0 < self.wavenumber < math.inf:
+            raise InvalidModeError(f"wavenumber must be positive and finite, got {self.wavenumber}")
+        if not math.isfinite(self.z):
+            raise InvalidModeError(f"z must be finite, got {self.z}")
 
     @property
     def rayleigh_range(self) -> float:
@@ -113,11 +115,11 @@ def _genlaguerre(n: int, l: int, x):
     return current
 
 
-def _lg_sum(terms, order: int, geometry: BeamGeometry, x, y):
-    """Sum of c * LG(index) over (LGIndex, c) terms of one Gouy order 2n + l.
+def _lg_sum(state: QuantumModeState, order: int, geometry: BeamGeometry, x, y):
+    """Field of a state whose LG rows all have the Gouy order 2n + l = order.
 
     r^2, phi, log(2 r^2 / w^2) and the curvature and Gouy phases are computed
-    once; each (n, l) radial factor once for its even and odd terms.  The
+    once; each row's radial factor once for its even and odd amplitude.  The
     norm, the power of r and the Gaussian envelope are summed as logarithms,
     so no factorial or power overflows at high order.
     """
@@ -129,11 +131,9 @@ def _lg_sum(terms, order: int, geometry: BeamGeometry, x, y):
     with np.errstate(divide="ignore"):
         log_arg = np.log(arg)
     phi = np.arctan2(y, x)
-    pairs = {}
-    for index, c in terms:
-        pairs.setdefault((index.n, index.l), [0.0, 0.0])[index.parity is Parity.ODD] = c
     total = 0.0
-    for (n, l), (even, odd) in pairs.items():
+    rows = (state.n.tolist(), state.l.tolist(), state.even.tolist(), state.odd.tolist())
+    for n, l, even, odd in zip(*rows):
         # log of sqrt(2 n! / (pi (n + l)!)) * arg^(l/2) * exp(-arg/2)
         log_weight = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n + 1) - math.lgamma(n + l + 1) - arg)
         if l == 0:
@@ -152,21 +152,14 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     "helical_plus"/"helical_minus" (exp(+-i l phi)).  Even/odd pairs are
     orthonormal; helical combinations are (even +- i odd)/sqrt(2).
     """
-    if n < 0 or l < 0:
-        raise InvalidModeError(f"LG indices must be non-negative, got n={n}, l={l}")
     if kind not in ("even", "odd", "helical_plus", "helical_minus"):
         raise InvalidModeError(f"unknown LG kind {kind!r}")
-    if kind != "even" and l == 0:
-        raise InvalidModeError(f"LG kind {kind!r} requires l >= 1")
     if kind in ("even", "odd"):
-        terms = [(LGIndex(Parity(kind), n, l), 1.0)]
+        even, odd = (1.0, 0.0) if kind == "even" else (0.0, 1.0)
     else:
         s = 1.0 if kind == "helical_plus" else -1.0
-        terms = [
-            (LGIndex(Parity.EVEN, n, l), 1.0 / math.sqrt(2.0)),
-            (LGIndex(Parity.ODD, n, l), s * 1j / math.sqrt(2.0)),
-        ]
-    return _lg_sum(terms, 2 * n + l, geometry, x, y)
+        even, odd = 1.0 / math.sqrt(2.0), s * 1j / math.sqrt(2.0)
+    return _lg_sum(QuantumModeState([n], [l], [even], [odd]), 2 * n + l, geometry, x, y)
 
 
 def _hermite_function(n: int, u):
@@ -202,13 +195,12 @@ def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     """
     if ellipticity <= 0.0:
         raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
-    return _lg_sum(decompose(mode, ellipticity).terms, mode.p, geometry, x, y)
+    return _lg_sum(_parity_state(decompose(mode, ellipticity)), mode.p, geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    state = helical_state(mode, sign, ellipticity)
-    return _lg_sum(state.amplitudes.items(), mode.p, geometry, x, y)
+    return _lg_sum(helical_state(mode, sign, ellipticity), mode.p, geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:

@@ -83,7 +83,7 @@ def cmd_solve_ince(args) -> int:
 def cmd_decompose(args) -> int:
     mode = _mode_from(args)
     result = quantum.decompose(mode, args.epsilon)
-    terms = [{"n": i.n, "l": i.l, "D": d} for i, d in result.terms]
+    terms = [{"n": (mode.p - l) // 2, "l": l, "D": d} for l, d in result.terms]
     document = {
         "p": mode.p,
         "m": mode.m,
@@ -171,8 +171,6 @@ def cmd_field(args) -> int:
 
 def cmd_vortices(args) -> int:
     mode = ModeIndex(args.p, args.m, Parity.EVEN)
-    if mode.m < 1:
-        raise InvalidModeError("vortex detection needs a helical mode (m >= 1)")
     census = vortex.vortex_census(
         mode,
         args.sign,

@@ -38,42 +38,53 @@ def _as_sign(sign) -> HelicalSign:
 
 
 @dataclass(frozen=True)
-class LGIndex:
-    """Laguerre-Gauss basis label: parity, radial number n, charge l >= 0."""
-
-    parity: Parity
-    n: int
-    l: int
-
-    def __post_init__(self):
-        if not isinstance(self.parity, Parity):
-            object.__setattr__(self, "parity", Parity(self.parity))
-        if self.n < 0 or self.l < 0:
-            raise InvalidModeError(f"LG indices must be non-negative, got n={self.n}, l={self.l}")
-        if self.parity is Parity.ODD and self.l < 1:
-            raise InvalidModeError("odd LG modes require l >= 1")
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """LG expansion of one IG mode: [(LGIndex, weight)] with sum D^2 = 1."""
+    """LG expansion of one IG mode over its ladder, with sum D^2 = 1.
+
+    ``charges`` holds the LG charges l in descending order, each with radial
+    number n = (p - l) / 2 and the mode's parity; ``weights`` the real D.
+    """
 
     mode: ModeIndex
     ellipticity: float
-    terms: tuple
+    charges: np.ndarray
+    weights: np.ndarray
 
-    def weights(self) -> dict:
-        return {index: weight for index, weight in self.terms}
+    @property
+    def terms(self) -> tuple:
+        """(l, D) pairs in ladder order."""
+        return tuple(zip(self.charges.tolist(), self.weights.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumModeState:
-    """One-photon state over the even/odd LG basis at fixed wavenumber."""
+    """One-photon state over the even/odd LG basis at fixed wavenumber.
 
-    amplitudes: dict
+    Row k holds the amplitudes of the even and the odd LG mode of radial
+    number n[k] and charge l[k]; there is no odd mode at l = 0.
+    """
+
+    n: np.ndarray
+    l: np.ndarray
+    even: np.ndarray
+    odd: np.ndarray
+
+    def __post_init__(self):
+        n, l, even, odd = (np.asarray(a) for a in (self.n, self.l, self.even, self.odd))
+        if n.ndim != 1 or not n.shape == l.shape == even.shape == odd.shape:
+            raise InvalidModeError("n, l, even and odd must be equal-length 1-D arrays")
+        ns, ls = n.tolist(), l.tolist()
+        if min(ns + ls, default=0) < 0:
+            raise InvalidModeError(f"LG indices must be non-negative, got n={n}, l={l}")
+        if np.count_nonzero(odd[l == 0]):
+            raise InvalidModeError("odd LG modes require l >= 1")
+        if len(set(zip(ns, ls))) != len(ns):
+            raise InvalidModeError("LG (n, l) rows must be distinct")
+        for name, value in zip(("n", "l", "even", "odd"), (n, l, even, odd)):
+            object.__setattr__(self, name, value)
 
     def norm_squared(self) -> float:
-        return float(sum(abs(c) ** 2 for c in self.amplitudes.values()))
+        return float(np.vdot(self.even, self.even).real + np.vdot(self.odd, self.odd).real)
 
     def require_normalized(self):
         total = self.norm_squared()
@@ -105,10 +116,10 @@ class OamCurve:
         object.__setattr__(self, "oam", oam)
 
 
-def _expansion_sign(n: int, l: int, p: int, m: int) -> float:
+def _expansion_sign(n, l, p: int, m: int):
     # hook point for the verification canary; the exponent is always an
     # integer because p and m share parity
-    return -1.0 if (n + l + (p + m) // 2) % 2 else 1.0
+    return np.where((n + l + (p + m) // 2) % 2, -1.0, 1.0)
 
 
 def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
@@ -120,21 +131,27 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     the sign-fixed Fourier vector), and sum of squares is 1.
     """
     poly = solve_ince(mode, ellipticity)
-    raw = []
-    # (n + l)! n! relative to its l = p value: from l + 2 to l it gains the
-    # factor n / (n + l + 1), so no factorial overflows at high order
-    factorials = 1.0
-    for l, fourier in zip(poly.harmonics[::-1].tolist(), poly.fourier[::-1]):
-        n = (mode.p - l) // 2
-        if n > 0:
-            factorials *= n / (n + l + 1)
-        factor = math.sqrt((2.0 if l == 0 else 1.0) * factorials)
-        raw.append((n, l, _expansion_sign(n, l, mode.p, mode.m) * factor * fourier))
-    scale = 1.0 / math.sqrt(sum(d * d for _, _, d in raw))
-    terms = tuple(
-        (LGIndex(parity=mode.parity, n=n, l=l), d * scale) for n, l, d in raw
-    )
-    return Decomposition(mode=mode, ellipticity=float(ellipticity), terms=terms)
+    charges = poly.harmonics[::-1]
+    n = (mode.p - charges) // 2
+    # (n + l)! n! relative to its value in the first row, l = p and n = 0:
+    # from l + 2 to l it gains the factor n / (n + l + 1), so no factorial
+    # overflows at high order
+    ratios = n / (n + charges + 1)
+    ratios[0] = 1.0
+    factorials = np.cumprod(ratios)
+    factorials[charges == 0] *= 2.0
+    raw = _expansion_sign(n, charges, mode.p, mode.m) * np.sqrt(factorials) * poly.fourier[::-1]
+    # one term at a time in ladder order; np.sum would pair terms up
+    scale = 1.0 / math.sqrt(sum(raw * raw))
+    return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=raw * scale)
+
+
+def _parity_state(expansion: Decomposition) -> QuantumModeState:
+    """The even or odd IG mode itself as a one-photon state."""
+    mode, weights = expansion.mode, expansion.weights
+    zeros = np.zeros_like(weights)
+    even, odd = (weights, zeros) if mode.parity is Parity.EVEN else (zeros, weights)
+    return QuantumModeState((mode.p - expansion.charges) // 2, expansion.charges, even, odd)
 
 
 def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
@@ -146,13 +163,15 @@ def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState
     sign = _as_sign(sign)
     even = decompose(ModeIndex(mode.p, mode.m, Parity.EVEN), ellipticity)
     odd = decompose(ModeIndex(mode.p, mode.m, Parity.ODD), ellipticity)
-    amplitudes = {}
-    for index, weight in even.terms:
-        amplitudes[index] = weight / math.sqrt(2.0)
+    # the odd ladder stops at l = 1 or 2; the even one may go on to l = 0
+    odd_weights = np.concatenate((odd.weights, np.zeros(even.charges.size - odd.charges.size)))
     phase = 1j * sign.value_int / math.sqrt(2.0)
-    for index, weight in odd.terms:
-        amplitudes[index] = phase * weight
-    return QuantumModeState(amplitudes=amplitudes)
+    return QuantumModeState(
+        n=(mode.p - even.charges) // 2,
+        l=even.charges,
+        even=even.weights / math.sqrt(2.0),
+        odd=phase * odd_weights,
+    )
 
 
 def oam_expectation(state: QuantumModeState) -> float:
@@ -160,49 +179,27 @@ def oam_expectation(state: QuantumModeState) -> float:
 
     The OAM operator maps even LG states to i*l times the odd partner and
     vice versa with opposite sign, so only even-odd cross terms contribute:
-    <Lz> = sum 2 l Im(conj(c_even) * c_odd).
+    <Lz> = sum 2 l Im(conj(c_even) * c_odd), summed row by row.
     """
     state.require_normalized()
-    total = 0.0
-    for index, c_even in state.amplitudes.items():
-        if index.parity is not Parity.EVEN or index.l == 0:
-            continue
-        partner = LGIndex(parity=Parity.ODD, n=index.n, l=index.l)
-        c_odd = state.amplitudes.get(partner)
-        if c_odd is not None:
-            total += 2.0 * index.l * (np.conj(c_even) * c_odd).imag
-    return float(total)
+    return float(sum(2.0 * state.l * (np.conj(state.even) * state.odd).imag))
 
 
 def oam_distribution(state: QuantumModeState) -> dict:
     """Probability of each signed integer OAM under an LG-basis projection.
 
     Even/odd amplitudes convert to helical ones as c+- = (c_e -+ i c_o)/sqrt(2)
-    per (n, l >= 1); l = 0 stays a single unsigned bin.  The first moment of
-    the returned map equals oam_expectation exactly.
+    per (n, l); l = 0 stays a single unsigned bin.  The first moment of the
+    returned map equals oam_expectation exactly.
     """
     state.require_normalized()
-    seen = set()
+    plus = np.abs((state.even - 1j * state.odd) / math.sqrt(2.0)) ** 2
+    minus = np.abs((state.even + 1j * state.odd) / math.sqrt(2.0)) ** 2
     probabilities = {}
-
-    def _add(l_signed, weight):
-        if weight != 0.0:
-            probabilities[l_signed] = probabilities.get(l_signed, 0.0) + weight
-
-    for index in state.amplitudes:
-        key = (index.n, index.l)
-        if key in seen:
-            continue
-        seen.add(key)
-        c_even = state.amplitudes.get(LGIndex(parity=Parity.EVEN, n=index.n, l=index.l), 0.0)
-        if index.l == 0:
-            _add(0, abs(c_even) ** 2)
-            continue
-        c_odd = state.amplitudes.get(LGIndex(parity=Parity.ODD, n=index.n, l=index.l), 0.0)
-        c_plus = (c_even - 1j * c_odd) / math.sqrt(2.0)
-        c_minus = (c_even + 1j * c_odd) / math.sqrt(2.0)
-        _add(index.l, abs(c_plus) ** 2)
-        _add(-index.l, abs(c_minus) ** 2)
+    for l, p_plus, p_minus in zip(state.l.tolist(), plus.tolist(), minus.tolist()):
+        for l_signed, weight in ((l, p_plus), (-l, p_minus)):
+            if weight != 0.0:
+                probabilities[l_signed] = probabilities.get(l_signed, 0.0) + weight
     return dict(sorted(probabilities.items()))
 
 
@@ -246,9 +243,7 @@ def find_crossings(a: OamCurve, b: OamCurve):
     Sign changes of the difference are located and refined by linear
     interpolation; equalities at the grid endpoints are not crossings.
     """
-    if a.epsilons.shape != b.epsilons.shape or not np.allclose(
-        a.epsilons, b.epsilons, rtol=0.0, atol=0.0
-    ):
+    if not np.array_equal(a.epsilons, b.epsilons):
         raise GridError("curves must share an identical ellipticity grid")
     eps = a.epsilons
     diff = a.oam - b.oam

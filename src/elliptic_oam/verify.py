@@ -27,7 +27,7 @@ from .ince import (
     valid_modes,
 )
 from .linalg import plane_quadrature_grid
-from .quantum import LGIndex, QuantumModeState
+from .quantum import QuantumModeState
 
 GOLDEN_TURNING_POINT_73 = 1.933672
 GOLDEN_TURNING_POINT_75 = 5.822778
@@ -138,36 +138,31 @@ def quadrature_weights(mode: ModeIndex, eps: float, waist: float = 1.0):
     X, Y, W = plane_quadrature_grid(8.0 * waist, 128)
     ig = series_ig(mode, eps, geometry, X, Y)
     out = {}
-    for index, _ in quantum.decompose(mode, eps).terms:
-        lg = beams.eval_lg(index.n, index.l, mode.parity.value, geometry, X, Y)
-        out[index] = float(np.sum(np.conj(lg) * ig * W).real)
+    for l in quantum.decompose(mode, eps).charges.tolist():
+        lg = beams.eval_lg((mode.p - l) // 2, l, mode.parity.value, geometry, X, Y)
+        out[l] = float(np.sum(np.conj(lg) * ig * W).real)
     return out
 
 
 def ig22_closed_form(eps: float) -> dict:
-    """Closed-form LG weights {LGIndex: D} of IG(2,2,even) under the confirmed sign variant."""
+    """Closed-form LG weights {l: D} of IG(2,2,even) under the confirmed sign variant."""
     root = math.sqrt(1.0 + eps**2)
     denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
-    return {LGIndex(Parity.EVEN, 0, 2): eps / denom, LGIndex(Parity.EVEN, 1, 0): (1.0 - root) / denom}
+    return {2: eps / denom, 0: (1.0 - root) / denom}
 
 
 def _pseudo_states(count: int):
     """Deterministic normalized states over the p <= 5 even/odd LG basis."""
-    basis = []
-    for p in range(6):
-        for l in range(p % 2, p + 1, 2):
-            n = (p - l) // 2
-            basis.append(LGIndex(parity=Parity.EVEN, n=n, l=l))
-            if l >= 1:
-                basis.append(LGIndex(parity=Parity.ODD, n=n, l=l))
+    n, l = np.array([((p - l) // 2, l) for p in range(6) for l in range(p % 2, p + 1, 2)]).T
+    # basis index j = 1, 2, ... of each (even, odd) amplitude, row by row
+    j = np.arange(1, 2 * n.size + 1).reshape(-1, 2)
     states = []
     for k in range(count):
-        amplitudes = {}
-        for j, index in enumerate(basis):
-            t = (k + 1) * 0.37 + (j + 1) * 1.13
-            amplitudes[index] = complex(math.sin(2.9 * t), math.cos(1.7 * t + 0.4))
-        scale = 1.0 / math.sqrt(sum(abs(c) ** 2 for c in amplitudes.values()))
-        states.append(QuantumModeState({i: c * scale for i, c in amplitudes.items()}))
+        t = (k + 1) * 0.37 + j * 1.13
+        amplitudes = np.sin(2.9 * t) + 1j * np.cos(1.7 * t + 0.4)
+        amplitudes[l == 0, 1] = 0.0
+        amplitudes /= np.linalg.norm(amplitudes)
+        states.append(QuantumModeState(n, l, amplitudes[:, 0], amplitudes[:, 1]))
     return states
 
 
@@ -191,8 +186,8 @@ def run_checks(level: str = "fast") -> Report:
     add(CheckResult("eigenvalue-harmonic-limit", worst, 1e-10, worst <= 1e-10))
 
     # two-term closed form at eps = 0.5 under the confirmed sign variant
-    computed = quantum.decompose(ModeIndex(2, 2, Parity.EVEN), 0.5).weights()
-    worst = max(abs(computed[i] - d) for i, d in ig22_closed_form(0.5).items())
+    computed = dict(quantum.decompose(ModeIndex(2, 2, Parity.EVEN), 0.5).terms)
+    worst = max(abs(computed[l] - d) for l, d in ig22_closed_form(0.5).items())
     add(CheckResult("ig22-closed-form", worst, 1e-10, worst <= 1e-10, IG22_NOTE))
 
     # expansion weights against the overlap-integral oracle
@@ -202,7 +197,7 @@ def run_checks(level: str = "fast") -> Report:
         for mode in valid_modes(p_max):
             weights = dict(quantum.decompose(mode, eps).terms)
             oracle = quadrature_weights(mode, eps)
-            worst = max(worst, max(abs(weights[i] - oracle[i]) for i in oracle))
+            worst = max(worst, max(abs(weights[l] - oracle[l]) for l in oracle))
         add(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
 
     # IG orthonormality
@@ -302,9 +297,7 @@ def run_checks(level: str = "fast") -> Report:
     minus = quantum.oam_expectation(quantum.helical_state(ModeIndex(5, 3, Parity.EVEN), "minus", 1.7))
     add(CheckResult("oam-sign-symmetry", abs(plus + minus), 0.0, plus + minus == 0.0))
 
-    even_only = QuantumModeState(
-        {i: complex(d) for i, d in quantum.decompose(ModeIndex(5, 3, Parity.EVEN), 2.0).terms}
-    )
+    even_only = quantum._parity_state(quantum.decompose(ModeIndex(5, 3, Parity.EVEN), 2.0))
     add(
         CheckResult(
             "parity-state-zero-oam",

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamGeometry, ComplexField, eval_hig, sample_grid
-from .errors import GridError, InvalidModeError
+from .beams import BeamGeometry, ComplexField, _lg_sum, sample_grid
+from .errors import GridError
 from .ince import ModeIndex
+from .quantum import helical_state
 
 
 @dataclass(frozen=True)
@@ -185,15 +186,14 @@ def vortex_census(
     Samples the helical field per ellipticity on an adaptive window (six
     waists, or three semifocal separations if larger) and runs
     find_vortices.  Returns [(eps, [Vortex, ...]), ...] in input order.
+    The helical state, which rejects m < 1 and eps <= 0, is built before
+    the window that depends on eps.
     """
-    if mode.m < 1:
-        raise InvalidModeError("vortex census needs a helical mode (m >= 1)")
     geometry = BeamGeometry(waist=waist, wavenumber=wavenumber)
     results = []
     for eps in epsilons:
+        state = helical_state(mode, sign, eps)
         half_width = census_window(waist, eps)
-        field = sample_grid(
-            lambda x, y: eval_hig(mode, sign, eps, geometry, x, y), half_width, resolution
-        )
+        field = sample_grid(lambda x, y: _lg_sum(state, mode.p, geometry, x, y), half_width, resolution)
         results.append((float(eps), find_vortices(field)))
     return results

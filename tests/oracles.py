@@ -6,7 +6,8 @@ eigenvectors, from mpmath's symmetric eigensolver in extended precision;
 series values from plain term-by-term summation, and LG and HG field values
 from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
 from overlap quadrature of the elliptic-series fields are
-``verify.quadrature_weights``.
+``verify.quadrature_weights``.  ``random_states`` supplies the random
+one-photon states of the OAM identity tests.
 """
 
 import math
@@ -15,6 +16,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry
+from elliptic_oam.quantum import QuantumModeState
 
 
 def sturm_count(diag, sub, sup, x):
@@ -133,3 +135,22 @@ def _mp_phase(order, geo, r2):
 
 def plane_sum(values, weights):
     return complex(np.sum(values * weights))
+
+
+def random_states(count, seed=1234):
+    """Random normalized states over the p <= 4 even/odd LG basis.
+
+    One complex normal draw per basis mode, the even mode of each (n, l)
+    row before its odd partner (none at l = 0), scattered into the rows.
+    """
+    n, l = np.array([((p - l) // 2, l) for p in range(5) for l in range(p % 2, p + 1, 2)]).T
+    # (row, column) of each basis mode: column 0 even, column 1 odd
+    slots = [(row, column) for row, l_row in enumerate(l) for column in ((0, 1) if l_row else (0,))]
+    at = tuple(np.array(slots).T)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        raw = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+        raw /= np.linalg.norm(raw)
+        amplitudes = np.zeros((n.size, 2), dtype=complex)
+        amplitudes[at] = raw
+        yield QuantumModeState(n, l, amplitudes[:, 0], amplitudes[:, 1])

@@ -1,15 +1,22 @@
-"""The benchmark's per-layer metrics must name functions the library still has.
+"""The benchmark must still run against the library's current interface.
 
 ``bench/tracer.py`` wraps every public function of each module and records
 an entry for it at install time, so the metrics of an empty snapshot list
 every traced name.  A public function named in ``BENCHMARK.json`` that is
 moved or renamed would leave its metric missing, and ``bench/run.py
---trace 1`` would stop with a ``KeyError``.
+--trace 1`` would stop with a ``KeyError``.  The in-process workloads call
+the library directly (``decompose(...).terms``, ``oam_distribution``,
+``census_window``), so the first op of each must still run and pass its
+check.
 """
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,15 +24,16 @@ ROOT = Path(__file__).resolve().parent.parent
 ADDED_BY_RUNNER = {"cli.import_s", "cli.process_s", "cli.payload_bytes", "trace.op_mean_s"}
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_per_layer_metric_is_traced():
-    tracer_module = _load_tracer()
+    tracer_module = _load("tracer")
     wanted = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     tracer = tracer_module.Tracer().install()
     try:
@@ -33,3 +41,11 @@ def test_every_per_layer_metric_is_traced():
     finally:
         tracer.uninstall()
     assert sorted(wanted - ADDED_BY_RUNNER - set(metrics)) == []
+
+
+@pytest.mark.parametrize("workload", ["sweep", "imaging"])
+def test_first_in_process_op_passes_its_check(workload):
+    workloads = _load("workloads")
+    first_round = next(workloads.WORKLOADS[workload].rounds(np.random.default_rng(0), None))
+    op = first_round[0]
+    assert op.check(op.run()) is None

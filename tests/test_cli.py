@@ -265,6 +265,33 @@ class TestNonFiniteEllipticity:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+FIELD_ARGS = ["field", "-p", "2", "-m", "2", "--kind", "even", "-e", "1.0", "--resolution", "16"]
+VORTEX_ARGS = ["vortices", "-p", "5", "-m", "3", "--resolution", "64"]
+DOMAIN_CASES = [
+    ([*FIELD_ARGS, "--waist", "nan"], "waist must be"),
+    ([*FIELD_ARGS, "--waist", "inf"], "waist must be"),
+    ([*FIELD_ARGS, "--wavenumber", "inf"], "wavenumber must be"),
+    ([*FIELD_ARGS, "--wavenumber", "nan"], "wavenumber must be"),
+    ([*FIELD_ARGS, "--z", "inf"], "z must be"),
+    ([*FIELD_ARGS, "--z", "nan"], "z must be"),
+    ([*VORTEX_ARGS, "-e", "2.0", "--waist", "nan"], "waist must be"),
+    ([*VORTEX_ARGS, "-e", "-1"], "ellipticity must be positive"),
+    ([*VORTEX_ARGS, "-e", "0"], "ellipticity must be positive"),
+]
+
+
+class TestDomainErrors:
+    @pytest.mark.parametrize("argv, message", DOMAIN_CASES, ids=[" ".join([a[0], *a[-2:]]) for a, _ in DOMAIN_CASES])
+    def test_named_before_sampling(self, argv, message):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "poly.json"

@@ -8,9 +8,9 @@ import pytest
 from elliptic_oam.errors import GridError, InvalidModeError, UnnormalizedStateError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince, valid_modes
 from elliptic_oam.quantum import (
-    LGIndex,
     OamCurve,
     QuantumModeState,
+    _parity_state,
     decompose,
     find_crossings,
     find_turning_points,
@@ -22,61 +22,56 @@ from elliptic_oam.quantum import (
 
 from elliptic_oam.verify import ig22_closed_form, quadrature_weights
 
+from oracles import random_states
+
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
 
 def helical_lg_state(n, l, sign=+1):
-    return QuantumModeState(
-        {
-            LGIndex(Parity.EVEN, n, l): 1.0 / math.sqrt(2.0),
-            LGIndex(Parity.ODD, n, l): sign * 1j / math.sqrt(2.0),
-        }
-    )
+    return QuantumModeState([n], [l], [1.0 / math.sqrt(2.0)], [sign * 1j / math.sqrt(2.0)])
 
 
 class TestDecompose:
     def test_small_ellipticity_single_dominant_term(self):
-        weights = decompose(M22, 1e-8).weights()
-        assert abs(weights[LGIndex(Parity.EVEN, 0, 2)] - 1.0) < 1e-8
-        assert abs(weights[LGIndex(Parity.EVEN, 1, 0)]) < 1e-8
+        weights = dict(decompose(M22, 1e-8).terms)
+        assert abs(weights[2] - 1.0) < 1e-8
+        assert abs(weights[0]) < 1e-8
 
     def test_order_zero_is_trivial(self):
         result = decompose(ModeIndex(0, 0, Parity.EVEN), 3.0)
-        assert result.terms == ((LGIndex(Parity.EVEN, 0, 0), 1.0),)
+        assert result.terms == ((0, 1.0),)
 
     def test_ig22_weights_and_quadrature(self):
         result = decompose(M22, 0.5)
-        weights = result.weights()
+        weights = dict(result.terms)
         total = sum(d * d for d in weights.values())
         assert abs(total - 1.0) < 1e-12
         oracle = quadrature_weights(M22, 0.5)
-        for index, d in weights.items():
-            assert abs(d - oracle[index]) < 1e-8
+        for l, d in weights.items():
+            assert abs(d - oracle[l]) < 1e-8
 
     def test_closed_form_at_half(self):
-        weights = decompose(M22, 0.5).weights()
+        weights = dict(decompose(M22, 0.5).terms)
         closed_form = ig22_closed_form(0.5)
-        assert closed_form.keys() == {LGIndex(Parity.EVEN, 0, 2), LGIndex(Parity.EVEN, 1, 0)}
-        for index, d in closed_form.items():
-            assert abs(weights[index] - d) < 1e-10
+        assert closed_form.keys() == {2, 0}
+        for l, d in closed_form.items():
+            assert abs(weights[l] - d) < 1e-10
 
     def test_gouy_order_structure(self):
         for mode in valid_modes(12):
             result = decompose(mode, 2.0)
-            for index, _ in result.terms:
-                assert 2 * index.n + index.l == mode.p
-                assert index.parity is mode.parity
-            ls = [index.l for index, _ in result.terms]
+            ls = [l for l, _ in result.terms]
+            assert ls == result.charges.tolist() and result.weights.shape == result.charges.shape
             assert ls == list(range(mode.p, 0 if mode.parity is Parity.ODD else -1, -2))
             assert ls == solve_ince(mode, 2.0).harmonics[::-1].tolist()
 
     @pytest.mark.parametrize("eps", [0.5, 2.0, 5.0])
     def test_matches_overlap_oracle_through_p5(self, eps):
         for mode in valid_modes(5):
-            weights = decompose(mode, eps).weights()
+            weights = dict(decompose(mode, eps).terms)
             oracle = quadrature_weights(mode, eps)
-            for index, d in weights.items():
-                assert abs(d - oracle[index]) < 1e-7
+            for l, d in weights.items():
+                assert abs(d - oracle[l]) < 1e-7
 
     def test_deterministic_across_calls(self):
         a = decompose(ModeIndex(7, 5, Parity.ODD), 3.3)
@@ -91,10 +86,14 @@ class TestDecompose:
 class TestHelicalState:
     def test_single_term_limit(self):
         state = helical_state(ModeIndex(1, 1, Parity.EVEN), "plus", 1e-9)
-        even = state.amplitudes[LGIndex(Parity.EVEN, 0, 1)]
-        odd = state.amplitudes[LGIndex(Parity.ODD, 0, 1)]
-        assert abs(even - 1.0 / math.sqrt(2.0)) < 1e-9
-        assert abs(odd - 1j / math.sqrt(2.0)) < 1e-9
+        assert state.n.tolist() == [0] and state.l.tolist() == [1]
+        assert abs(state.even[0] - 1.0 / math.sqrt(2.0)) < 1e-9
+        assert abs(state.odd[0] - 1j / math.sqrt(2.0)) < 1e-9
+
+    def test_odd_ladder_padded_at_zero_charge(self):
+        state = helical_state(ModeIndex(4, 2, Parity.EVEN), "minus", 1.5)
+        assert state.l.tolist() == [4, 2, 0] and state.n.tolist() == [0, 1, 2]
+        assert state.odd[2] == 0.0 and state.even[2] != 0.0
 
     def test_normalized_by_construction(self):
         state = helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 3.0)
@@ -111,8 +110,8 @@ class TestHelicalState:
         X, Y = np.meshgrid(xs, xs)
         state = helical_state(M22, "plus", 2.0)
         synth = sum(
-            c * eval_lg(i.n, i.l, i.parity.value, geo, X, Y)
-            for i, c in state.amplitudes.items()
+            c_even * eval_lg(n, l, "even", geo, X, Y) + (c_odd * eval_lg(n, l, "odd", geo, X, Y) if l else 0.0)
+            for n, l, c_even, c_odd in zip(state.n, state.l, state.even, state.odd)
         )
         direct = eval_hig(M22, "plus", 2.0, geo, X, Y)
         assert np.max(np.abs(synth - direct)) < 1e-8
@@ -134,16 +133,14 @@ class TestOamExpectation:
         assert oam_expectation(helical_lg_state(0, 2)) == pytest.approx(2.0, abs=1e-14)
 
     def test_pure_even_state_carries_none(self):
-        state = QuantumModeState({i: complex(d) for i, d in decompose(ModeIndex(5, 3, Parity.EVEN), 2.0).terms})
-        assert oam_expectation(state) == 0.0
+        for parity in Parity:
+            assert oam_expectation(_parity_state(decompose(ModeIndex(5, 3, parity), 2.0))) == 0.0
 
     def test_matches_weight_product_formula(self):
         eps = 5.0
-        de = decompose(ModeIndex(7, 3, Parity.EVEN), eps).weights()
-        do = decompose(ModeIndex(7, 3, Parity.ODD), eps).weights()
-        explicit = sum(
-            i.l * d * de[LGIndex(Parity.EVEN, i.n, i.l)] for i, d in do.items()
-        )
+        de = dict(decompose(ModeIndex(7, 3, Parity.EVEN), eps).terms)
+        do = dict(decompose(ModeIndex(7, 3, Parity.ODD), eps).terms)
+        explicit = sum(l * d * de[l] for l, d in do.items())
         state = helical_state(ModeIndex(7, 3, Parity.EVEN), "plus", eps)
         assert abs(oam_expectation(state) - explicit) < 1e-13
 
@@ -153,7 +150,7 @@ class TestOamExpectation:
         assert plus + minus == 0.0
 
     def test_rejects_unnormalized(self):
-        state = QuantumModeState({LGIndex(Parity.EVEN, 0, 1): 0.5 + 0.0j})
+        state = QuantumModeState([0], [1], [0.5 + 0.0j], [0.0])
         with pytest.raises(UnnormalizedStateError):
             oam_expectation(state)
 
@@ -164,7 +161,9 @@ class TestHelicalSign:
 
         assert HelicalSign("plus") is HelicalSign.PLUS
         assert HelicalSign(HelicalSign.MINUS.value).value_int == -1
-        assert helical_state(M22, HelicalSign("plus"), 0.5) == helical_state(M22, "plus", 0.5)
+        a, b = helical_state(M22, HelicalSign("plus"), 0.5), helical_state(M22, "plus", 0.5)
+        for name in ("n", "l", "even", "odd"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("sign", ["up", "Plus", 1, None])
     def test_unknown_sign_rejected(self, sign):
@@ -187,7 +186,7 @@ class TestOamDistribution:
         assert dist[2] == pytest.approx(1.0, abs=1e-14)
 
     def test_even_lg_is_balanced(self):
-        state = QuantumModeState({LGIndex(Parity.EVEN, 0, 2): 1.0 + 0.0j})
+        state = QuantumModeState([0], [2], [1.0 + 0.0j], [0.0])
         dist = oam_distribution(state)
         assert dist[2] == pytest.approx(0.5, abs=1e-14)
         assert dist[-2] == pytest.approx(0.5, abs=1e-14)
@@ -195,8 +194,8 @@ class TestOamDistribution:
     def test_helical_ig_probabilities(self):
         eps = 0.5
         state = helical_state(M22, "plus", eps)
-        de = decompose(M22, eps).weights()[LGIndex(Parity.EVEN, 0, 2)]
-        do = decompose(ModeIndex(2, 2, Parity.ODD), eps).weights()[LGIndex(Parity.ODD, 0, 2)]
+        de = dict(decompose(M22, eps).terms)[2]
+        do = dict(decompose(ModeIndex(2, 2, Parity.ODD), eps).terms)[2]
         dist = oam_distribution(state)
         assert dist[2] == pytest.approx(((de + do) / 2.0) ** 2, abs=1e-14)
         assert dist[-2] == pytest.approx(((de - do) / 2.0) ** 2, abs=1e-14)
@@ -204,19 +203,25 @@ class TestOamDistribution:
         assert abs(moment - oam_expectation(state)) < 1e-14
 
     def test_first_moment_identity_random_states(self):
-        rng = np.random.default_rng(1234)
-        basis = []
-        for p in range(5):
-            for l in range(p % 2, p + 1, 2):
-                basis.append(LGIndex(Parity.EVEN, (p - l) // 2, l))
-                if l >= 1:
-                    basis.append(LGIndex(Parity.ODD, (p - l) // 2, l))
-        for _ in range(200):
-            raw = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-            raw /= np.linalg.norm(raw)
-            state = QuantumModeState(dict(zip(basis, raw)))
+        for state in random_states(200):
             moment = sum(l * p for l, p in oam_distribution(state).items())
             assert abs(moment - oam_expectation(state)) < 1e-12
+
+
+INVALID_STATES = {
+    "unequal-lengths": ([0, 1], [2, 0], [0.6, 0.8], [0.0]),
+    "negative-n": ([-1], [2], [1.0], [0.0]),
+    "negative-l": ([0], [-2], [1.0], [0.0]),
+    "odd-at-zero-charge": ([1, 0], [0, 2], [0.6, 0.0], [0.8j, 0.0]),
+    "duplicate-row": ([0, 0], [2, 2], [0.6, 0.0], [0.0, 0.8j]),
+}
+
+
+class TestStateValidation:
+    @pytest.mark.parametrize("columns", INVALID_STATES.values(), ids=INVALID_STATES.keys())
+    def test_invalid_rows_rejected(self, columns):
+        with pytest.raises(InvalidModeError):
+            QuantumModeState(*columns)
 
 
 class TestOamCurve:
