@@ -2,11 +2,15 @@
 
 The angular equation N'' + eps*sin(2*eta)*N' + [a - p*eps*cos(2*eta)]*N = 0
 admits finite trigonometric-polynomial solutions when the series class is
-matched to the parity of (p, m).  Substituting each series and collecting
-harmonics yields a small tridiagonal eigenproblem; the separation constant
-``a`` is the eigenvalue and the Fourier coefficients are the eigenvector.
-Correctness of the collected matrix entries is enforced by the ODE residual
-oracle below, not by any transcription.
+matched to the parity of (p, m).  Substituting the series over its
+harmonics k and collecting terms yields the tridiagonal pencil
+T(eps) = T0 + eps*T1 with T0 = diag(k^2); the separation constant ``a`` is
+the eigenvalue and the Fourier coefficients are the eigenvector.  Mode m
+takes the eigenvalue of ascending rank (m - k[0]) / 2, the position of m
+among the harmonics, which is the eigenvalue m^2 at eps = 0.  Correctness
+of the matrix entries is enforced by the ODE residual oracle below, not by
+any transcription; the frozen-band test in ``tests/test_ince.py`` only
+guards them against unintended change.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ class ModeIndex:
             raise InvalidModeError(f"degree m={m} exceeds order p={p}")
         if self.parity is Parity.ODD and m < 1:
             raise InvalidModeError("odd modes require m >= 1 (sine series has no constant term)")
+        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "m", int(m))
 
     @property
     def is_even(self) -> bool:
@@ -68,81 +74,51 @@ class IncePolynomial:
     ellipticity: float
     eigenvalue: float
     fourier: np.ndarray
-    harmonics: np.ndarray
 
     def __post_init__(self):
         fourier = np.asarray(self.fourier, dtype=float)
-        harmonics = np.asarray(self.harmonics, dtype=int)
         fourier.setflags(write=False)
-        harmonics.setflags(write=False)
         object.__setattr__(self, "fourier", fourier)
-        object.__setattr__(self, "harmonics", harmonics)
+
+    @property
+    def harmonics(self) -> np.ndarray:
+        return series_harmonics(self.mode)
 
 
 def series_harmonics(mode: ModeIndex) -> np.ndarray:
     """Harmonic multipliers of the trigonometric series for this mode class."""
-    p = mode.p
-    if p % 2 == 0:
-        if mode.is_even:
-            return np.arange(0, p + 1, 2)
-        return np.arange(2, p + 1, 2)
-    return np.arange(1, p + 1, 2)
+    start = 1 if mode.p % 2 else (0 if mode.is_even else 2)
+    return np.arange(start, mode.p + 1, 2)
 
 
 def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalMatrix:
-    """Recurrence matrix whose eigenpairs are (a, Fourier coefficients).
+    """Recurrence matrix T0 + eps*T1 whose eigenpairs are (a, Fourier coefficients).
 
-    Dimension is p/2 + 1 for (even p, even series), p/2 for (even p, odd
-    series) and (p+1)/2 for odd p.  Entries come from collecting each
-    harmonic after substituting the series into the angular equation.
+    T1 couples harmonic k to k + 2 with weight (p - k)/2 (sub band) and to
+    k - 2 with weight (p + k)/2 (sup band); folding the negative harmonics
+    back onto the series makes the only two corrections.
     """
     if not 0.0 <= ellipticity < np.inf:
         raise InvalidModeError(f"ellipticity must be finite and non-negative, got {ellipticity}")
     p = mode.p
     eps = float(ellipticity)
-    if p % 2 == 0:
-        half = p // 2
-        if mode.is_even:
-            # series A_r cos(2 r eta), r = 0..p/2; cos(-2 eta) folding doubles
-            # the r=0 -> s=1 coupling, hence the asymmetric sub band
-            dim = half + 1
-            diag = 4.0 * np.arange(dim, dtype=float) ** 2
-            sup = eps * (half + np.arange(1, dim, dtype=float))
-            sub = eps * (half - np.arange(dim - 1, dtype=float))
-            if dim > 1:
-                sub = sub.copy()
-                sub[0] = eps * p
-        else:
-            # series B_r sin(2 r eta), r = 1..p/2
-            dim = half
-            if dim == 0:
-                raise InvalidModeError(f"no odd series exists for p={p}, m={mode.m}")
-            r = np.arange(1, dim + 1, dtype=float)
-            diag = 4.0 * r**2
-            sup = eps * (half + r[:-1] + 1.0)
-            sub = eps * (half - r[:-1])
-    else:
-        dim = (p + 1) // 2
-        s = np.arange(dim, dtype=float)
-        diag = (2.0 * s + 1.0) ** 2
-        # cos(-eta)/sin(-eta) folding shifts only the first diagonal entry,
-        # with opposite sign for the two series
-        if mode.is_even:
-            diag = diag.copy()
-            diag[0] = 1.0 + eps * (p + 1) / 2.0
-        else:
-            diag = diag.copy()
-            diag[0] = 1.0 - eps * (p + 1) / 2.0
-        sup = (eps / 2.0) * (p + 2.0 * s[:-1] + 3.0)
-        sub = (eps / 2.0) * (p - 2.0 * s[:-1] - 1.0)
+    k = series_harmonics(mode).astype(float)
+    diag = k * k
+    sub = eps * ((p - k[:-1]) / 2.0)
+    sup = eps * ((p + k[1:]) / 2.0)
+    if p % 2:
+        # cos(-eta) = cos(eta) and sin(-eta) = -sin(eta): k = 1 couples to
+        # itself, with opposite sign for the two series
+        diag[0] += eps * (p + 1) / 2.0 if mode.is_even else -eps * (p + 1) / 2.0
+    elif mode.is_even and k.size > 1:
+        # cos(-2 eta) = cos(2 eta) doubles the k = 0 -> 2 coupling
+        sub[0] = eps * p
     return TridiagonalMatrix(diag=diag, sub=sub, sup=sup)
 
 
 def eigenvalue_rank(mode: ModeIndex) -> int:
-    """Position of this mode's eigenvalue in ascending spectral order."""
-    if mode.p % 2 == 0:
-        return mode.m // 2 if mode.is_even else mode.m // 2 - 1
-    return (mode.m - 1) // 2
+    """Ascending rank of this mode's eigenvalue: the position of m among the harmonics."""
+    return int((mode.m - series_harmonics(mode)[0]) // 2)
 
 
 def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
@@ -168,7 +144,6 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
         ellipticity=float(ellipticity),
         eigenvalue=float(values[rank]),
         fourier=solution.eigenvectors[:, rank],
-        harmonics=series_harmonics(mode),
     )
 
 

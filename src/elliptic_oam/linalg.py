@@ -78,7 +78,11 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
     :class:`NonSymmetrizableError` otherwise.
     """
     sub, sup = matrix.sub, matrix.sup
-    products = sub * sup
+    try:
+        with np.errstate(over="raise"):
+            products = sub * sup
+    except FloatingPointError as exc:
+        raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
     if np.any(products < 0.0):
         bad = int(np.flatnonzero(products < 0.0)[0])
         raise NonSymmetrizableError(

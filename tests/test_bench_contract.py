@@ -7,7 +7,9 @@ moved or renamed would leave its metric missing, and ``bench/run.py
 --trace 1`` would stop with a ``KeyError``.  The in-process workloads call
 the library directly (``decompose(...).terms``, ``oam_distribution``,
 ``census_window``), so the first op of each must still run and pass its
-check.
+check.  The ``cli`` workload's payload checkers call the library too
+(``build_recurrence_matrix``, ``eigenvalue_rank``), so they must pass on
+payloads the CLI writes.
 """
 
 import importlib.util
@@ -17,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from elliptic_oam import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,3 +53,21 @@ def test_first_in_process_op_passes_its_check(workload):
     first_round = next(workloads.WORKLOADS[workload].rounds(np.random.default_rng(0), None))
     op = first_round[0]
     assert op.check(op.run()) is None
+
+
+CLI_PAYLOADS = [
+    ("_check_solve", ["solve-ince", "-p", "7", "-m", "5", "--parity", "odd", "-e", "3.3"]),
+    ("_check_solve", ["solve-ince", "-p", "20", "-m", "10", "--parity", "even", "-e", "17"]),
+    ("_check_solve", ["solve-ince", "-p", "6", "-m", "2", "--parity", "odd", "-e", "0.4"]),
+    ("_check_solve", ["solve-ince", "-p", "8", "-m", "0", "--parity", "even", "-e", "2.5"]),
+    ("_check_decompose", ["decompose", "-p", "12", "-m", "4", "--parity", "even", "-e", "0.7"]),
+    ("_check_decompose", ["decompose", "-p", "9", "-m", "3", "--parity", "odd", "-e", "5"]),
+]
+
+
+@pytest.mark.parametrize("checker, argv", CLI_PAYLOADS, ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_cli_payload_passes_its_check(checker, argv, tmp_path):
+    workloads = _load("workloads")
+    output = tmp_path / "payload.json"
+    assert cli.main([*argv, "-o", str(output)]) == 0
+    assert getattr(workloads, checker)(output.read_bytes(), output) is None

@@ -265,6 +265,31 @@ class TestNonFiniteEllipticity:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
+OVERFLOW_CASES = [
+    ["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e160"],
+    ["oam-curve", "-p", "7", "-m", "5", "--eps-min", "1", "--eps-max", "1e300", "--steps", "5", "--log-spacing"],
+]
+
+
+class TestHugeEllipticity:
+    @pytest.mark.parametrize("argv", OVERFLOW_CASES, ids=" ".join)
+    def test_overflow_is_a_numerical_failure(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+
+    def test_below_overflow_still_solves(self, tmp_path):
+        out = tmp_path / "ince.json"
+        assert run_cli(["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e150", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["harmonics"] == [1, 3, 5, 7]
+
+
 FIELD_ARGS = ["field", "-p", "2", "-m", "2", "--kind", "even", "-e", "1.0", "--resolution", "16"]
 VORTEX_ARGS = ["vortices", "-p", "5", "-m", "3", "--resolution", "64"]
 DOMAIN_CASES = [

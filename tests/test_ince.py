@@ -1,5 +1,6 @@
 """Tests for the Ince eigenproblem, series evaluation, and the ODE oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ import pytest
 
 from elliptic_oam.errors import InvalidModeError
 from elliptic_oam.ince import (
-    IncePolynomial,
     ModeIndex,
     Parity,
     build_recurrence_matrix,
@@ -16,6 +16,7 @@ from elliptic_oam.ince import (
     eval_angular,
     eval_radial,
     ince_ode_residual,
+    series_harmonics,
     solve_ince,
     valid_modes,
 )
@@ -46,6 +47,14 @@ class TestModeIndex:
     def test_string_parity_coerced(self):
         assert ModeIndex(2, 2, "odd").parity is Parity.ODD
 
+    def test_integral_floats_stored_as_int(self):
+        mode = ModeIndex(2.0, 2.0, "even")
+        assert type(mode.p) is int and type(mode.m) is int
+        assert mode == ModeIndex(2, 2, "even")
+        poly, reference = solve_ince(mode, 1.5), solve_ince(ModeIndex(2, 2, "even"), 1.5)
+        assert poly.eigenvalue == reference.eigenvalue
+        assert poly.fourier.tolist() == reference.fourier.tolist()
+
 
 class TestRecurrenceMatrix:
     def test_order_zero_is_scalar_zero(self):
@@ -69,6 +78,27 @@ class TestRecurrenceMatrix:
     )
     def test_dimensions_per_class(self, p, m, parity, expected):
         assert build_recurrence_matrix(ModeIndex(p, m, parity), 1.0).dimension == expected
+
+    @pytest.mark.parametrize(
+        "p,m,parity,diag,sub,sup",
+        [
+            (6, 0, Parity.EVEN, [0, 4, 16, 36], [12, 4, 2], [8, 10, 12]),
+            (6, 2, Parity.ODD, [4, 16, 36], [4, 2], [10, 12]),
+            (7, 1, Parity.EVEN, [9, 9, 25, 49], [6, 4, 2], [10, 12, 14]),
+            (7, 1, Parity.ODD, [-7, 9, 25, 49], [6, 4, 2], [10, 12, 14]),
+            (0, 0, Parity.EVEN, [0], [], []),
+        ],
+    )
+    def test_frozen_bands(self, p, m, parity, diag, sub, sup):
+        # frozen values: any change to them moves every payload downstream
+        matrix = build_recurrence_matrix(ModeIndex(p, m, parity), 2.0)
+        assert matrix.diag.tolist() == diag
+        assert matrix.sub.tolist() == sub
+        assert matrix.sup.tolist() == sup
+
+    def test_rank_is_position_of_m_among_harmonics(self):
+        for mode in valid_modes(40):
+            assert series_harmonics(mode)[eigenvalue_rank(mode)] == mode.m
 
     def test_locked_by_residual_oracle(self):
         poly = solve_ince(ModeIndex(5, 3, Parity.ODD), 2.0)
@@ -221,13 +251,7 @@ class TestOdeResidual:
         poly = solve_ince(ModeIndex(4, 2, Parity.EVEN), 2.0)
         bumped = np.array(poly.fourier)
         bumped[1] += 1e-3
-        fake = IncePolynomial(
-            mode=poly.mode,
-            ellipticity=poly.ellipticity,
-            eigenvalue=poly.eigenvalue,
-            fourier=bumped,
-            harmonics=poly.harmonics,
-        )
+        fake = dataclasses.replace(poly, fourier=bumped)
         assert ince_ode_residual(fake) > 1e-5
 
 

@@ -88,6 +88,11 @@ class TestEigenTridiagonal:
         with pytest.raises(NonSymmetrizableError):
             eigen_tridiagonal(m)
 
+    def test_overflowing_coupling_named(self):
+        m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[1e160], sup=[1e160])
+        with np.errstate(all="raise"), pytest.raises(SolverError, match="overflows"):
+            eigen_tridiagonal(m)
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(SolverError):
             TridiagonalMatrix(diag=[], sub=[], sup=[])
