@@ -30,7 +30,7 @@ from .ince import (
     ince_ode_residual,
     solve_ince,
 )
-from .linalg import EigenSolution, TridiagonalMatrix, eigen_tridiagonal
+from .linalg import TridiagonalMatrix, eigen_tridiagonal
 from .quantum import (
     Decomposition,
     OamCurve,
@@ -49,7 +49,6 @@ __all__ = [
     "BeamGeometry",
     "ComplexField",
     "Decomposition",
-    "EigenSolution",
     "EllipticOamError",
     "GridError",
     "IncePolynomial",

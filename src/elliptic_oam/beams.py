@@ -39,6 +39,12 @@ class BeamGeometry:
             raise InvalidModeError(f"wavenumber must be positive and finite, got {self.wavenumber}")
         if not math.isfinite(self.z):
             raise InvalidModeError(f"z must be finite, got {self.z}")
+        try:
+            rayleigh = self.rayleigh_range
+        except OverflowError:  # waist**2 beyond the double range
+            rayleigh = math.inf
+        if not 0.0 < rayleigh < math.inf:
+            raise InvalidModeError(f"Rayleigh range k*waist^2/2 must be positive and finite, got {rayleigh:g}")
 
     @property
     def rayleigh_range(self) -> float:

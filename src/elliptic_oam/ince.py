@@ -102,6 +102,9 @@ def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalM
         raise InvalidModeError(f"ellipticity must be finite and non-negative, got {ellipticity}")
     p = mode.p
     eps = float(ellipticity)
+    # eps * (p + 1) bounds every product below, which would overflow to inf silently
+    if not eps * (p + 1) < np.inf:
+        raise SolverError(f"ellipticity {eps:g} overflows the recurrence bands for p={p}")
     k = series_harmonics(mode).astype(float)
     diag = k * k
     sub = eps * ((p - k[:-1]) / 2.0)
@@ -127,10 +130,8 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
     Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
     so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
     """
-    matrix = build_recurrence_matrix(mode, ellipticity)
-    solution = eigen_tridiagonal(matrix)
     rank = eigenvalue_rank(mode)
-    values = solution.eigenvalues
+    values, vector = eigen_tridiagonal(build_recurrence_matrix(mode, ellipticity), rank)
     if ellipticity > 0.0 and values.size > 1:
         gaps = np.diff(values)
         tight = np.flatnonzero(gaps < 1e-12 * (1.0 + np.abs(values[:-1])))
@@ -139,12 +140,7 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
                 f"eigenvalue collision at rank {int(tight[0])} for p={mode.p}, "
                 f"parity={mode.parity.value}, eps={ellipticity:g}; ascending-rank labeling is ill-defined"
             )
-    return IncePolynomial(
-        mode=mode,
-        ellipticity=float(ellipticity),
-        eigenvalue=float(values[rank]),
-        fourier=solution.eigenvectors[:, rank],
-    )
+    return IncePolynomial(mode, float(ellipticity), float(values[rank]), vector)
 
 
 def eval_angular(poly: IncePolynomial, eta):

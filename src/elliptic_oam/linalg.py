@@ -1,8 +1,9 @@
 """Small dense linear-algebra and quadrature kernels.
 
 No physics lives here: a diagonally-symmetrizable tridiagonal eigensolver
-(LAPACK ``eigh`` on the symmetrized bands, then one step of inverse
-iteration on the original matrix) and a tensor-product Gauss-Legendre
+(LAPACK ``eigh`` on the symmetrized bands for the whole spectrum, then one
+step of inverse iteration on the original matrix for the one eigenvector
+asked for, whose residual is checked) and a tensor-product Gauss-Legendre
 quadrature over a square window.
 """
 
@@ -14,8 +15,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonSymmetrizableError, SolverError
-
-_SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -51,31 +50,12 @@ class TridiagonalMatrix:
         return np.diag(self.diag) + np.diag(self.sup, 1) + np.diag(self.sub, -1)
 
 
-@dataclass(frozen=True)
-class EigenSolution:
-    """Full spectrum of a tridiagonal matrix.
+def eigen_tridiagonal(matrix: TridiagonalMatrix, rank: int):
+    """All eigenvalues, ascending, and the unit eigenvector of rank ``rank``.
 
-    ``eigenvalues`` ascending; column i of ``eigenvectors`` is the unit-norm
-    vector paired with eigenvalue i, sign-fixed so its first nonzero entry
-    is positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
-    """Full real spectrum of a diagonally-symmetrizable tridiagonal matrix.
-
-    Requires ``sub[i] * sup[i] >= 0`` for every coupling; couplings that are
-    zero on both sides split the problem into independent blocks.  Raises
-    :class:`NonSymmetrizableError` otherwise.
+    The vector's first nonzero entry is positive and its residual is checked.
+    ``sub[i]`` and ``sup[i]`` must share their sign (zero on both sides splits
+    the matrix into blocks); :class:`NonSymmetrizableError` otherwise.
     """
     sub, sup = matrix.sub, matrix.sup
     try:
@@ -83,56 +63,41 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix) -> EigenSolution:
             products = sub * sup
     except FloatingPointError as exc:
         raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
-    if np.any(products < 0.0):
-        bad = int(np.flatnonzero(products < 0.0)[0])
-        raise NonSymmetrizableError(
-            f"sub[{bad}]*sup[{bad}] = {products[bad]:g} < 0; no diagonal similarity exists"
-        )
-    one_sided = (products == 0.0) & ((sub != 0.0) | (sup != 0.0))
+    # signs, not products, decide: a product of two tiny couplings underflows to 0
+    opposite = np.sign(sub) * np.sign(sup) < 0.0
+    if np.any(opposite):
+        bad = int(np.flatnonzero(opposite)[0])
+        raise NonSymmetrizableError(f"sub[{bad}] and sup[{bad}] differ in sign; no diagonal similarity exists")
+    one_sided = (sub == 0.0) != (sup == 0.0)
     if np.any(one_sided):
         bad = int(np.flatnonzero(one_sided)[0])
-        raise NonSymmetrizableError(
-            f"coupling {bad} is zero on one side only; matrix is defective under symmetrization"
-        )
+        raise NonSymmetrizableError(f"coupling {bad} is zero on one side only; defective under symmetrization")
 
     # scale[i+1] / scale[i] = sqrt(sup[i] / sub[i]) maps the matrix onto its
     # symmetric form; across a coupling zero on both sides any ratio will do
-    ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=products > 0.0))
+    ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=sub != 0.0))
     scale = np.concatenate(([1.0], np.cumprod(ratios)))
     coupling = np.sqrt(products)
-    symmetric = TridiagonalMatrix(diag=matrix.diag, sub=coupling, sup=coupling)
+    symmetric = np.diag(matrix.diag) + np.diag(coupling, 1) + np.diag(coupling, -1)
     dense = matrix.to_dense()
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(symmetric.to_dense())
-        # unscaling amplifies the eigh error in the small entries; one step of
-        # inverse iteration on the original matrix, shifted just off each
-        # eigenvalue, restores them.  The offset scales with the largest
-        # eigenvalue, as the eigh error does, so no shifted system is exactly
-        # singular.  Columns are solved in batches of _SOLVE_BLOCK so the
-        # stacked systems stay O(dimension^2) in memory.
-        shifts = eigenvalues + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
-        columns = (eigenvectors / scale[:, None]).T
-        identity = np.eye(matrix.dimension)
-        for block in range(0, matrix.dimension, _SOLVE_BLOCK):
-            rows = slice(block, block + _SOLVE_BLOCK)
-            systems = dense - shifts[rows, None, None] * identity
-            columns[rows] = np.linalg.solve(systems, columns[rows, :, None])[:, :, 0]
-        eigenvectors = columns.T
+        eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
+        # unscaling amplifies the eigh error in small entries, and eigh misses
+        # couplings whose product underflowed; one inverse-iteration step on
+        # the original matrix restores them.  The shift offset scales with the
+        # largest eigenvalue, as the eigh error does, so it is never singular.
+        shift = eigenvalues[rank] + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
+        vector = np.linalg.solve(dense - shift * np.eye(matrix.dimension), eigenvectors[:, rank] / scale)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    eigenvectors /= np.linalg.norm(eigenvectors, axis=0)
-
-    first_nonzero = np.argmax(eigenvectors != 0.0, axis=0)
-    eigenvectors *= np.where(eigenvectors[first_nonzero, np.arange(eigenvalues.size)] < 0.0, -1.0, 1.0)
-
-    residuals = np.linalg.norm(dense @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-    bad = np.flatnonzero(residuals > 1e-10 * (1.0 + np.abs(eigenvalues)))
-    if bad.size:
-        j = int(bad[0])
-        raise SolverError(
-            f"eigenpair {j} residual {residuals[j]:.3e} exceeds bound; matrix badly scaled?"
-        )
-    return EigenSolution(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    vector /= np.sqrt(sum(vector * vector))  # one term at a time, in index order
+    if vector[np.argmax(vector != 0.0)] < 0.0:
+        vector = -vector
+    value = eigenvalues[rank]
+    residual = np.linalg.norm(dense @ vector - value * vector)
+    if not residual <= 1e-10 * (1.0 + abs(value)):
+        raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
+    return eigenvalues, vector
 
 
 @lru_cache(maxsize=32)

@@ -129,6 +129,10 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     series harmonics, taken in descending order.  Weights are real with a
     deterministic overall sign (positive normalization constant on top of
     the sign-fixed Fourier vector), and sum of squares is 1.
+
+    The scale that symmetrizes the recurrence is this LG ratio sqrt((n + l)! n!),
+    times sqrt(2) at l = 0, so up to one sign the weights are the symmetric
+    rank-m eigenvector, reversed and times (-1)^(n + l + (p + m)/2).
     """
     poly = solve_ince(mode, ellipticity)
     charges = poly.harmonics[::-1]

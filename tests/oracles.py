@@ -6,8 +6,10 @@ eigenvectors, from mpmath's symmetric eigensolver in extended precision;
 series values from plain term-by-term summation, and LG and HG field values
 from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
 from overlap quadrature of the elliptic-series fields are
-``verify.quadrature_weights``.  ``random_states`` supplies the random
-one-photon states of the OAM identity tests.
+``verify.quadrature_weights``; ``symmetric_lg_weights`` reads them, at any
+order, straight off LAPACK's eigenvector of the symmetrized recurrence.
+``random_states`` supplies the random one-photon states of the OAM
+identity tests.
 """
 
 import math
@@ -16,6 +18,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry
+from elliptic_oam.ince import build_recurrence_matrix, eigenvalue_rank, series_harmonics
 from elliptic_oam.quantum import QuantumModeState
 
 
@@ -85,6 +88,25 @@ def mp_eigenpairs(matrix, digits=50):
             sign = 1 if next(x for x in v if x != 0) > 0 else -1
             out[:, j] = [float(sign * x / norm) for x in v]
         return np.array([float(a) for a in values]), out
+
+
+def symmetric_lg_weights(mode, eps):
+    """LG weights of an IG mode, up to one overall sign, in descending charge.
+
+    The diagonal similarity that symmetrizes the recurrence scales harmonic
+    l by sqrt((n + l)! n!), times sqrt(2) at l = 0, relative to l = p: the
+    LG normalization ratio.  So the symmetric eigenvector u of the mode's
+    rank, reversed and given the alternating sign (-1)^(n + l + (p + m)/2),
+    is the weight vector, with no inverse iteration, unscaling or factorial
+    ratios in between.
+    """
+    matrix = build_recurrence_matrix(mode, eps)
+    coupling = np.sqrt(matrix.sub * matrix.sup)
+    symmetric = np.diag(matrix.diag) + np.diag(coupling, 1) + np.diag(coupling, -1)
+    u = np.linalg.eigh(symmetric)[1][:, eigenvalue_rank(mode)][::-1]
+    charges = series_harmonics(mode)[::-1]
+    n = (mode.p - charges) // 2
+    return np.where((n + charges + (mode.p + mode.m) // 2) % 2, -1.0, 1.0) * u
 
 
 def series_sum(harmonics, coeffs, func, arg):

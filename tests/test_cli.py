@@ -268,6 +268,7 @@ class TestNonFiniteEllipticity:
 OVERFLOW_CASES = [
     ["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e160"],
     ["oam-curve", "-p", "7", "-m", "5", "--eps-min", "1", "--eps-max", "1e300", "--steps", "5", "--log-spacing"],
+    ["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e308"],
 ]
 
 
@@ -289,6 +290,12 @@ class TestHugeEllipticity:
         assert run_cli(["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e150", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["harmonics"] == [1, 3, 5, 7]
 
+    def test_tiny_ellipticity_still_solves(self, tmp_path):
+        # every coupling product underflows to 0 here; none is defective
+        out = tmp_path / "curve.json"
+        argv = ["oam-curve", "-p", "3", "-m", "1", "--eps-min", "1e-300", "--eps-max", "1e-299", "--steps", "3"]
+        assert run_cli([*argv, "-o", str(out)]) == 0
+
 
 FIELD_ARGS = ["field", "-p", "2", "-m", "2", "--kind", "even", "-e", "1.0", "--resolution", "16"]
 VORTEX_ARGS = ["vortices", "-p", "5", "-m", "3", "--resolution", "64"]
@@ -300,6 +307,9 @@ DOMAIN_CASES = [
     ([*FIELD_ARGS, "--z", "inf"], "z must be"),
     ([*FIELD_ARGS, "--z", "nan"], "z must be"),
     ([*VORTEX_ARGS, "-e", "2.0", "--waist", "nan"], "waist must be"),
+    ([*FIELD_ARGS, "--waist", "1e-170"], "Rayleigh range"),
+    ([*FIELD_ARGS, "--waist", "1e200"], "Rayleigh range"),
+    ([*VORTEX_ARGS, "-e", "2.0", "--waist", "1e-170"], "Rayleigh range"),
     ([*VORTEX_ARGS, "-e", "-1"], "ellipticity must be positive"),
     ([*VORTEX_ARGS, "-e", "0"], "ellipticity must be positive"),
 ]

@@ -64,7 +64,7 @@ class TestRecurrenceMatrix:
 
     def test_p2_even_at_zero_ellipticity(self):
         m = build_recurrence_matrix(ModeIndex(2, 2, Parity.EVEN), 0.0)
-        values = eigen_tridiagonal(m).eigenvalues
+        values, _ = eigen_tridiagonal(m, 0)
         assert np.allclose(sorted(values), [0.0, 4.0], atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -147,9 +147,17 @@ class TestSolveInce:
 
     @pytest.mark.parametrize("m", [2, 92, 200])
     def test_high_order_solves_every_pair(self, m):
-        # the residual guard covers all 100 eigenpairs of this matrix
+        # the lowest, a middle and the top eigenpair of this 100 x 100 matrix
+        # each pass the residual guard
         poly = solve_ince(ModeIndex(200, m, Parity.ODD), 188.965)
         assert ince_ode_residual(poly) <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_tiny_ellipticity_solves(self, eps):
+        # every coupling product underflows to 0 while no coupling is 0
+        poly = solve_ince(ModeIndex(7, 5, Parity.EVEN), eps)
+        assert poly.eigenvalue == 25.0
+        assert np.argmax(np.abs(poly.fourier)) == 2
 
     def test_shift_offset_clears_eigh_error(self):
         # an offset of 1e-13 (1 + |a|) from eigh's eigenvalue -2.586 left the
@@ -159,8 +167,9 @@ class TestSolveInce:
         assert ince_ode_residual(poly) <= 1e-9
 
     def test_high_order_memory_stays_quadratic(self):
-        # one stack of shifted systems for all 201 columns would peak near
-        # 125 MB here; solving them in blocks keeps it near 31 MB
+        # the one-vector solve peaks near 1.6 MB here (a few dense 201 x 201
+        # copies); one stack of shifted systems for all 201 eigenvectors
+        # would peak near 125 MB
         tracemalloc.start()
         try:
             solve_ince(ModeIndex(400, 2, Parity.EVEN), 1.0)
@@ -272,7 +281,7 @@ class TestInvariants:
             m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
             for eps in (0.01, 2.0, 10.0):
                 matrix = build_recurrence_matrix(ModeIndex(p, m0 + 2, parity), eps)
-                values = eigen_tridiagonal(matrix).eigenvalues
+                values, _ = eigen_tridiagonal(matrix, 0)
                 gaps = np.diff(values)
                 assert np.all(gaps > 1e-12 * (1.0 + np.abs(values[:-1])))
 

@@ -20,33 +20,32 @@ def random_symmetrizable(rng, n, ratio_range=(0.5, 2.0)):
 
 class TestEigenTridiagonal:
     def test_dimension_one(self):
-        sol = eigen_tridiagonal(TridiagonalMatrix(diag=[5.0], sub=[], sup=[]))
-        assert sol.eigenvalues.tolist() == [5.0]
-        assert sol.eigenvectors.tolist() == [[1.0]]
+        values, vector = eigen_tridiagonal(TridiagonalMatrix(diag=[5.0], sub=[], sup=[]), 0)
+        assert values.tolist() == [5.0]
+        assert vector.tolist() == [1.0]
 
     def test_pauli_x_analog(self):
-        sol = eigen_tridiagonal(TridiagonalMatrix(diag=[0.0, 0.0], sub=[1.0], sup=[1.0]))
-        assert np.allclose(sol.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        values, _ = eigen_tridiagonal(TridiagonalMatrix(diag=[0.0, 0.0], sub=[1.0], sup=[1.0]), 0)
+        assert np.allclose(values, [-1.0, 1.0], atol=1e-14)
 
     def test_random_6x6_against_sturm_bisection(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             m = random_symmetrizable(rng, 6, ratio_range=(0.2, 5.0))
-            sol = eigen_tridiagonal(m)
+            values, _ = eigen_tridiagonal(m, 0)
             oracle = sturm_eigenvalues(m.diag, m.sub, m.sup)
-            assert np.max(np.abs(sol.eigenvalues - oracle)) < 1e-10
+            assert np.max(np.abs(values - oracle)) < 1e-10
 
     def test_residual_and_conventions_up_to_dim_40(self):
         rng = np.random.default_rng(7)
         for n in (2, 3, 5, 11, 24, 40):
             for _ in range(8):
                 m = random_symmetrizable(rng, n)
-                sol = eigen_tridiagonal(m)
                 dense = m.to_dense()
-                assert np.all(np.diff(sol.eigenvalues) >= -1e-13)
                 for j in range(n):
-                    v = sol.eigenvectors[:, j]
-                    a = sol.eigenvalues[j]
+                    values, v = eigen_tridiagonal(m, j)
+                    assert np.all(np.diff(values) >= -1e-13)
+                    a = values[j]
                     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
                     nz = np.flatnonzero(v)
                     assert v[nz[0]] > 0.0
@@ -64,34 +63,49 @@ class TestEigenTridiagonal:
             atol=1e-10,
         )
         assert np.allclose(
-            eigen_tridiagonal(m).eigenvalues,
-            eigen_tridiagonal(symmetric).eigenvalues,
+            eigen_tridiagonal(m, 0)[0],
+            eigen_tridiagonal(symmetric, 0)[0],
             atol=1e-10,
         )
 
     def test_zero_coupling_splits_into_blocks(self):
         m = TridiagonalMatrix(diag=[1.0, 4.0, 2.0], sub=[0.0, 0.5], sup=[0.0, 0.5])
-        sol = eigen_tridiagonal(m)
         oracle = sorted([1.0, 3.0 + math.sqrt(1.25), 3.0 - math.sqrt(1.25)])
-        assert np.allclose(sol.eigenvalues, oracle, atol=1e-12)
+        values, _ = eigen_tridiagonal(m, 0)
+        assert np.allclose(values, oracle, atol=1e-12)
         # the isolated block contributes a basis eigenvector
-        idx = int(np.argmin(np.abs(sol.eigenvalues - 1.0)))
-        assert np.allclose(sol.eigenvectors[:, idx], [1.0, 0.0, 0.0], atol=1e-12)
+        idx = int(np.argmin(np.abs(values - 1.0)))
+        _, vector = eigen_tridiagonal(m, idx)
+        assert np.allclose(vector, [1.0, 0.0, 0.0], atol=1e-12)
+
+    def test_underflowing_coupling_product_kept(self):
+        # 1e-200 * 1e-200 underflows to 0, yet neither coupling is zero: the
+        # matrix is symmetric, not defective, and the tiny entry survives
+        m = TridiagonalMatrix(diag=[1.0, 2.0], sub=[1e-200], sup=[1e-200])
+        values, vector = eigen_tridiagonal(m, 0)
+        assert values.tolist() == [1.0, 2.0]
+        assert vector[0] == 1.0
+        assert vector[1] == pytest.approx(-1e-200, rel=1e-12)
+
+    def test_tiny_opposite_signs_rejected(self):
+        m = TridiagonalMatrix(diag=[1.0, 2.0], sub=[-1e-200], sup=[1e-200])
+        with pytest.raises(NonSymmetrizableError):
+            eigen_tridiagonal(m, 0)
 
     def test_negative_product_rejected(self):
         m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[-1.0], sup=[1.0])
         with pytest.raises(NonSymmetrizableError):
-            eigen_tridiagonal(m)
+            eigen_tridiagonal(m, 0)
 
     def test_one_sided_zero_rejected(self):
         m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[0.0], sup=[1.0])
         with pytest.raises(NonSymmetrizableError):
-            eigen_tridiagonal(m)
+            eigen_tridiagonal(m, 0)
 
     def test_overflowing_coupling_named(self):
         m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[1e160], sup=[1e160])
         with np.errstate(all="raise"), pytest.raises(SolverError, match="overflows"):
-            eigen_tridiagonal(m)
+            eigen_tridiagonal(m, 0)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(SolverError):

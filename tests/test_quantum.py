@@ -22,7 +22,7 @@ from elliptic_oam.quantum import (
 
 from elliptic_oam.verify import ig22_closed_form, quadrature_weights
 
-from oracles import random_states
+from oracles import random_states, symmetric_lg_weights
 
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
@@ -72,6 +72,16 @@ class TestDecompose:
             oracle = quadrature_weights(mode, eps)
             for l, d in weights.items():
                 assert abs(d - oracle[l]) < 1e-7
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 3.7, 50.0, 400.0])
+    def test_matches_symmetric_eigenvector_through_p40(self, eps):
+        worst = 0.0
+        for mode in valid_modes(40):
+            weights = decompose(mode, eps).weights
+            oracle = symmetric_lg_weights(mode, eps)
+            oracle *= math.copysign(1.0, oracle @ weights)
+            worst = max(worst, float(np.max(np.abs(weights - oracle))))
+        assert worst <= 1e-13
 
     def test_deterministic_across_calls(self):
         a = decompose(ModeIndex(7, 5, Parity.ODD), 3.3)
