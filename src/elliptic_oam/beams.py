@@ -8,8 +8,12 @@ profile with w(z), f(z) scaled together plus curvature and Gouy phases.
 
 Ince-Gauss and helical Ince-Gauss fields are evaluated as sums of
 Laguerre-Gauss modes of their Gouy order p, weighted by the expansion of
-``quantum.decompose``.  The elliptic-coordinate series route lives in
-``verify`` as the independent oracle for these sums.
+``quantum.decompose``.  The sum is evaluated over flat blocks of a few
+thousand points, whose temporaries stay in cache, and its azimuthal
+factors exp(i l phi) are powers of the unit phasor (x + i y) / r, formed by
+complex products rather than by arctan2, cos and sin.  The
+elliptic-coordinate series route lives in ``verify`` as the independent
+oracle for these sums.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ import numpy as np
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
 from .quantum import QuantumModeState, _parity_state, decompose, helical_state
+
+# Points per block of ``_lg_sum``: small enough that a block's per-row
+# temporaries stay in cache; 4096 to 16384 measured alike on 256^2 and
+# 512^2 grids.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class ComplexField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writeable
         if values.shape != (self.ny, self.nx):
             raise GridError(f"values shape {values.shape} != (ny={self.ny}, nx={self.nx})")
         if self.spacing <= 0.0:
@@ -114,41 +123,95 @@ def eval_gaussian(geometry: BeamGeometry, x, y):
 
 
 def _genlaguerre(n: int, l: int, x):
-    """Generalized Laguerre polynomial L_n^l(x) by its three-term recurrence."""
-    previous, current = np.zeros_like(x), np.ones_like(x)
+    """Generalized Laguerre polynomial L_n^l(x) by its three-term recurrence.
+
+    L_0^l = 1 is returned as the scalar 1.0.
+    """
+    previous, current = 0.0, 1.0
     for k in range(n):
         previous, current = current, ((2 * k + 1 + l - x) * current - (k + l) * previous) / (k + 1)
     return current
 
 
-def _lg_sum(state: QuantumModeState, order: int, geometry: BeamGeometry, x, y):
-    """Field of a state whose LG rows all have the Gouy order 2n + l = order.
+def _unit_power(u, l: int):
+    """u**l for l >= 0 by repeated squaring.
 
-    r^2, phi, log(2 r^2 / w^2) and the curvature and Gouy phases are computed
-    once; each row's radial factor once for its even and odd amplitude.  The
-    norm, the power of r and the Gaussian envelope are summed as logarithms,
-    so no factorial or power overflows at high order.
+    numpy's complex power is slow, and from l = 100 it switches to a
+    transcendental path; a product of unit phasors is exact to about one
+    ulp per factor.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    result = 1.0
+    while l:
+        if l & 1:
+            result = result * u
+        l >>= 1
+        if l:
+            u = u * u
+    return result
+
+
+def _lg_block(rows, order: int, geometry: BeamGeometry, x, y):
+    """``_lg_sum`` on one flat block of points."""
     w = geometry.width
     r2 = x**2 + y**2
     arg = 2.0 * r2 / w**2
-    with np.errstate(divide="ignore"):
+    r = np.sqrt(r2)
+    u = np.empty(x.shape, dtype=complex)  # the unit phasor exp(i phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_arg = np.log(arg)
-    phi = np.arctan2(y, x)
-    total = 0.0
-    rows = (state.n.tolist(), state.l.tolist(), state.even.tolist(), state.odd.tolist())
-    for n, l, even, odd in zip(*rows):
+        u.real = x / r
+        u.imag = y / r
+    u[r == 0.0] = 1.0  # on the axis every l >= 1 row vanishes
+    real, imag = np.zeros(x.shape), np.zeros(x.shape)
+    power, power_l = 1.0, 0  # u**power_l, stepped up the rows in ascending l
+    for n, l, even, odd in rows:
         # log of sqrt(2 n! / (pi (n + l)!)) * arg^(l/2) * exp(-arg/2)
         log_weight = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n + 1) - math.lgamma(n + l + 1) - arg)
         if l == 0:
-            angular = even
+            radial = np.exp(log_weight) * _genlaguerre(n, l, arg) / w
+            terms = ((even, 1.0),)
         else:
-            log_weight = log_weight + 0.5 * l * log_arg
-            angular = math.sqrt(2.0) * (even * np.cos(l * phi) + odd * np.sin(l * phi))
-        total = total + np.exp(log_weight) * _genlaguerre(n, l, arg) * angular
-    return total / w * _propagation_phase(geometry, r2, order)
+            power, power_l = power * _unit_power(u, l - power_l), l
+            log_weight += 0.5 * l * log_arg
+            radial = np.exp(log_weight) * _genlaguerre(n, l, arg) * (math.sqrt(2.0) / w)
+            terms = ((even, power.real), (odd, power.imag))  # cos(l phi), sin(l phi)
+        for amplitude, angular in terms:
+            if amplitude:
+                term = radial * angular
+                if amplitude.real:
+                    real += amplitude.real * term
+                if amplitude.imag:
+                    imag += amplitude.imag * term
+    total = np.empty(x.shape, dtype=complex)
+    total.real = real
+    total.imag = imag
+    return total * _propagation_phase(geometry, r2, order)
+
+
+def _lg_sum(state: QuantumModeState, order: int, geometry: BeamGeometry, x, y):
+    """Field of a state whose LG rows all have the Gouy order 2n + l = order.
+
+    x and y are broadcast and evaluated in flat blocks of ``_BLOCK`` points
+    into one output array, so each block's per-row temporaries stay in
+    cache; a 0-d input gives a numpy complex scalar.  Per block, r^2,
+    log(2 r^2 / w^2), the unit phasor u = (x + i y) / r (1 on the axis) and
+    the curvature and Gouy phases are computed once.  The rows are taken in
+    ascending l, and exp(i l phi) = u**l is stepped up from row to row by
+    complex products, so no arctan2, cos or sin is evaluated.  Each row's
+    radial factor serves its even and odd amplitude, and zero amplitude
+    parts are skipped.  The norm, the power of r and the Gaussian envelope
+    are summed as logarithms, so no factorial or power overflows at high
+    order.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    out = np.empty(x.shape, dtype=complex)
+    flat_x, flat_y, flat_out = x.ravel(), y.ravel(), out.reshape(-1)
+    ascending = np.argsort(state.l, kind="stable")
+    rows = list(zip(*(a[ascending].tolist() for a in (state.n, state.l, state.even, state.odd))))
+    for start in range(0, flat_out.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        flat_out[block] = _lg_block(rows, order, geometry, flat_x[block], flat_y[block])
+    return out[()]
 
 
 def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
@@ -221,11 +284,10 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
         raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
     coords = np.linspace(-window_half_width, window_half_width, resolution)
     X, Y = np.meshgrid(coords, coords, indexing="xy")
-    values = np.asarray(field(X, Y), dtype=complex)
     return ComplexField(
         nx=resolution,
         ny=resolution,
         origin=(-window_half_width, -window_half_width),
         spacing=float(coords[1] - coords[0]),
-        values=values,
+        values=field(X, Y),
     )

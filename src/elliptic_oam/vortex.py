@@ -1,10 +1,12 @@
 """Phase-singularity detection on sampled complex fields.
 
-A vortex is located by the quantized winding of the phase around each grid
+A vortex is located by the quantized winding of the phase around a grid
 plaquette.  Real-valued fields (even/odd modes) produce pi phase jumps
 across nodal lines that must not be mistaken for vortices, so a plaquette
 only counts when both the real and the imaginary part change sign among its
 corners, i.e. when an isolated zero of the complex field can lie inside.
+That test runs first, on boolean corner masks; the winding is computed only
+on the few plaquettes that pass it.
 """
 
 from __future__ import annotations
@@ -61,64 +63,57 @@ def _bilinear_zero(f00, f10, f01, f11) -> tuple:
     return min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
 
 
+def _sign_change(component: np.ndarray) -> np.ndarray:
+    """Plaquettes with a corner above zero and a corner below zero."""
+    above = component > 0.0
+    below = component < 0.0
+    return (
+        (above[:-1, :-1] | above[:-1, 1:] | above[1:, :-1] | above[1:, 1:])
+        & (below[:-1, :-1] | below[:-1, 1:] | below[1:, :-1] | below[1:, 1:])
+    )
+
+
 def find_vortices(field: ComplexField):
     """Detect phase singularities and their charges on a sampled field.
 
-    For each plaquette the wrapped phase differences around the four corners
-    are summed; a nonzero multiple of 2*pi marks an enclosed singularity,
-    positioned at the bilinear zero-crossing estimate.  Plaquettes whose
-    corner amplitudes do not all clear 1e-9 * max|field| are treated as
-    numerical noise, as are plaquettes without a sign change in both field
-    quadratures.  Result is sorted by x then y.
+    Candidates are found first: a plaquette can enclose a zero only if both
+    field quadratures change sign among its corners, a test on boolean
+    corner masks.  Only on the candidates are the wrapped phase differences
+    around the four corners summed; a nonzero multiple of 2*pi marks an
+    enclosed singularity, positioned at the bilinear zero-crossing estimate.
+    Candidates whose corner amplitudes do not all clear
+    1e-9 * max|field| are treated as numerical noise.  Result is sorted by
+    x then y.
     """
     if field.nx < 8 or field.ny < 8:
         raise GridError(f"grid {field.ny}x{field.nx} too small for winding detection (need 8x8)")
     values = field.values
-    phase = np.angle(values)
-    p00 = phase[:-1, :-1]
-    p10 = phase[:-1, 1:]
-    p11 = phase[1:, 1:]
-    p01 = phase[1:, :-1]
+    iy, ix = np.nonzero(_sign_change(values.real) & _sign_change(values.imag))
+    c00 = values[iy, ix]
+    c10 = values[iy, ix + 1]
+    c11 = values[iy + 1, ix + 1]
+    c01 = values[iy + 1, ix]
+    p00, p10, p11, p01 = (np.angle(c) for c in (c00, c10, c11, c01))
     winding = (
         _wrap(p10 - p00) + _wrap(p11 - p10) + _wrap(p01 - p11) + _wrap(p00 - p01)
     )
     charge = np.rint(winding / (2.0 * np.pi)).astype(int)
-
-    amplitude = np.abs(values)
-    floor = 1e-9 * float(amplitude.max())
+    floor = 1e-9 * float(np.abs(values).max())
     corner_min = np.minimum(
-        np.minimum(amplitude[:-1, :-1], amplitude[:-1, 1:]),
-        np.minimum(amplitude[1:, :-1], amplitude[1:, 1:]),
+        np.minimum(np.abs(c00), np.abs(c10)), np.minimum(np.abs(c01), np.abs(c11))
     )
-
-    def _sign_change(component):
-        c00 = component[:-1, :-1]
-        c10 = component[:-1, 1:]
-        c11 = component[1:, 1:]
-        c01 = component[1:, :-1]
-        top = np.maximum(np.maximum(c00, c10), np.maximum(c11, c01))
-        bottom = np.minimum(np.minimum(c00, c10), np.minimum(c11, c01))
-        return (top > 0.0) & (bottom < 0.0)
-
-    candidates = (
-        (charge != 0)
-        & (corner_min > floor)
-        & _sign_change(values.real)
-        & _sign_change(values.imag)
-    )
+    (keep,) = np.nonzero((charge != 0) & (corner_min > floor))
 
     x0, y0 = field.origin
     spacing = field.spacing
     found = []
-    for iy, ix in zip(*np.nonzero(candidates)):
-        u, v = _bilinear_zero(
-            values[iy, ix], values[iy, ix + 1], values[iy + 1, ix], values[iy + 1, ix + 1]
-        )
+    for k in keep:
+        u, v = _bilinear_zero(c00[k], c10[k], c01[k], c11[k])
         found.append(
             Vortex(
-                x=x0 + (ix + u) * spacing,
-                y=y0 + (iy + v) * spacing,
-                charge=int(charge[iy, ix]),
+                x=x0 + (ix[k] + u) * spacing,
+                y=y0 + (iy[k] + v) * spacing,
+                charge=int(charge[k]),
             )
         )
     found.sort(key=lambda vtx: (vtx.x, vtx.y))

@@ -9,7 +9,10 @@ from overlap quadrature of the elliptic-series fields are
 ``verify.quadrature_weights``; ``symmetric_lg_weights`` reads them, at any
 order, straight off LAPACK's eigenvector of the symmetrized recurrence.
 ``random_states`` supplies the random one-photon states of the OAM
-identity tests.
+identity tests.  ``polar_lg_sum`` evaluates an LG sum with the azimuth from
+arctan2 and one cos and sin per row, over the whole array at once;
+``dense_vortices`` is the whole-grid winding detector that
+``vortex.find_vortices`` must match exactly.
 """
 
 import math
@@ -20,6 +23,7 @@ import numpy as np
 from elliptic_oam.beams import BeamGeometry
 from elliptic_oam.ince import build_recurrence_matrix, eigenvalue_rank, series_harmonics
 from elliptic_oam.quantum import QuantumModeState
+from elliptic_oam.vortex import Vortex, _bilinear_zero
 
 
 def sturm_count(diag, sub, sup, x):
@@ -155,6 +159,36 @@ def _mp_phase(order, geo, r2):
     return mp.expj(k * inverse_r * r2 / 2 - (order + 1) * gouy)
 
 
+def polar_lg_sum(state, order, geo, x, y):
+    """Field of an LG state from r, phi = arctan2(y, x), cos(l phi) and sin(l phi).
+
+    The same log-space radial weight as ``beams._lg_sum``, but the azimuth
+    is taken from arctan2 and each row's cos and sin, over all points in
+    one pass, rows in their stored order.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    w = geo.width
+    r2 = x**2 + y**2
+    arg = 2.0 * r2 / w**2
+    with np.errstate(divide="ignore"):
+        log_arg = np.log(arg)
+    phi = np.arctan2(y, x)
+    total = 0.0
+    for n, l, even, odd in zip(state.n.tolist(), state.l.tolist(), state.even.tolist(), state.odd.tolist()):
+        log_weight = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n + 1) - math.lgamma(n + l + 1) - arg)
+        previous, laguerre = np.zeros_like(arg), np.ones_like(arg)
+        for k in range(n):
+            previous, laguerre = laguerre, ((2 * k + 1 + l - arg) * laguerre - (k + l) * previous) / (k + 1)
+        if l == 0:
+            angular = even
+        else:
+            log_weight = log_weight + 0.5 * l * log_arg
+            angular = math.sqrt(2.0) * (even * np.cos(l * phi) + odd * np.sin(l * phi))
+        total = total + np.exp(log_weight) * laguerre * angular
+    curvature = 0.5 * geo.wavenumber * geo.inverse_curvature
+    return total / w * np.exp(1j * (curvature * r2 - (order + 1) * geo.gouy))
+
+
 def plane_sum(values, weights):
     return complex(np.sum(values * weights))
 
@@ -176,3 +210,44 @@ def random_states(count, seed=1234):
         amplitudes = np.zeros((n.size, 2), dtype=complex)
         amplitudes[at] = raw
         yield QuantumModeState(n, l, amplitudes[:, 0], amplitudes[:, 1])
+
+
+def dense_vortices(field):
+    """Phase singularities by the winding of every plaquette of the grid.
+
+    The phase, the four wrapped corner differences, the 1e-9 * max|field|
+    corner-amplitude floor and the sign change of both quadratures are all
+    computed over the whole plaquette grid, then filtered; survivors are
+    refined by the library's bilinear zero and sorted by x then y.
+    """
+    values = field.values
+    phase = np.angle(values)
+
+    def wrap(angles):
+        return np.mod(angles + np.pi, 2.0 * np.pi) - np.pi
+
+    p00, p10, p11, p01 = phase[:-1, :-1], phase[:-1, 1:], phase[1:, 1:], phase[1:, :-1]
+    winding = wrap(p10 - p00) + wrap(p11 - p10) + wrap(p01 - p11) + wrap(p00 - p01)
+    charge = np.rint(winding / (2.0 * np.pi)).astype(int)
+
+    amplitude = np.abs(values)
+    floor = 1e-9 * float(amplitude.max())
+    corner_min = np.minimum(
+        np.minimum(amplitude[:-1, :-1], amplitude[:-1, 1:]),
+        np.minimum(amplitude[1:, :-1], amplitude[1:, 1:]),
+    )
+
+    def sign_change(component):
+        corners = (component[:-1, :-1], component[:-1, 1:], component[1:, 1:], component[1:, :-1])
+        return (np.maximum.reduce(corners) > 0.0) & (np.minimum.reduce(corners) < 0.0)
+
+    candidates = (charge != 0) & (corner_min > floor) & sign_change(values.real) & sign_change(values.imag)
+    x0, y0 = field.origin
+    found = []
+    for iy, ix in zip(*np.nonzero(candidates)):
+        u, v = _bilinear_zero(values[iy, ix], values[iy, ix + 1], values[iy + 1, ix], values[iy + 1, ix + 1])
+        found.append(
+            Vortex(x=x0 + (ix + u) * field.spacing, y=y0 + (iy + v) * field.spacing, charge=int(charge[iy, ix]))
+        )
+    found.sort(key=lambda vtx: (vtx.x, vtx.y))
+    return found

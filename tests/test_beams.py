@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from elliptic_oam import beams
 from elliptic_oam.beams import (
     BeamGeometry,
+    ComplexField,
     eval_gaussian,
     eval_hg,
     eval_hig,
@@ -17,10 +19,10 @@ from elliptic_oam.beams import (
 from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity, valid_modes
 from elliptic_oam.linalg import plane_quadrature_grid
-from elliptic_oam.quantum import decompose
+from elliptic_oam.quantum import _parity_state, decompose, helical_state
 from elliptic_oam.verify import cartesian_to_elliptic, elliptic_to_cartesian, series_ig
 
-from oracles import geometry, mp_hg, mp_lg
+from oracles import geometry, mp_hg, mp_lg, polar_lg_sum, random_states
 
 
 class TestEllipticCoordinates:
@@ -148,6 +150,26 @@ class TestClosedFormOracle:
             )
             assert max(errors) <= 1e-12, kind
 
+    @pytest.mark.parametrize("n, l", [(3, 1), (2, 2), (4, 7), (40, 25), (20, 160), (0, 172)])
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_lg_on_the_axes_matches_mpmath(self, n, l, z):
+        # phi = 0, +-pi/2 and +-pi exactly, where the unit phasor's powers are
+        # exact; y = -0.0 on the negative x-axis is phi = -pi
+        geo = geometry(z=z)
+        ring = geo.width * math.sqrt((2 * n + l) / 2.0)
+        radii = (0.5 * ring, ring, 1.1 * ring)
+        points = [(s * r, 0.0) for r in radii for s in (1.0, -1.0)]
+        points += [(-r, -0.0) for r in radii]
+        points += [(0.0, s * r) for r in radii for s in (1.0, -1.0)]
+        points.append((0.0, 0.0))  # r = 0, where every l >= 1 mode vanishes
+        # the largest |field| at these radii, that of the even and odd modes
+        peak = math.sqrt(2.0) * max(abs(mp_lg(n, l, "helical_plus", geo, r, 0.0)) for r in radii)
+        for kind in ("even", "odd", "helical_plus", "helical_minus"):
+            for x, y in points:
+                got, ref = complex(eval_lg(n, l, kind, geo, x, y)), mp_lg(n, l, kind, geo, x, y)
+                scale = abs(ref) if abs(ref) >= 1e-3 * peak else peak
+                assert abs(got - ref) <= 1e-12 * scale, (kind, got, ref)
+
     @pytest.mark.parametrize(
         "nx, ny", [(0, 0), (2, 0), (3, 5), (12, 7), (30, 21), (160, 0), (120, 90), (250, 40), (300, 280)]
     )
@@ -160,6 +182,78 @@ class TestClosedFormOracle:
             z,
         )
         assert max(errors) <= 1e-12
+
+
+class TestBlockedEvaluation:
+    """Block-by-block evaluation equals one block over all points, bit for bit."""
+
+    STATE = helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 2.0)
+
+    def evaluate(self, x, y, z=0.3):
+        return beams._lg_sum(self.STATE, 7, geometry(z=z), x, y)
+
+    def assert_same_as_one_block(self, monkeypatch, x, y):
+        blocked = self.evaluate(x, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(beams, "_BLOCK", 1 << 40)
+            whole = self.evaluate(x, y)
+        assert blocked.shape == whole.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+        np.testing.assert_array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("block", [None, 7, 1000])
+    def test_grid_not_a_multiple_of_the_block(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(beams, "_BLOCK", block)
+        xs = np.linspace(-3.0, 3.0, 97)
+        X, Y = np.meshgrid(xs, np.linspace(-2.0, 2.5, 89))
+        self.assert_same_as_one_block(monkeypatch, X, Y)
+
+    def test_broadcast_column_with_row(self, monkeypatch):
+        monkeypatch.setattr(beams, "_BLOCK", 100)
+        column = np.linspace(-3.0, 3.0, 61)[:, None]
+        row = np.linspace(-2.0, 2.0, 45)[None, :]
+        self.assert_same_as_one_block(monkeypatch, column, row)
+        Y, X = np.meshgrid(row.ravel(), column.ravel())  # X varies down the columns, like ``column``
+        np.testing.assert_array_equal(self.evaluate(column, row), self.evaluate(X, Y))
+
+    def test_array_with_scalar(self, monkeypatch):
+        monkeypatch.setattr(beams, "_BLOCK", 16)
+        self.assert_same_as_one_block(monkeypatch, np.linspace(-3.0, 3.0, 50), 0.7)
+
+    def test_zero_d_input_returns_a_complex_scalar(self):
+        value = self.evaluate(0.4, -1.1)
+        assert type(value) is np.complex128
+        assert value == self.evaluate(np.array([0.4]), np.array([-1.1]))[0]
+
+    def test_empty_input(self):
+        value = self.evaluate(np.array([]), np.array([]))
+        assert value.shape == (0,) and value.dtype == complex
+
+
+class TestPolarReference:
+    """The phasor kernel against arctan2, cos and sin, on grids through the axes.
+
+    The two routes round differently: each factor of u**l and each row's
+    l * phi carry about one ulp, so the bound grows with the order.
+    """
+
+    CASES = [
+        (helical_state(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0), 5, 0.4),
+        (helical_state(ModeIndex(20, 10, Parity.EVEN), "minus", 5.3), 20, 0.0),
+        (helical_state(ModeIndex(40, 24, Parity.EVEN), "plus", 0.8), 40, 0.7),
+        (_parity_state(decompose(ModeIndex(7, 3, Parity.ODD), 1.3)), 7, 0.0),
+        *((state, 4, 0.2) for state in random_states(3)),
+    ]
+
+    @pytest.mark.parametrize("state, order, z", CASES)
+    def test_matches_polar_evaluation(self, state, order, z):
+        geo = geometry(z=z)
+        coords = np.linspace(-6.0, 6.0, 121)  # odd: the axes are grid lines
+        X, Y = np.meshgrid(coords, coords)
+        reference = polar_lg_sum(state, order, geo, X, Y)
+        field = beams._lg_sum(state, order, geo, X, Y)
+        bound = 8 * (order + 1) * np.finfo(float).eps * np.max(np.abs(reference))
+        assert np.max(np.abs(field - reference)) <= bound
 
 
 class TestHermiteGauss:
@@ -367,3 +461,13 @@ class TestSampleGrid:
     def test_resolution_floor(self):
         with pytest.raises(GridError):
             sample_grid(lambda x, y: x, 1.0, 8)
+
+
+class TestComplexField:
+    def test_caller_array_stays_writeable_and_detached(self):
+        values = np.zeros((16, 16), dtype=complex)
+        field = ComplexField(16, 16, (0.0, 0.0), 0.1, values)
+        assert values.flags.writeable
+        assert not field.values.flags.writeable
+        values[3, 4] = 2.0 + 1.0j
+        assert field.values[3, 4] == 0.0

@@ -7,9 +7,11 @@ moved or renamed would leave its metric missing, and ``bench/run.py
 --trace 1`` would stop with a ``KeyError``.  The in-process workloads call
 the library directly (``decompose(...).terms``, ``oam_distribution``,
 ``census_window``), so the first op of each must still run and pass its
-check.  The ``cli`` workload's payload checkers call the library too
-(``build_recurrence_matrix``, ``eigenvalue_rank``), so they must pass on
-payloads the CLI writes.
+check; the whole first ``imaging`` round runs too, so its plus/minus
+mirror and on-axis checks see the field and vortex kernels.  The ``cli``
+workload's payload checkers call the library too
+(``build_recurrence_matrix``, ``eigenvalue_rank``, ``census_window``), so
+they must pass on payloads the CLI writes.
 """
 
 import importlib.util
@@ -55,6 +57,19 @@ def test_first_in_process_op_passes_its_check(workload):
     assert op.check(op.run()) is None
 
 
+def test_whole_first_imaging_round_passes_its_checks():
+    workloads = _load("workloads")
+    first_round = next(workloads.WORKLOADS["imaging"].rounds(np.random.default_rng(0), None))
+    assert len(first_round) == 24
+    for op in first_round:
+        assert op.check(op.run()) is None, op.name
+
+
+FIELD = ["field", "-p", "5", "-m", "3", "-e", "3.1"]
+VORTICES = ["vortices", "-p", "5", "-m", "3", "-e", "2.0", "--resolution", "512"]
+
+# (checker, argv): a checker is a name in bench/workloads.py, or a
+# (factory name, *arguments) tuple for the checkers built per payload
 CLI_PAYLOADS = [
     ("_check_solve", ["solve-ince", "-p", "7", "-m", "5", "--parity", "odd", "-e", "3.3"]),
     ("_check_solve", ["solve-ince", "-p", "20", "-m", "10", "--parity", "even", "-e", "17"]),
@@ -62,12 +77,29 @@ CLI_PAYLOADS = [
     ("_check_solve", ["solve-ince", "-p", "8", "-m", "0", "--parity", "even", "-e", "2.5"]),
     ("_check_decompose", ["decompose", "-p", "12", "-m", "4", "--parity", "even", "-e", "0.7"]),
     ("_check_decompose", ["decompose", "-p", "9", "-m", "3", "--parity", "odd", "-e", "5"]),
+    (
+        "_check_field_csv",
+        [*FIELD, "--kind", "helical_minus", "--z", "0.4", "--resolution", "256", "--format", "csv"],
+    ),
+    (("_pgm_checker", 512), [*FIELD, "--kind", "helical_plus", "--resolution", "512", "--format", "pgm"]),
+    (("_vortices_checker", "plus", 2.0, 512), [*VORTICES, "--sign", "plus"]),
+    (("_vortices_checker", "minus", 2.0, 512), [*VORTICES, "--sign", "minus"]),
 ]
 
 
-@pytest.mark.parametrize("checker, argv", CLI_PAYLOADS, ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def _id(value):
+    if isinstance(value, list):
+        return " ".join(value)
+    return value if isinstance(value, str) else value[0]
+
+
+@pytest.mark.parametrize("checker, argv", CLI_PAYLOADS, ids=_id)
 def test_cli_payload_passes_its_check(checker, argv, tmp_path):
     workloads = _load("workloads")
-    output = tmp_path / "payload.json"
+    if isinstance(checker, str):
+        check = getattr(workloads, checker)
+    else:
+        check = getattr(workloads, checker[0])(*checker[1:])
+    output = tmp_path / "payload"
     assert cli.main([*argv, "-o", str(output)]) == 0
-    assert getattr(workloads, checker)(output.read_bytes(), output) is None
+    assert check(output.read_bytes(), output) is None

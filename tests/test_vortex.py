@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elliptic_oam.beams import ComplexField, eval_hig, eval_ig, eval_lg, sample_grid
 from elliptic_oam.errors import GridError, InvalidModeError
@@ -16,14 +18,14 @@ from elliptic_oam.vortex import (
     vortex_census,
 )
 
-from oracles import geometry
+from oracles import dense_vortices, geometry
 
 M53 = ModeIndex(5, 3, Parity.EVEN)
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
 
-def hig_field(mode, eps, resolution, sign="plus"):
-    geo = geometry()
+def hig_field(mode, eps, resolution, sign="plus", z=0.0):
+    geo = geometry(z=z)
     half = census_window(1.0, eps)
     return sample_grid(lambda x, y: eval_hig(mode, sign, eps, geo, x, y), half, resolution)
 
@@ -106,6 +108,46 @@ class TestFindVortices:
         field = ComplexField(nx=4, ny=4, origin=(0.0, 0.0), spacing=1.0, values=values)
         with pytest.raises(GridError):
             find_vortices(field)
+
+
+class TestDenseOracle:
+    """The sign-change-first search equals the whole-grid winding detector."""
+
+    @pytest.mark.parametrize("p, m", [(4, 2), (5, 3), (7, 5), (9, 1), (12, 6), (20, 10)])
+    @pytest.mark.parametrize("eps", [0.05, 0.8, 2.0, 5.3, 30.0])
+    def test_helical_fields(self, p, m, eps):
+        for z in (0.0, 0.37):
+            for sign in ("plus", "minus"):
+                field = hig_field(ModeIndex(p, m, Parity.EVEN), eps, 256, sign, z)
+                assert find_vortices(field) == dense_vortices(field), (z, sign)
+
+    def test_real_field(self):
+        geo = geometry()
+        field = sample_grid(lambda x, y: eval_ig(M53, 2.0, geo, x, y), 6.0, 256)
+        assert find_vortices(field) == dense_vortices(field) == []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(
+        st.integers(16, 64),
+        st.floats(1.0, 6.0),
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),
+                st.integers(0, 6),
+                st.sampled_from(["even", "odd", "helical_plus", "helical_minus"]),
+                st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_random_smooth_fields(self, resolution, half_width, terms):
+        geo = geometry()
+        coords = np.linspace(-half_width, half_width, resolution)
+        X, Y = np.meshgrid(coords, coords)
+        values = sum(c * eval_lg(n, l, kind if l else "even", geo, X, Y) for n, l, kind, c in terms)
+        field = ComplexField(resolution, resolution, (-half_width, -half_width), coords[1] - coords[0], values)
+        assert find_vortices(field) == dense_vortices(field)
 
 
 class TestMergeRegions:
