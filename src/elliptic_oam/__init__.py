@@ -16,7 +16,6 @@ from .errors import (
     EllipticOamError,
     GridError,
     InvalidModeError,
-    NonSymmetrizableError,
     SolverError,
     UnnormalizedStateError,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "IncePolynomial",
     "InvalidModeError",
     "ModeIndex",
-    "NonSymmetrizableError",
     "OamCurve",
     "Parity",
     "QuantumModeState",

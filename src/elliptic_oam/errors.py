@@ -9,10 +9,6 @@ class InvalidModeError(EllipticOamError):
     """Mode indices violate the (p, m, parity) admissibility rules."""
 
 
-class NonSymmetrizableError(EllipticOamError):
-    """Tridiagonal matrix cannot be symmetrized by a diagonal similarity."""
-
-
 class SolverError(EllipticOamError):
     """Numerical failure inside an eigensolver (non-convergence, collision)."""
 

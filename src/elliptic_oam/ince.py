@@ -67,7 +67,8 @@ class IncePolynomial:
 
     ``fourier[j]`` multiplies cos(harmonics[j]*eta) for even parity and
     sin(harmonics[j]*eta) for odd parity.  The coefficient vector has unit
-    Euclidean norm with its first entry positive.
+    Euclidean norm; its first entry (nonzero for eps > 0) is positive, by the
+    Sturm-sequence rule of ``linalg.eigen_tridiagonal`` where it is rounding noise.
     """
 
     mode: ModeIndex
@@ -119,6 +120,22 @@ def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalM
     return TridiagonalMatrix(diag=diag, sub=sub, sup=sup)
 
 
+def lg_scale(mode: ModeIndex) -> np.ndarray:
+    """The eps-independent diagonal that symmetrizes the recurrence, in harmonic order.
+
+    Harmonic l, with n = (p - l)/2, gets the LG ratio sqrt((n + l)! n!), times
+    sqrt(2) at l = 0, relative to l = p: scale[j + 1] / scale[j] = sqrt(sup[j] / sub[j]).
+    """
+    charges = series_harmonics(mode)[::-1]
+    n = (mode.p - charges) // 2
+    # from l + 2 to l, (n + l)! n! gains n / (n + l + 1): no factorial overflows
+    ratios = n / (n + charges + 1)
+    ratios[0] = 1.0
+    factorials = np.cumprod(ratios)
+    factorials[charges == 0] *= 2.0
+    return np.sqrt(factorials)[::-1]
+
+
 def eigenvalue_rank(mode: ModeIndex) -> int:
     """Ascending rank of this mode's eigenvalue: the position of m among the harmonics."""
     return int((mode.m - series_harmonics(mode)[0]) // 2)
@@ -131,15 +148,14 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
     so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
     """
     rank = eigenvalue_rank(mode)
-    values, vector = eigen_tridiagonal(build_recurrence_matrix(mode, ellipticity), rank)
-    if ellipticity > 0.0 and values.size > 1:
-        gaps = np.diff(values)
-        tight = np.flatnonzero(gaps < 1e-12 * (1.0 + np.abs(values[:-1])))
-        if tight.size:
-            raise SolverError(
-                f"eigenvalue collision at rank {int(tight[0])} for p={mode.p}, "
-                f"parity={mode.parity.value}, eps={ellipticity:g}; ascending-rank labeling is ill-defined"
-            )
+    values, vector = eigen_tridiagonal(build_recurrence_matrix(mode, ellipticity), lg_scale(mode), rank)
+    # at eps = 0 the spectrum is k^2, so only eps > 0 can trip this
+    tight = np.flatnonzero(np.diff(values) < 1e-12 * (1.0 + np.abs(values[:-1])))
+    if tight.size:
+        raise SolverError(
+            f"eigenvalue collision at rank {int(tight[0])} for p={mode.p}, "
+            f"parity={mode.parity.value}, eps={ellipticity:g}; ascending-rank labeling is ill-defined"
+        )
     return IncePolynomial(mode, float(ellipticity), float(values[rank]), vector)
 
 

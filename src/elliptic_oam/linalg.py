@@ -1,9 +1,10 @@
 """Small dense linear-algebra and quadrature kernels.
 
-No physics lives here: a diagonally-symmetrizable tridiagonal eigensolver
-(LAPACK ``eigh`` on the symmetrized bands for the whole spectrum, then one
-step of inverse iteration on the original matrix for the one eigenvector
-asked for, whose residual is checked) and a tensor-product Gauss-Legendre
+No physics lives here: a tridiagonal eigensolver (LAPACK ``eigh`` on the
+symmetric form for the whole spectrum, then one step of inverse iteration on
+the original matrix for the one eigenvector asked for, unscaled by a
+symmetrizing diagonal that the caller supplies, sign-fixed by a Sturm
+sequence and residual-checked) and a tensor-product Gauss-Legendre
 quadrature over a square window.
 """
 
@@ -14,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonSymmetrizableError, SolverError
+from .errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -50,33 +51,22 @@ class TridiagonalMatrix:
         return np.diag(self.diag) + np.diag(self.sup, 1) + np.diag(self.sub, -1)
 
 
-def eigen_tridiagonal(matrix: TridiagonalMatrix, rank: int):
+def eigen_tridiagonal(matrix: TridiagonalMatrix, scale, rank: int):
     """All eigenvalues, ascending, and the unit eigenvector of rank ``rank``.
 
-    The vector's first nonzero entry is positive and its residual is checked.
-    ``sub[i]`` and ``sup[i]`` must share their sign (zero on both sides splits
-    the matrix into blocks); :class:`NonSymmetrizableError` otherwise.
+    The couplings must be non-negative, zero on both sides or on neither,
+    and ``scale`` the symmetrizing diagonal, ``scale[i + 1] / scale[i] =
+    sqrt(sup[i] / sub[i])`` (``ince.lg_scale`` for the Ince recurrence).
+    Entry 0 of the vector is positive: with the Sturm sequence q_0 = lam - diag[0],
+    q_i = lam - diag[i] - sub[i-1]*sup[i-1]/q_(i-1), sign(v[i+1] / v[i]) = sign(q_i),
+    so the first entry j above 1e-8 takes the sign of q_0 ... q_(j-1), however
+    small entry 0 is.  The residual is checked.
     """
-    sub, sup = matrix.sub, matrix.sup
     try:
         with np.errstate(over="raise"):
-            products = sub * sup
+            products = matrix.sub * matrix.sup
     except FloatingPointError as exc:
         raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
-    # signs, not products, decide: a product of two tiny couplings underflows to 0
-    opposite = np.sign(sub) * np.sign(sup) < 0.0
-    if np.any(opposite):
-        bad = int(np.flatnonzero(opposite)[0])
-        raise NonSymmetrizableError(f"sub[{bad}] and sup[{bad}] differ in sign; no diagonal similarity exists")
-    one_sided = (sub == 0.0) != (sup == 0.0)
-    if np.any(one_sided):
-        bad = int(np.flatnonzero(one_sided)[0])
-        raise NonSymmetrizableError(f"coupling {bad} is zero on one side only; defective under symmetrization")
-
-    # scale[i+1] / scale[i] = sqrt(sup[i] / sub[i]) maps the matrix onto its
-    # symmetric form; across a coupling zero on both sides any ratio will do
-    ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=sub != 0.0))
-    scale = np.concatenate(([1.0], np.cumprod(ratios)))
     coupling = np.sqrt(products)
     symmetric = np.diag(matrix.diag) + np.diag(coupling, 1) + np.diag(coupling, -1)
     dense = matrix.to_dense()
@@ -91,9 +81,15 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix, rank: int):
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
     vector /= np.sqrt(sum(vector * vector))  # one term at a time, in index order
-    if vector[np.argmax(vector != 0.0)] < 0.0:
+    value = float(eigenvalues[rank])
+    j = int(np.argmax(np.abs(vector) > 1e-8))
+    flip, q = bool(vector[j] < 0.0), 1.0
+    for a, product in zip(matrix.diag[:j].tolist(), [0.0] + products[: j - 1].tolist()):
+        # q = 0 means v[i + 1] = 0; counting it positive, the next q flips
+        q = value - a - product / (q or np.finfo(float).tiny)
+        flip ^= q < 0.0
+    if flip:
         vector = -vector
-    value = eigenvalues[rank]
     residual = np.linalg.norm(dense @ vector - value * vector)
     if not residual <= 1e-10 * (1.0 + abs(value)):
         raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, InvalidModeError, UnnormalizedStateError
-from .ince import ModeIndex, Parity, solve_ince
+from .ince import ModeIndex, Parity, lg_scale, solve_ince
 
 _NORM_TOL = 1e-12
 
@@ -126,25 +126,17 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     """LG weights of one IG mode at the given ellipticity.
 
     Every admissible equal-Gouy-order term is present: the charges l are the
-    series harmonics, taken in descending order.  Weights are real with a
-    deterministic overall sign (positive normalization constant on top of
-    the sign-fixed Fourier vector), and sum of squares is 1.
-
-    The scale that symmetrizes the recurrence is this LG ratio sqrt((n + l)! n!),
-    times sqrt(2) at l = 0, so up to one sign the weights are the symmetric
-    rank-m eigenvector, reversed and times (-1)^(n + l + (p + m)/2).
+    series harmonics, taken in descending order.  The weights are the
+    Fourier vector times ``ince.lg_scale`` (the LG ratio sqrt((n + l)! n!),
+    times sqrt(2) at l = 0, which also symmetrizes the recurrence), reversed,
+    given the sign (-1)^(n + l + (p + m)/2) and normalized to sum D^2 = 1.
+    Their overall sign is that of the Fourier vector, whose first entry is
+    positive (see ``IncePolynomial``).
     """
     poly = solve_ince(mode, ellipticity)
     charges = poly.harmonics[::-1]
     n = (mode.p - charges) // 2
-    # (n + l)! n! relative to its value in the first row, l = p and n = 0:
-    # from l + 2 to l it gains the factor n / (n + l + 1), so no factorial
-    # overflows at high order
-    ratios = n / (n + charges + 1)
-    ratios[0] = 1.0
-    factorials = np.cumprod(ratios)
-    factorials[charges == 0] *= 2.0
-    raw = _expansion_sign(n, charges, mode.p, mode.m) * np.sqrt(factorials) * poly.fourier[::-1]
+    raw = _expansion_sign(n, charges, mode.p, mode.m) * (lg_scale(mode) * poly.fourier)[::-1]
     # one term at a time in ladder order; np.sum would pair terms up
     scale = 1.0 / math.sqrt(sum(raw * raw))
     return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=raw * scale)

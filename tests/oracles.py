@@ -8,8 +8,10 @@ from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
 from overlap quadrature of the elliptic-series fields are
 ``verify.quadrature_weights``; ``symmetric_lg_weights`` reads them, at any
 order, straight off LAPACK's eigenvector of the symmetrized recurrence.
-``random_states`` supplies the random one-photon states of the OAM
-identity tests.  ``polar_lg_sum`` evaluates an LG sum with the azimuth from
+``band_scale`` reads the symmetrizing diagonal off the bands, the route
+that ``ince.lg_scale`` replaces in the library.  ``random_states``
+supplies the random one-photon states of the OAM identity tests.
+``polar_lg_sum`` evaluates an LG sum with the azimuth from
 arctan2 and one cos and sin per row, over the whole array at once;
 ``dense_vortices`` is the whole-grid winding detector that
 ``vortex.find_vortices`` must match exactly.
@@ -64,6 +66,16 @@ def sturm_eigenvalues(diag, sub, sup, tol=1e-13):
                 hi = mid
         out[k] = 0.5 * (lo + hi)
     return out
+
+
+def band_scale(matrix):
+    """Symmetrizing diagonal from the bands: 1, then cumprod of sqrt(sup / sub).
+
+    Across a coupling that is zero on both sides any ratio will do; 1 is taken.
+    """
+    sub, sup = matrix.sub, matrix.sup
+    ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=sub != 0.0))
+    return np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def mp_eigenpairs(matrix, digits=50):

@@ -16,13 +16,14 @@ from elliptic_oam.ince import (
     eval_angular,
     eval_radial,
     ince_ode_residual,
+    lg_scale,
     series_harmonics,
     solve_ince,
     valid_modes,
 )
 from elliptic_oam.linalg import eigen_tridiagonal
 
-from oracles import mp_eigenpairs, series_sum
+from oracles import band_scale, mp_eigenpairs, series_sum
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -64,7 +65,7 @@ class TestRecurrenceMatrix:
 
     def test_p2_even_at_zero_ellipticity(self):
         m = build_recurrence_matrix(ModeIndex(2, 2, Parity.EVEN), 0.0)
-        values, _ = eigen_tridiagonal(m, 0)
+        values, _ = eigen_tridiagonal(m, band_scale(m), 0)
         assert np.allclose(sorted(values), [0.0, 4.0], atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -78,6 +79,14 @@ class TestRecurrenceMatrix:
     )
     def test_dimensions_per_class(self, p, m, parity, expected):
         assert build_recurrence_matrix(ModeIndex(p, m, parity), 1.0).dimension == expected
+
+    def test_lg_scale_symmetrizes_bands_at_every_eps(self):
+        # the closed-form LG ratio against sqrt(sup/sub) read off the bands
+        for mode in valid_modes(40):
+            scale = lg_scale(mode)
+            for eps in (1e-300, 1e-3, 1.0, 400.0):
+                reference = band_scale(build_recurrence_matrix(mode, eps))
+                assert np.max(np.abs(scale / scale[0] / reference - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize(
         "p,m,parity,diag,sub,sup",
@@ -184,7 +193,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("p", [20, 41, 60])
     def test_matches_extended_precision_eigenpairs(self, p, parity):
         m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
-        for eps in (1e-3, 3.0, 30.0, 300.0):
+        for eps in (1e-3, 0.35, 3.0, 30.0, 300.0):
             values, vectors = mp_eigenpairs(build_recurrence_matrix(ModeIndex(p, m0, parity), eps))
             # double-precision symmetrization perturbs the spectrum by about
             # one ulp of its largest eigenvalue, so interior eigenvalues are
@@ -281,7 +290,7 @@ class TestInvariants:
             m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
             for eps in (0.01, 2.0, 10.0):
                 matrix = build_recurrence_matrix(ModeIndex(p, m0 + 2, parity), eps)
-                values, _ = eigen_tridiagonal(matrix, 0)
+                values, _ = eigen_tridiagonal(matrix, band_scale(matrix), 0)
                 gaps = np.diff(values)
                 assert np.all(gaps > 1e-12 * (1.0 + np.abs(values[:-1])))
 

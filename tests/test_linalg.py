@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from elliptic_oam.errors import NonSymmetrizableError, SolverError
+from elliptic_oam.errors import SolverError
 from elliptic_oam.linalg import TridiagonalMatrix, eigen_tridiagonal, plane_quadrature_grid
 
-from oracles import sturm_eigenvalues
+from oracles import band_scale, sturm_eigenvalues
+
+
+def solve(matrix, rank):
+    return eigen_tridiagonal(matrix, band_scale(matrix), rank)
 
 
 def random_symmetrizable(rng, n, ratio_range=(0.5, 2.0)):
@@ -20,19 +24,19 @@ def random_symmetrizable(rng, n, ratio_range=(0.5, 2.0)):
 
 class TestEigenTridiagonal:
     def test_dimension_one(self):
-        values, vector = eigen_tridiagonal(TridiagonalMatrix(diag=[5.0], sub=[], sup=[]), 0)
+        values, vector = solve(TridiagonalMatrix(diag=[5.0], sub=[], sup=[]), 0)
         assert values.tolist() == [5.0]
         assert vector.tolist() == [1.0]
 
     def test_pauli_x_analog(self):
-        values, _ = eigen_tridiagonal(TridiagonalMatrix(diag=[0.0, 0.0], sub=[1.0], sup=[1.0]), 0)
+        values, _ = solve(TridiagonalMatrix(diag=[0.0, 0.0], sub=[1.0], sup=[1.0]), 0)
         assert np.allclose(values, [-1.0, 1.0], atol=1e-14)
 
     def test_random_6x6_against_sturm_bisection(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             m = random_symmetrizable(rng, 6, ratio_range=(0.2, 5.0))
-            values, _ = eigen_tridiagonal(m, 0)
+            values, _ = solve(m, 0)
             oracle = sturm_eigenvalues(m.diag, m.sub, m.sup)
             assert np.max(np.abs(values - oracle)) < 1e-10
 
@@ -43,7 +47,7 @@ class TestEigenTridiagonal:
                 m = random_symmetrizable(rng, n)
                 dense = m.to_dense()
                 for j in range(n):
-                    values, v = eigen_tridiagonal(m, j)
+                    values, v = solve(m, j)
                     assert np.all(np.diff(values) >= -1e-13)
                     a = values[j]
                     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
@@ -63,49 +67,43 @@ class TestEigenTridiagonal:
             atol=1e-10,
         )
         assert np.allclose(
-            eigen_tridiagonal(m, 0)[0],
-            eigen_tridiagonal(symmetric, 0)[0],
+            solve(m, 0)[0],
+            solve(symmetric, 0)[0],
             atol=1e-10,
         )
 
     def test_zero_coupling_splits_into_blocks(self):
         m = TridiagonalMatrix(diag=[1.0, 4.0, 2.0], sub=[0.0, 0.5], sup=[0.0, 0.5])
         oracle = sorted([1.0, 3.0 + math.sqrt(1.25), 3.0 - math.sqrt(1.25)])
-        values, _ = eigen_tridiagonal(m, 0)
+        values, _ = solve(m, 0)
         assert np.allclose(values, oracle, atol=1e-12)
         # the isolated block contributes a basis eigenvector
         idx = int(np.argmin(np.abs(values - 1.0)))
-        _, vector = eigen_tridiagonal(m, idx)
+        _, vector = solve(m, idx)
         assert np.allclose(vector, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_underflowing_coupling_product_kept(self):
         # 1e-200 * 1e-200 underflows to 0, yet neither coupling is zero: the
         # matrix is symmetric, not defective, and the tiny entry survives
         m = TridiagonalMatrix(diag=[1.0, 2.0], sub=[1e-200], sup=[1e-200])
-        values, vector = eigen_tridiagonal(m, 0)
+        values, vector = solve(m, 0)
         assert values.tolist() == [1.0, 2.0]
         assert vector[0] == 1.0
         assert vector[1] == pytest.approx(-1e-200, rel=1e-12)
 
-    def test_tiny_opposite_signs_rejected(self):
-        m = TridiagonalMatrix(diag=[1.0, 2.0], sub=[-1e-200], sup=[1e-200])
-        with pytest.raises(NonSymmetrizableError):
-            eigen_tridiagonal(m, 0)
-
-    def test_negative_product_rejected(self):
-        m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[-1.0], sup=[1.0])
-        with pytest.raises(NonSymmetrizableError):
-            eigen_tridiagonal(m, 0)
-
-    def test_one_sided_zero_rejected(self):
-        m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[0.0], sup=[1.0])
-        with pytest.raises(NonSymmetrizableError):
-            eigen_tridiagonal(m, 0)
+    def test_sign_from_sturm_sequence_past_a_zero_pivot(self):
+        # eigh returns lambda = diag[0] = 0 exactly, so q_0 = 0; the exact
+        # vector is (1e-13, 0, -1) up to its norm, entry 0 below 1e-8
+        m = TridiagonalMatrix(diag=[0.0, 0.0, 0.0], sub=[1.0, 1e-13], sup=[1.0, 1e-13])
+        values, vector = solve(m, 1)
+        assert values[1] == 0.0
+        assert vector[0] == pytest.approx(1e-13, rel=1e-12)
+        assert vector[2] == pytest.approx(-1.0, rel=1e-15)
 
     def test_overflowing_coupling_named(self):
         m = TridiagonalMatrix(diag=[0.0, 0.0], sub=[1e160], sup=[1e160])
         with np.errstate(all="raise"), pytest.raises(SolverError, match="overflows"):
-            eigen_tridiagonal(m, 0)
+            solve(m, 0)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(SolverError):

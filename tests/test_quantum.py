@@ -246,6 +246,13 @@ class TestOamCurve:
         assert np.all(np.diff(down.oam) < 0.0)
         assert np.all(np.diff(up.oam) > 0.0)
 
+    def test_high_order_sign_is_not_rounding_noise(self):
+        # the leading Fourier entries of (60,42) fall below rounding at small
+        # eps; a sign read off them flipped <Lz> to about -42 at some points
+        curve = oam_curve(ModeIndex(60, 42, Parity.EVEN), "plus", np.geomspace(0.01, 300.0, 257))
+        assert np.all(curve.oam > 0.0)
+        assert [e for e in find_turning_points(curve) if e < 1.0] == []
+
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(InvalidModeError):
             oam_curve(M22, "plus", [0.0, 1.0])
