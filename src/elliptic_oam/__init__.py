@@ -42,7 +42,7 @@ from .quantum import (
     oam_distribution,
     oam_expectation,
 )
-from .vortex import Vortex, find_vortices, merge_vortex_regions, vortex_census
+from .vortex import Vortex, find_vortices, vortex_census
 
 __all__ = [
     "BeamGeometry",
@@ -75,7 +75,6 @@ __all__ = [
     "find_vortices",
     "helical_state",
     "ince_ode_residual",
-    "merge_vortex_regions",
     "oam_curve",
     "oam_distribution",
     "oam_expectation",

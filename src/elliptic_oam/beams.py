@@ -6,14 +6,15 @@ Gaussian envelope, which is 1 on axis at the waist.  Propagation support is
 a thin scale-and-phase wrapper: the transverse profile at z is the waist
 profile with w(z), f(z) scaled together plus curvature and Gouy phases.
 
-Ince-Gauss and helical Ince-Gauss fields are evaluated as sums of
-Laguerre-Gauss modes of their Gouy order p, weighted by the expansion of
-``quantum.decompose``.  The sum is evaluated over flat blocks of a few
-thousand points, whose temporaries stay in cache, and its azimuthal
-factors exp(i l phi) are powers of the unit phasor (x + i y) / r, formed by
-complex products rather than by arctan2, cos and sin.  The
-elliptic-coordinate series route lives in ``verify`` as the independent
-oracle for these sums.
+Every LG, HG, IG and helical IG field has one Gouy order p, and every field
+of order p is a sum over the Hermite-Gauss modes HG_(k, p - k) of that order.
+The HG coefficients of a state are its even and odd LG amplitudes (the
+expansion of ``quantum.decompose`` for IG fields) times the LG -> HG
+transform of the order, which does not depend on the ellipticity.  The HG
+sum separates in x and y: on a grid it is one matrix product of 1-D
+Hermite-function rows, and its curvature phase is an outer product of two
+1-D phases.  The Laguerre-Gauss sum and the elliptic-coordinate series
+are kept as independent oracles, in the test suite and in ``verify``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import numpy as np
 
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
+from .linalg import _sturm_flips
 from .quantum import QuantumModeState, _parity_state, decompose, helical_state
 
-# Points per block of ``_lg_sum``: small enough that a block's per-row
-# temporaries stay in cache; 4096 to 16384 measured alike on 256^2 and
-# 512^2 grids.
-_BLOCK = 4096
+# Entries in one block's table of Hermite rows at scattered points, (order
+# + 1) rows by the block's points: 256 kB, so a block's tables stay in cache.
+_ROW_TABLE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -122,95 +123,115 @@ def eval_gaussian(geometry: BeamGeometry, x, y):
     return (geometry.waist / w) * np.exp(-r2 / w**2) * _propagation_phase(geometry, r2, 0)
 
 
-def _genlaguerre(n: int, l: int, x):
-    """Generalized Laguerre polynomial L_n^l(x) by its three-term recurrence.
+def _hermite_rows(order: int, u) -> np.ndarray:
+    """Unit-norm Hermite functions h_0 ... h_order at u, stacked on a new first axis.
 
-    L_0^l = 1 is returned as the scalar 1.0.
-    """
-    previous, current = 0.0, 1.0
-    for k in range(n):
-        previous, current = current, ((2 * k + 1 + l - x) * current - (k + l) * previous) / (k + 1)
-    return current
-
-
-def _unit_power(u, l: int):
-    """u**l for l >= 0 by repeated squaring.
-
-    numpy's complex power is slow, and from l = 100 it switches to a
-    transcendental path; a product of unit phasors is exact to about one
-    ulp per factor.
-    """
-    result = 1.0
-    while l:
-        if l & 1:
-            result = result * u
-        l >>= 1
-        if l:
-            u = u * u
-    return result
-
-
-def _lg_block(rows, order: int, geometry: BeamGeometry, x, y):
-    """``_lg_sum`` on one flat block of points."""
-    w = geometry.width
-    r2 = x**2 + y**2
-    arg = 2.0 * r2 / w**2
-    r = np.sqrt(r2)
-    u = np.empty(x.shape, dtype=complex)  # the unit phasor exp(i phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_arg = np.log(arg)
-        u.real = x / r
-        u.imag = y / r
-    u[r == 0.0] = 1.0  # on the axis every l >= 1 row vanishes
-    real, imag = np.zeros(x.shape), np.zeros(x.shape)
-    power, power_l = 1.0, 0  # u**power_l, stepped up the rows in ascending l
-    for n, l, even, odd in rows:
-        # log of sqrt(2 n! / (pi (n + l)!)) * arg^(l/2) * exp(-arg/2)
-        log_weight = 0.5 * (math.log(2.0 / math.pi) + math.lgamma(n + 1) - math.lgamma(n + l + 1) - arg)
-        if l == 0:
-            radial = np.exp(log_weight) * _genlaguerre(n, l, arg) / w
-            terms = ((even, 1.0),)
-        else:
-            power, power_l = power * _unit_power(u, l - power_l), l
-            log_weight += 0.5 * l * log_arg
-            radial = np.exp(log_weight) * _genlaguerre(n, l, arg) * (math.sqrt(2.0) / w)
-            terms = ((even, power.real), (odd, power.imag))  # cos(l phi), sin(l phi)
-        for amplitude, angular in terms:
-            if amplitude:
-                term = radial * angular
-                if amplitude.real:
-                    real += amplitude.real * term
-                if amplitude.imag:
-                    imag += amplitude.imag * term
-    total = np.empty(x.shape, dtype=complex)
-    total.real = real
-    total.imag = imag
-    return total * _propagation_phase(geometry, r2, order)
-
-
-def _lg_sum(state: QuantumModeState, order: int, geometry: BeamGeometry, x, y):
-    """Field of a state whose LG rows all have the Gouy order 2n + l = order.
-
-    x and y are broadcast and evaluated in flat blocks of ``_BLOCK`` points
-    into one output array, so each block's per-row temporaries stay in
-    cache; a 0-d input gives a numpy complex scalar.  Per block, r^2,
-    log(2 r^2 / w^2), the unit phasor u = (x + i y) / r (1 on the axis) and
-    the curvature and Gouy phases are computed once.  The rows are taken in
-    ascending l, and exp(i l phi) = u**l is stepped up from row to row by
-    complex products, so no arctan2, cos or sin is evaluated.  Each row's
-    radial factor serves its even and odd amplitude, and zero amplitude
-    parts are skipped.  The norm, the power of r and the Gaussian envelope
-    are summed as logarithms, so no factorial or power overflows at high
+    h_k(u) = H_k(u) exp(-u^2/2) / sqrt(2^k k! sqrt(pi)), built by its
+    three-term recurrence, whose terms stay bounded like the functions
+    themselves, so no Hermite polynomial or factorial overflows at high
     order.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    rows = np.empty((order + 1,) + u.shape)
+    rows[0] = np.pi**-0.25 * np.exp(-0.5 * u**2)
+    previous = 0.0
+    for k in range(order):
+        rows[k + 1] = math.sqrt(2.0 / (k + 1)) * u * rows[k] - math.sqrt(k / (k + 1)) * previous
+        previous = rows[k]
+    return rows
+
+
+def _lg_to_hg(order: int) -> np.ndarray:
+    """Real orthogonal T with LG_j = sum_k T[k, j] HG_(k, order - k).
+
+    Column (order + l) / 2 is the even (cos) LG mode of charge l >= 0 and
+    column (order - l) / 2 the odd (sin) one, of radial number
+    n = (order - l) / 2; HG_(k, order - k) has k quanta along x.  In the
+    basis (-i)^k HG_(k, order - k), L_z is the real symmetric tridiagonal
+    matrix with zero diagonal and couplings sqrt((k + 1)(order - k)).  Its
+    eigenvalues are -order, -order + 2, ..., order, all 2 apart, so ``eigh``
+    gives the eigenvectors u to about ``order`` ulp.  Each u is signed so
+    that entry 0 is positive by the Sturm sequence (``linalg._sturm_flips``;
+    every coupling is positive), which reads no entry below rounding.  The
+    helical LG mode of charge +-l is then (-1)^n sum_k u_k i^(+-(l - k))
+    HG_k, from the ladder operators, the (-1)^n being the sign of the
+    leading coefficient of L_n^l.  So the cos and sin modes are
+    (-1)^n sqrt(2) cos((l - k) pi / 2) u_k and (-1)^n sqrt(2) sin((l - k) pi / 2) u_k,
+    real, each on the k of one parity; at l = 0 the sqrt(2) drops out.
+    The transform does not depend on the ellipticity.
+    """
+    k = np.arange(order + 1)
+    charge = np.abs(2 * k - order)
+    coupling = np.sqrt(k[1:] * (order + 1.0 - k[1:]))
+    # eigh's eigenvalues ascend, -order + 2 j in column j: column (order + l) / 2 is u of eigenvalue l
+    u = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1][:, (order + charge) // 2]
+    first = np.argmax(np.abs(u) > 1e-8, axis=0)
+    flips = (u[first, k] < 0.0) ^ _sturm_flips(np.zeros(order + 1), coupling**2, charge, first)
+    # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
+    pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
+    scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)
+    return np.where(flips, -u, u) * pattern * scale
+
+
+def _hg_coefficients(state: QuantumModeState) -> np.ndarray:
+    """HG coefficients C = T_p (even, odd amplitudes) of a state of one Gouy order p.
+
+    The real and imaginary parts are transformed apart, so a real state
+    gives an imaginary part of exactly zero.
+    """
+    orders = 2 * state.n + state.l
+    if orders.size == 0 or np.any(orders != orders[0]):
+        raise InvalidModeError(f"the LG rows of a field must share one Gouy order, got {orders.tolist()}")
+    order = int(orders[0])
+    amplitudes = np.zeros(order + 1, dtype=complex)
+    amplitudes[(order - state.l) // 2] = state.odd
+    amplitudes[(order + state.l) // 2] = state.even  # at l = 0 this replaces the zero odd amplitude
+    transform = _lg_to_hg(order)
+    coefficients = np.empty(order + 1, dtype=complex)
+    coefficients.real = transform @ amplitudes.real
+    coefficients.imag = transform @ amplitudes.imag
+    return coefficients
+
+
+def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
+    """The field sum_k C_k HG_(k, p - k) at z, of Gouy order p = len(C) - 1.
+
+    It is (sqrt(2)/w) exp(-i (p + 1) gouy) sum_k C_k h_k(sqrt(2) x / w)
+    h_(p - k)(sqrt(2) y / w) exp(i k x^2 / 2R) exp(i k y^2 / 2R), with x and
+    y broadcast.  An x row of shape (1, nx) with a y column of shape
+    (ny, 1), the axes that ``sample_grid`` passes, is a grid: the sum is one
+    (ny x (p + 1)) @ ((p + 1) x nx) product of Hermite rows, with the phases
+    and the scale folded into the two factors as 1-D arrays, so no
+    exponential is taken per grid point.  Other points take the same sum
+    elementwise, term by term in ascending k, so each point's value does
+    not depend on the block it falls in; the blocks of
+    ``_ROW_TABLE // (p + 1)`` points keep their Hermite rows in cache.  Zero
+    coefficient parts are skipped.  A 0-d input gives a numpy complex
+    scalar.
+    """
+    order = coefficients.size - 1
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    scale = math.sqrt(2.0) / geometry.width
+    if x.ndim == y.ndim == 2 and x.shape[0] == 1 and y.shape[1] == 1:
+        x, y = x[0], y[:, 0]
+        curvature = 0.5 * geometry.wavenumber * geometry.inverse_curvature
+        gouy = np.exp(-1j * (order + 1) * geometry.gouy)
+        x_factor = _hermite_rows(order, scale * x) * (scale * np.exp(1j * curvature * x**2))
+        y_factor = _hermite_rows(order, scale * y)[::-1].T * (coefficients * gouy)
+        return (y_factor * np.exp(1j * curvature * y**2)[:, None]) @ x_factor
+    x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape, dtype=complex)
     flat_x, flat_y, flat_out = x.ravel(), y.ravel(), out.reshape(-1)
-    ascending = np.argsort(state.l, kind="stable")
-    rows = list(zip(*(a[ascending].tolist() for a in (state.n, state.l, state.even, state.odd))))
-    for start in range(0, flat_out.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        flat_out[block] = _lg_block(rows, order, geometry, flat_x[block], flat_y[block])
+    step = max(1, _ROW_TABLE // (order + 1))
+    for start in range(0, flat_out.size, step):
+        bx, by = flat_x[start : start + step], flat_y[start : start + step]
+        rows_x, rows_y = _hermite_rows(order, scale * bx), _hermite_rows(order, scale * by)
+        total = np.zeros(bx.shape, dtype=complex)
+        for k, c in enumerate(coefficients.tolist()):
+            if c.real:
+                total.real += c.real * (rows_x[k] * rows_y[order - k])
+            if c.imag:
+                total.imag += c.imag * (rows_x[k] * rows_y[order - k])
+        flat_out[start : start + step] = scale * total * _propagation_phase(geometry, bx**2 + by**2, order)
     return out[()]
 
 
@@ -228,66 +249,54 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     else:
         s = 1.0 if kind == "helical_plus" else -1.0
         even, odd = 1.0 / math.sqrt(2.0), s * 1j / math.sqrt(2.0)
-    return _lg_sum(QuantumModeState([n], [l], [even], [odd]), 2 * n + l, geometry, x, y)
-
-
-def _hermite_function(n: int, u):
-    """Unit-norm Hermite function H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi)).
-
-    Built by its three-term recurrence, whose terms stay bounded like the
-    function itself, so no Hermite polynomial or factorial overflows at
-    high order.
-    """
-    previous, current = np.zeros_like(u), np.pi**-0.25 * np.exp(-0.5 * u**2)
-    for k in range(n):
-        previous, current = current, math.sqrt(2.0 / (k + 1)) * u * current - math.sqrt(k / (k + 1)) * previous
-    return current
+    return _hg_sum(_hg_coefficients(QuantumModeState([n], [l], [even], [odd])), geometry, x, y)
 
 
 def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     """Normalized Hermite-Gauss mode; used for the large-ellipticity limit."""
     if nx_index < 0 or ny_index < 0:
         raise InvalidModeError("HG indices must be non-negative")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    scale = math.sqrt(2.0) / geometry.width
-    field = scale * _hermite_function(nx_index, scale * x) * _hermite_function(ny_index, scale * y)
-    return field * _propagation_phase(geometry, x**2 + y**2, nx_index + ny_index)
+    coefficients = np.zeros(nx_index + ny_index + 1, dtype=complex)
+    coefficients[nx_index] = 1.0
+    return _hg_sum(coefficients, geometry, x, y)
 
 
 def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     """Unit-norm Ince-Gauss field at the given transverse points and z.
 
     Evaluated as its Laguerre-Gauss expansion sum D_j LG_j (see
-    ``quantum.decompose``); all terms share the Gouy order p, so the field
-    propagates exactly.  Even and odd fields are both real at the waist.
+    ``quantum.decompose``), taken to the HG modes of the Gouy order p; all
+    terms share p, so the field propagates exactly.  Even and odd fields
+    are both real at the waist, to the last bit.
     """
     if ellipticity <= 0.0:
         raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
-    return _lg_sum(_parity_state(decompose(mode, ellipticity)), mode.p, geometry, x, y)
+    return _hg_sum(_hg_coefficients(_parity_state(decompose(mode, ellipticity))), geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    return _lg_sum(helical_state(mode, sign, ellipticity), mode.p, geometry, x, y)
+    return _hg_sum(_hg_coefficients(helical_state(mode, sign, ellipticity)), geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:
     """Sample a field callable on a uniform square grid.
 
     The grid spans [-W, W] per axis inclusive with ``resolution`` points, so
-    spacing is 2 W / (resolution - 1).  Deterministic row-major output.
+    spacing is 2 W / (resolution - 1).  The callable receives the axes, x
+    as a row of shape (1, resolution) and y as a column of shape
+    (resolution, 1), and its result is broadcast to the square; the field
+    evaluators take such axes as a grid.  Deterministic row-major output.
     """
     if resolution < 16:
         raise GridError(f"resolution must be at least 16, got {resolution}")
     if not 0.0 < window_half_width < np.inf:
         raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
     coords = np.linspace(-window_half_width, window_half_width, resolution)
-    X, Y = np.meshgrid(coords, coords, indexing="xy")
     return ComplexField(
         nx=resolution,
         ny=resolution,
         origin=(-window_half_width, -window_half_width),
         spacing=float(coords[1] - coords[0]),
-        values=field(X, Y),
+        values=np.broadcast_to(field(coords[None, :], coords[:, None]), (resolution, resolution)),
     )

@@ -4,8 +4,8 @@ No physics lives here: a tridiagonal eigensolver (LAPACK ``eigh`` on the
 symmetric form for the whole spectrum, then one step of inverse iteration on
 the original matrix for the one eigenvector asked for, unscaled by a
 symmetrizing diagonal that the caller supplies, sign-fixed by a Sturm
-sequence and residual-checked) and a tensor-product Gauss-Legendre
-quadrature over a square window.
+sequence and residual-checked), that Sturm-sequence sign rule on its own,
+and a tensor-product Gauss-Legendre quadrature over a square window.
 """
 
 from __future__ import annotations
@@ -51,16 +51,36 @@ class TridiagonalMatrix:
         return np.diag(self.diag) + np.diag(self.sup, 1) + np.diag(self.sub, -1)
 
 
+def _sturm_flips(diag, products, values, first):
+    """Whether entry ``first`` of each eigenvector has the opposite sign to entry 0.
+
+    For a tridiagonal matrix with couplings sub[i] * sup[i] = products[i] >= 0
+    and an eigenvalue lam, the Sturm sequence q_0 = lam - diag[0],
+    q_i = lam - diag[i] - products[i - 1] / q_(i - 1) gives
+    sign(v[i + 1] / v[i]) = sign(q_i), so entries 0 and ``first`` differ in
+    sign when an odd number of q_0 ... q_(first - 1) is negative, however
+    small entry 0 is.  A q of 0 means v[i + 1] = 0; it counts as positive
+    and the next q flips.  ``values`` and ``first`` broadcast together.
+    """
+    values, first = np.asarray(values, dtype=float), np.asarray(first)
+    flips, q = np.zeros(np.broadcast(values, first).shape, dtype=bool), 1.0
+    with np.errstate(over="ignore"):  # after a q of 0 the next q may be -inf; the one after is finite
+        for i in range(int(np.max(first, initial=0))):
+            divisor = np.where(q == 0.0, np.finfo(float).tiny, q)
+            q = values - diag[i] - (products[i - 1] if i else 0.0) / divisor
+            flips ^= (q < 0.0) & (i < first)
+    return flips
+
+
 def eigen_tridiagonal(matrix: TridiagonalMatrix, scale, rank: int):
     """All eigenvalues, ascending, and the unit eigenvector of rank ``rank``.
 
     The couplings must be non-negative, zero on both sides or on neither,
     and ``scale`` the symmetrizing diagonal, ``scale[i + 1] / scale[i] =
     sqrt(sup[i] / sub[i])`` (``ince.lg_scale`` for the Ince recurrence).
-    Entry 0 of the vector is positive: with the Sturm sequence q_0 = lam - diag[0],
-    q_i = lam - diag[i] - sub[i-1]*sup[i-1]/q_(i-1), sign(v[i+1] / v[i]) = sign(q_i),
-    so the first entry j above 1e-8 takes the sign of q_0 ... q_(j-1), however
-    small entry 0 is.  The residual is checked.
+    Entry 0 of the vector is positive, its sign read off the first entry
+    above 1e-8 by ``_sturm_flips``, however small entry 0 is.  The residual
+    is checked.
     """
     try:
         with np.errstate(over="raise"):
@@ -83,12 +103,7 @@ def eigen_tridiagonal(matrix: TridiagonalMatrix, scale, rank: int):
     vector /= np.sqrt(sum(vector * vector))  # one term at a time, in index order
     value = float(eigenvalues[rank])
     j = int(np.argmax(np.abs(vector) > 1e-8))
-    flip, q = bool(vector[j] < 0.0), 1.0
-    for a, product in zip(matrix.diag[:j].tolist(), [0.0] + products[: j - 1].tolist()):
-        # q = 0 means v[i + 1] = 0; counting it positive, the next q flips
-        q = value - a - product / (q or np.finfo(float).tiny)
-        flip ^= q < 0.0
-    if flip:
+    if bool(vector[j] < 0.0) ^ bool(_sturm_flips(matrix.diag, products, value, j)):
         vector = -vector
     residual = np.linalg.norm(dense @ vector - value * vector)
     if not residual <= 1e-10 * (1.0 + abs(value)):

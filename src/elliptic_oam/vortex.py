@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beams import BeamGeometry, ComplexField, _lg_sum, sample_grid
-from .errors import GridError
+from .beams import BeamGeometry, ComplexField, eval_hig, sample_grid
+from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
-from .quantum import helical_state
 
 
 @dataclass(frozen=True)
@@ -120,50 +119,13 @@ def find_vortices(field: ComplexField):
     return found
 
 
-def merge_vortex_regions(vortices, radius: float):
-    """Cluster vortices closer than ``radius`` and sum their charges.
-
-    Serves the unresolved-splitting regime near zero ellipticity, where
-    several unit charges share one or two plaquettes.  Clusters whose total
-    charge cancels are dropped.  Returns merged vortices at the cluster
-    centroids, sorted by x then y.
-    """
-    if radius < 0.0:
-        raise GridError("merge radius must be non-negative")
-    remaining = list(vortices)
-    clusters = []
-    while remaining:
-        seed = remaining.pop()
-        members = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for other in remaining[:]:
-                if any(
-                    math.hypot(other.x - m.x, other.y - m.y) <= radius for m in members
-                ):
-                    members.append(other)
-                    remaining.remove(other)
-                    changed = True
-        clusters.append(members)
-    merged = []
-    for members in clusters:
-        total = sum(m.charge for m in members)
-        if total == 0:
-            continue
-        merged.append(
-            Vortex(
-                x=sum(m.x for m in members) / len(members),
-                y=sum(m.y for m in members) / len(members),
-                charge=total,
-            )
-        )
-    merged.sort(key=lambda vtx: (vtx.x, vtx.y))
-    return merged
-
-
 def census_window(waist: float, ellipticity: float) -> float:
-    """Half-width of the adaptive sampling window for a vortex census."""
+    """Half-width of the adaptive sampling window for a vortex census.
+
+    The ellipticity must be positive and finite.
+    """
+    if not 0.0 < ellipticity < math.inf:
+        raise InvalidModeError(f"ellipticity must be positive and finite, got {ellipticity}")
     semifocal = waist * math.sqrt(ellipticity / 2.0)
     return max(6.0 * waist, 3.0 * semifocal)
 
@@ -181,14 +143,11 @@ def vortex_census(
     Samples the helical field per ellipticity on an adaptive window (six
     waists, or three semifocal separations if larger) and runs
     find_vortices.  Returns [(eps, [Vortex, ...]), ...] in input order.
-    The helical state, which rejects m < 1 and eps <= 0, is built before
-    the window that depends on eps.
     """
     geometry = BeamGeometry(waist=waist, wavenumber=wavenumber)
     results = []
     for eps in epsilons:
-        state = helical_state(mode, sign, eps)
         half_width = census_window(waist, eps)
-        field = sample_grid(lambda x, y: _lg_sum(state, mode.p, geometry, x, y), half_width, resolution)
+        field = sample_grid(lambda x, y: eval_hig(mode, sign, eps, geometry, x, y), half_width, resolution)
         results.append((float(eps), find_vortices(field)))
     return results

@@ -19,10 +19,11 @@ from elliptic_oam.beams import (
 from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity, valid_modes
 from elliptic_oam.linalg import plane_quadrature_grid
-from elliptic_oam.quantum import _parity_state, decompose, helical_state
+from elliptic_oam.quantum import QuantumModeState, _parity_state, decompose, helical_state
 from elliptic_oam.verify import cartesian_to_elliptic, elliptic_to_cartesian, series_ig
 
-from oracles import geometry, mp_hg, mp_lg, polar_lg_sum, random_states
+import oracles
+from oracles import geometry, hg_projection, lg_sum, mp_hg, mp_lg, polar_lg_sum, random_states
 
 
 class TestEllipticCoordinates:
@@ -185,17 +186,17 @@ class TestClosedFormOracle:
 
 
 class TestBlockedEvaluation:
-    """Block-by-block evaluation equals one block over all points, bit for bit."""
+    """The LG oracle block by block equals one block over all points, bit for bit."""
 
     STATE = helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 2.0)
 
     def evaluate(self, x, y, z=0.3):
-        return beams._lg_sum(self.STATE, 7, geometry(z=z), x, y)
+        return lg_sum(self.STATE, 7, geometry(z=z), x, y)
 
     def assert_same_as_one_block(self, monkeypatch, x, y):
         blocked = self.evaluate(x, y)
         with monkeypatch.context() as patch:
-            patch.setattr(beams, "_BLOCK", 1 << 40)
+            patch.setattr(oracles, "_BLOCK", 1 << 40)
             whole = self.evaluate(x, y)
         assert blocked.shape == whole.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
         np.testing.assert_array_equal(blocked, whole)
@@ -203,13 +204,13 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("block", [None, 7, 1000])
     def test_grid_not_a_multiple_of_the_block(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(beams, "_BLOCK", block)
+            monkeypatch.setattr(oracles, "_BLOCK", block)
         xs = np.linspace(-3.0, 3.0, 97)
         X, Y = np.meshgrid(xs, np.linspace(-2.0, 2.5, 89))
         self.assert_same_as_one_block(monkeypatch, X, Y)
 
     def test_broadcast_column_with_row(self, monkeypatch):
-        monkeypatch.setattr(beams, "_BLOCK", 100)
+        monkeypatch.setattr(oracles, "_BLOCK", 100)
         column = np.linspace(-3.0, 3.0, 61)[:, None]
         row = np.linspace(-2.0, 2.0, 45)[None, :]
         self.assert_same_as_one_block(monkeypatch, column, row)
@@ -217,7 +218,7 @@ class TestBlockedEvaluation:
         np.testing.assert_array_equal(self.evaluate(column, row), self.evaluate(X, Y))
 
     def test_array_with_scalar(self, monkeypatch):
-        monkeypatch.setattr(beams, "_BLOCK", 16)
+        monkeypatch.setattr(oracles, "_BLOCK", 16)
         self.assert_same_as_one_block(monkeypatch, np.linspace(-3.0, 3.0, 50), 0.7)
 
     def test_zero_d_input_returns_a_complex_scalar(self):
@@ -230,8 +231,64 @@ class TestBlockedEvaluation:
         assert value.shape == (0,) and value.dtype == complex
 
 
+class TestGouyKernel:
+    """Shape contract of the HG-sum kernel: blocks, broadcasting and the grid path."""
+
+    COEFFICIENTS = beams._hg_coefficients(helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 2.0))
+
+    def evaluate(self, x, y, z=0.3):
+        return beams._hg_sum(self.COEFFICIENTS, geometry(z=z), x, y)
+
+    def assert_same_as_one_block(self, monkeypatch, x, y):
+        blocked = self.evaluate(x, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(beams, "_ROW_TABLE", 1 << 40)
+            whole = self.evaluate(x, y)
+        assert blocked.shape == whole.shape == np.broadcast_shapes(np.shape(x), np.shape(y))
+        np.testing.assert_array_equal(blocked, whole)
+
+    @pytest.mark.parametrize("table", [None, 7 * 8, 1000 * 8])  # 7 and 1000 points of order 7
+    def test_grid_not_a_multiple_of_the_block(self, monkeypatch, table):
+        if table is not None:
+            monkeypatch.setattr(beams, "_ROW_TABLE", table)
+        xs = np.linspace(-3.0, 3.0, 97)
+        X, Y = np.meshgrid(xs, np.linspace(-2.0, 2.5, 89))
+        self.assert_same_as_one_block(monkeypatch, X, Y)
+
+    def test_broadcast_column_with_row(self, monkeypatch):
+        # x as a column and y as a row is not the grid layout: it is summed pointwise
+        monkeypatch.setattr(beams, "_ROW_TABLE", 100 * 8)
+        column = np.linspace(-3.0, 3.0, 61)[:, None]
+        row = np.linspace(-2.0, 2.0, 45)[None, :]
+        self.assert_same_as_one_block(monkeypatch, column, row)
+        Y, X = np.meshgrid(row.ravel(), column.ravel())  # X varies down the columns, like ``column``
+        np.testing.assert_array_equal(self.evaluate(column, row), self.evaluate(X, Y))
+
+    def test_array_with_scalar(self, monkeypatch):
+        monkeypatch.setattr(beams, "_ROW_TABLE", 16 * 8)
+        self.assert_same_as_one_block(monkeypatch, np.linspace(-3.0, 3.0, 50), 0.7)
+
+    def test_zero_d_input_returns_a_complex_scalar(self):
+        value = self.evaluate(0.4, -1.1)
+        assert type(value) is np.complex128
+        assert value == self.evaluate(np.array([0.4]), np.array([-1.1]))[0]
+
+    def test_empty_input(self):
+        value = self.evaluate(np.array([]), np.array([]))
+        assert value.shape == (0,) and value.dtype == complex
+
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    def test_grid_path_equals_pointwise_path(self, z):
+        xs, ys = np.linspace(-4.0, 4.0, 73), np.linspace(-3.0, 3.5, 65)
+        grid = self.evaluate(xs[None, :], ys[:, None], z)
+        X, Y = np.meshgrid(xs, ys)
+        pointwise = self.evaluate(X, Y, z)
+        assert grid.shape == pointwise.shape == (65, 73)
+        assert np.max(np.abs(grid - pointwise)) <= 8 * np.finfo(float).eps * np.max(np.abs(pointwise))
+
+
 class TestPolarReference:
-    """The phasor kernel against arctan2, cos and sin, on grids through the axes.
+    """The LG oracle's phasor kernel against arctan2, cos and sin, on grids through the axes.
 
     The two routes round differently: each factor of u**l and each row's
     l * phi carry about one ulp, so the bound grows with the order.
@@ -251,9 +308,105 @@ class TestPolarReference:
         coords = np.linspace(-6.0, 6.0, 121)  # odd: the axes are grid lines
         X, Y = np.meshgrid(coords, coords)
         reference = polar_lg_sum(state, order, geo, X, Y)
-        field = beams._lg_sum(state, order, geo, X, Y)
+        field = lg_sum(state, order, geo, X, Y)
         bound = 8 * (order + 1) * np.finfo(float).eps * np.max(np.abs(reference))
         assert np.max(np.abs(field - reference)) <= bound
+
+
+def gouy_order_parts(state):
+    """The rows of a state split by Gouy order: [(order, sub-state), ...]."""
+    orders = 2 * state.n + state.l
+    return [
+        (int(p), QuantumModeState(state.n[rows], state.l[rows], state.even[rows], state.odd[rows]))
+        for p in np.unique(orders)
+        for rows in [orders == p]
+    ]
+
+
+class TestHermiteGaussRoute:
+    """Fields of one Gouy order as HG sums, against the LG oracle and the projected transform."""
+
+    CASES = [
+        (helical_state(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0), 6.0),
+        (helical_state(ModeIndex(8, 2, Parity.EVEN), "minus", 0.05), 6.0),
+        (helical_state(ModeIndex(20, 10, Parity.EVEN), "minus", 5.3), 8.0),
+        (helical_state(ModeIndex(40, 24, Parity.EVEN), "plus", 3.0), 9.0),
+        (helical_state(ModeIndex(60, 42, Parity.EVEN), "plus", 0.35), 10.0),
+        (_parity_state(decompose(ModeIndex(7, 3, Parity.ODD), 1.3)), 6.0),
+        (_parity_state(decompose(ModeIndex(30, 4, Parity.EVEN), 200.0)), 8.0),
+        (_parity_state(decompose(ModeIndex(59, 1, Parity.ODD), 12.0)), 10.0),
+        *((part, 5.0) for state in random_states(3) for _, part in gouy_order_parts(state)),
+    ]
+
+    @pytest.mark.parametrize("state, half_width", CASES)
+    @pytest.mark.parametrize("z", [0.0, 0.4])
+    def test_matches_lg_oracle(self, state, half_width, z):
+        geo = geometry(z=z)
+        order = int(2 * state.n[0] + state.l[0])
+        coefficients = beams._hg_coefficients(state)
+        coords = np.linspace(-half_width, half_width, 129)
+        X, Y = np.meshgrid(coords, coords)
+        reference = lg_sum(state, order, geo, X, Y)
+        peak = np.max(np.abs(reference))
+        grid = beams._hg_sum(coefficients, geo, coords[None, :], coords[:, None])
+        assert np.max(np.abs(grid - reference)) <= 1e-13 * peak
+        rng = np.random.default_rng(order)
+        x, y = rng.uniform(-half_width, half_width, (2, 500))
+        scattered = beams._hg_sum(coefficients, geo, x, y)
+        assert np.max(np.abs(scattered - lg_sum(state, order, geo, x, y))) <= 1e-13 * peak
+
+    # from order 61 some columns have entry 0 below 1e-8 and their first
+    # larger entry at an odd index, so their sign rests on the Sturm rule
+    @pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 31, 47, 60, 61, 100])
+    def test_transform_matches_gauss_hermite_projection(self, order):
+        transform = beams._lg_to_hg(order)
+        assert np.max(np.abs(transform - hg_projection(order))) <= 1e-13
+        np.testing.assert_allclose(transform.T @ transform, np.eye(order + 1), rtol=0.0, atol=1e-13)
+
+    def test_high_order_transform_stays_orthogonal(self):
+        transform = beams._lg_to_hg(400)
+        assert np.max(np.abs(transform.T @ transform - np.eye(401))) <= 1e-12
+
+    def test_order_400_lg_matches_mpmath(self):
+        # past order 350, where the Gauss-Hermite projection's weights overflow
+        for kind in ("even", "helical_minus"):
+            errors = closed_form_errors(
+                lambda geo, x, y: eval_lg(100, 200, kind, geo, x, y),
+                lambda geo, x, y: mp_lg(100, 200, kind, geo, x, y),
+                400,
+                0.4,
+            )
+            assert max(errors) <= 1e-12, kind
+
+    def test_state_rows_must_share_one_order(self):
+        state = next(random_states(1))
+        with pytest.raises(InvalidModeError, match="Gouy order"):
+            beams._hg_coefficients(state)
+
+    @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
+    def test_real_states_have_real_coefficients(self, parity):
+        state = _parity_state(decompose(ModeIndex(5, 3, parity), 2.0))
+        assert np.all(beams._hg_coefficients(state).imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda geo, x, y: eval_ig(ModeIndex(5, 3, Parity.EVEN), 2.0, geo, x, y),
+            lambda geo, x, y: eval_ig(ModeIndex(5, 3, Parity.ODD), 2.0, geo, x, y),
+            lambda geo, x, y: eval_ig(ModeIndex(12, 6, Parity.ODD), 0.7, geo, x, y),
+            lambda geo, x, y: eval_lg(3, 4, "even", geo, x, y),
+            lambda geo, x, y: eval_lg(2, 5, "odd", geo, x, y),
+            lambda geo, x, y: eval_lg(4, 0, "even", geo, x, y),
+        ],
+        ids=["ig-even", "ig-odd", "ig-odd-12", "lg-even", "lg-odd", "lg-l0"],
+    )
+    def test_real_states_are_exactly_real_at_the_waist(self, evaluate):
+        # the parity-mode vortex check relies on this: a real field has no vortex
+        geo = geometry()
+        field = sample_grid(lambda x, y: evaluate(geo, x, y), 5.0, 64)
+        assert np.all(field.values.imag == 0.0) and np.any(field.values.real != 0.0)
+        x, y = np.random.default_rng(3).uniform(-4.0, 4.0, (2, 300))
+        assert np.all(np.imag(evaluate(geo, x, y)) == 0.0)
 
 
 class TestHermiteGauss:

@@ -192,10 +192,15 @@ class TestVortices:
         assert run_cli(["vortices", "-p", "2", "-m", "0", "-e", "1.0", "-o", str(tmp_path / "x")]) == 2
 
 
+@pytest.fixture(scope="class")
+def fast_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify") / "report.txt"
+    return out, run_cli(["verify", "--level", "fast", "-o", str(out)])
+
+
 class TestVerify:
-    def test_fast_level_passes(self, tmp_path):
-        out = tmp_path / "report.txt"
-        code = run_cli(["verify", "--level", "fast", "-o", str(out)])
+    def test_fast_level_passes(self, fast_report):
+        out, code = fast_report
         assert code == 0
         text = out.read_text()
         count = int(next(line for line in text.splitlines() if line.startswith("checks:")).split()[1])
@@ -203,6 +208,17 @@ class TestVerify:
         assert "overall: PASS" in text
         assert "FAIL" not in text.replace("overall: PASS", "")
         assert read_manifest(out)["parameters"] == {"level": "fast"}
+
+    def test_waist_independence_prints_a_bound(self, fast_report):
+        # the measured value is rounding noise; the report states its bound instead
+        lines = fast_report[0].read_text().splitlines()
+        line = next(line for line in lines if "waist-independence-quadrature" in line)
+        assert line == "[PASS] waist-independence-quadrature: measured < 1e-14 vs threshold 1e-09"
+
+    def test_values_at_or_above_the_floor_print_in_full(self):
+        check = verify.CheckResult("noise", 2.5e-14, 1e-9, True, floor=1e-14)
+        assert check.line() == "[PASS] noise: measured 2.5e-14 vs threshold 1e-09"
+        assert verify.CheckResult("noise", 0.0, 1e-9, True).line() == "[PASS] noise: measured 0 vs threshold 1e-09"
 
     def test_perturbed_weight_sign_fails(self, monkeypatch):
         # canary: corrupting the expansion sign factor must not go unnoticed

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 from elliptic_oam.beams import ComplexField, eval_hig, eval_ig, eval_lg, sample_grid
 from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity
-from elliptic_oam.vortex import (
-    Vortex,
-    census_window,
-    find_vortices,
-    merge_vortex_regions,
-    vortex_census,
-)
+from elliptic_oam.vortex import census_window, find_vortices, vortex_census
 
 from oracles import dense_vortices, geometry
 
@@ -150,31 +144,17 @@ class TestDenseOracle:
         assert find_vortices(field) == dense_vortices(field)
 
 
-class TestMergeRegions:
-    def test_merges_nearby_unit_charges(self):
-        cluster = [Vortex(0.0, 0.0, 1), Vortex(0.01, 0.0, 1), Vortex(5.0, 5.0, -1)]
-        merged = merge_vortex_regions(cluster, 0.05)
-        assert len(merged) == 2
-        assert {v.charge for v in merged} == {2, -1}
-
-    def test_cancelling_cluster_dropped(self):
-        pair = [Vortex(0.0, 0.0, 1), Vortex(0.01, 0.0, -1)]
-        assert merge_vortex_regions(pair, 0.05) == []
-
-    def test_zero_radius_keeps_everything(self):
-        spread = [Vortex(0.0, 0.0, 1), Vortex(1.0, 0.0, 1)]
-        assert len(merge_vortex_regions(spread, 0.0)) == 2
-
-
 class TestCensus:
     def test_unresolved_split_at_tiny_ellipticity(self):
+        # the charge-2 vortex of LG(0, 2) splits into unit charges within a
+        # couple of plaquettes of each other and of the axis
         results = vortex_census(M22, "plus", [1e-6], 512)
         eps, found = results[0]
         spacing = 2.0 * census_window(1.0, eps) / 511
-        merged = merge_vortex_regions(found, 2.0 * spacing)
-        assert len(merged) == 1
-        assert merged[0].charge == 2
-        assert math.hypot(merged[0].x, merged[0].y) < 2.0 * spacing
+        assert sum(v.charge for v in found) == 2
+        assert max(math.hypot(a.x - b.x, a.y - b.y) for a in found for b in found) <= 2.0 * spacing
+        centroid = (sum(v.x for v in found) / len(found), sum(v.y for v in found) / len(found))
+        assert math.hypot(*centroid) < 2.0 * spacing
 
     def test_resolved_pair_at_moderate_ellipticity(self):
         results = vortex_census(M22, "plus", [2.0], 512)
@@ -200,3 +180,8 @@ class TestCensus:
     def test_requires_helical_mode(self):
         with pytest.raises(InvalidModeError):
             vortex_census(ModeIndex(2, 0, Parity.EVEN), "plus", [1.0], 128)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_ellipticity_outside_the_window_domain(self, eps):
+        with pytest.raises(InvalidModeError, match="ellipticity"):
+            vortex_census(M22, "plus", [eps], 64)
