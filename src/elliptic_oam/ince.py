@@ -92,32 +92,62 @@ def series_harmonics(mode: ModeIndex) -> np.ndarray:
     return np.arange(start, mode.p + 1, 2)
 
 
-def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalMatrix:
-    """Recurrence matrix T0 + eps*T1 whose eigenpairs are (a, Fourier coefficients).
+def _pencil(mode: ModeIndex):
+    """The parts of T(eps) = diag(k^2) + eps*T1 that do not depend on eps.
 
-    T1 couples harmonic k to k + 2 with weight (p - k)/2 (sub band) and to
-    k - 2 with weight (p + k)/2 (sup band); folding the negative harmonics
-    back onto the series makes the only two corrections.
+    Returns k^2 and the diagonal, sub band and sup band of T1.  T1 couples
+    harmonic k to k + 2 with weight (p - k)/2 (sub band) and to k - 2 with
+    weight (p + k)/2 (sup band); folding the negative harmonics back onto
+    the series makes the only two corrections.
     """
-    if not 0.0 <= ellipticity < np.inf:
-        raise InvalidModeError(f"ellipticity must be finite and non-negative, got {ellipticity}")
     p = mode.p
-    eps = float(ellipticity)
-    # eps * (p + 1) bounds every product below, which would overflow to inf silently
-    if not eps * (p + 1) < np.inf:
-        raise SolverError(f"ellipticity {eps:g} overflows the recurrence bands for p={p}")
     k = series_harmonics(mode).astype(float)
-    diag = k * k
-    sub = eps * ((p - k[:-1]) / 2.0)
-    sup = eps * ((p + k[1:]) / 2.0)
+    shift = np.zeros_like(k)
+    sub = (p - k[:-1]) / 2.0
+    sup = (p + k[1:]) / 2.0
     if p % 2:
         # cos(-eta) = cos(eta) and sin(-eta) = -sin(eta): k = 1 couples to
         # itself, with opposite sign for the two series
-        diag[0] += eps * (p + 1) / 2.0 if mode.is_even else -eps * (p + 1) / 2.0
+        shift[0] = (p + 1) / 2.0 if mode.is_even else -(p + 1) / 2.0
     elif mode.is_even and k.size > 1:
         # cos(-2 eta) = cos(2 eta) doubles the k = 0 -> 2 coupling
-        sub[0] = eps * p
-    return TridiagonalMatrix(diag=diag, sub=sub, sup=sup)
+        sub[0] = p
+    return k * k, shift, sub, sup
+
+
+def _check_ellipticity(epsilons: np.ndarray, p: int) -> None:
+    """Raise unless every eps is finite and non-negative and eps * (p + 1) is finite.
+
+    eps * (p + 1) bounds every band entry of T(eps), which would otherwise
+    overflow to inf silently.
+    """
+    bad = ~((epsilons >= 0.0) & (epsilons < np.inf))
+    if bad.any():
+        raise InvalidModeError(f"ellipticity must be finite and non-negative, got {epsilons[bad][0]}")
+    with np.errstate(over="ignore"):
+        bad = ~(epsilons * (p + 1) < np.inf)
+    if bad.any():
+        raise SolverError(f"ellipticity {epsilons[bad][0]:g} overflows the recurrence bands for p={p}")
+
+
+def _check_simple_spectrum(mode: ModeIndex, epsilons, values: np.ndarray) -> None:
+    """Raise where two ascending eigenvalues in a row of ``values`` (one row per eps) nearly coincide."""
+    # at eps = 0 the spectrum is k^2, so only eps > 0 can trip this
+    tight = np.diff(values, axis=-1) < 1e-12 * (1.0 + np.abs(values[:, :-1]))
+    if tight.any():
+        row, rank = np.argwhere(tight)[0]
+        raise SolverError(
+            f"eigenvalue collision at rank {int(rank)} for p={mode.p}, "
+            f"parity={mode.parity.value}, eps={epsilons[row]:g}; ascending-rank labeling is ill-defined"
+        )
+
+
+def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalMatrix:
+    """Recurrence matrix T0 + eps*T1 whose eigenpairs are (a, Fourier coefficients)."""
+    eps = float(ellipticity)
+    _check_ellipticity(np.array([eps]), mode.p)
+    square, shift, sub, sup = _pencil(mode)
+    return TridiagonalMatrix(diag=square + eps * shift, sub=eps * sub, sup=eps * sup)
 
 
 def lg_scale(mode: ModeIndex) -> np.ndarray:
@@ -149,13 +179,7 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
     """
     rank = eigenvalue_rank(mode)
     values, vector = eigen_tridiagonal(build_recurrence_matrix(mode, ellipticity), lg_scale(mode), rank)
-    # at eps = 0 the spectrum is k^2, so only eps > 0 can trip this
-    tight = np.flatnonzero(np.diff(values) < 1e-12 * (1.0 + np.abs(values[:-1])))
-    if tight.size:
-        raise SolverError(
-            f"eigenvalue collision at rank {int(tight[0])} for p={mode.p}, "
-            f"parity={mode.parity.value}, eps={ellipticity:g}; ascending-rank labeling is ill-defined"
-        )
+    _check_simple_spectrum(mode, [ellipticity], values[None, :])
     return IncePolynomial(mode, float(ellipticity), float(values[rank]), vector)
 
 

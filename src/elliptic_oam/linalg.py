@@ -60,7 +60,9 @@ def _sturm_flips(diag, products, values, first):
     sign(v[i + 1] / v[i]) = sign(q_i), so entries 0 and ``first`` differ in
     sign when an odd number of q_0 ... q_(first - 1) is negative, however
     small entry 0 is.  A q of 0 means v[i + 1] = 0; it counts as positive
-    and the next q flips.  ``values`` and ``first`` broadcast together.
+    and the next q flips.  ``values`` and ``first`` broadcast together, and
+    with each ``diag[i]`` and ``products[i]``, so a stack of matrices can
+    pass its bands with one column per matrix.
     """
     values, first = np.asarray(values, dtype=float), np.asarray(first)
     flips, q = np.zeros(np.broadcast(values, first).shape, dtype=bool), 1.0

@@ -1,8 +1,9 @@
 """Quantum OAM of Ince-Gauss photons.
 
 An Ince-Gauss mode expands over Laguerre-Gauss modes of equal Gouy order
-(p = 2n + l) and matching parity.  The expansion weights follow from the
-mode's Fourier coefficients; helical combinations of the even and odd
+(p = 2n + l) and matching parity.  The expansion weights are the
+eigenvector of the symmetrized Ince recurrence, solved for whole
+ellipticity grids at once; helical combinations of the even and odd
 one-photon states then carry a continuous, generally non-integer expectation
 of the orbital angular momentum, computed here in units of hbar per photon.
 """
@@ -15,10 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, InvalidModeError, UnnormalizedStateError
-from .ince import ModeIndex, Parity, lg_scale, solve_ince
+from .errors import GridError, InvalidModeError, SolverError, UnnormalizedStateError
+from .ince import (
+    ModeIndex,
+    Parity,
+    _check_ellipticity,
+    _check_simple_spectrum,
+    _pencil,
+    eigenvalue_rank,
+    series_harmonics,
+)
+from .linalg import _sturm_flips
 
 _NORM_TOL = 1e-12
+
+# Bytes of one stack of symmetric matrices handed to eigh: an eps grid of
+# any length is solved in chunks of at most this many, so the stack and
+# eigh's equal-sized eigenvector output stay cache-sized.  Unchunked stacks
+# of long grids raised the peak memory of whole curve sweeps measurably.
+_CHUNK_BYTES = 128 << 10
 
 
 class HelicalSign(enum.Enum):
@@ -122,24 +138,91 @@ def _expansion_sign(n, l, p: int, m: int):
     return np.where((n + l + (p + m) // 2) % 2, -1.0, 1.0)
 
 
+def _chunk_size(dimension: int) -> int:
+    """Matrices of this dimension per eigh stack: as many as fit in ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
+
+
+def _rank_vectors(mode: ModeIndex, pencil, epsilons: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors u[i] of rank ``eigenvalue_rank(mode)`` of S(epsilons[i]), harmonic order.
+
+    S(eps) = diag(k^2 + eps*shift) + eps*coupling is the symmetric form of
+    the recurrence, stacked over eps and solved by one ``eigh``.  Each u is
+    signed so that the Fourier vector's entry 0 is positive: the sign of
+    its first entry above 1e-8, carried back to entry 0 by the Sturm
+    sequence (``linalg._sturm_flips``), however small entry 0 is.
+    """
+    square, shift, coupling = pencil
+    rank = eigenvalue_rank(mode)
+    count, dimension = epsilons.size, square.size
+    diag = square + epsilons[:, None] * shift
+    off = epsilons[:, None] * coupling
+    try:
+        with np.errstate(over="raise"):
+            products = off * off
+    except FloatingPointError as exc:
+        raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
+    stack = np.zeros((count, dimension, dimension))
+    index = np.arange(dimension)
+    stack[:, index, index] = diag
+    stack[:, index[1:], index[:-1]] = off
+    stack[:, index[:-1], index[1:]] = off
+    try:
+        values, vectors = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    _check_simple_spectrum(mode, epsilons, values)
+    value, vector = values[:, rank], vectors[:, :, rank]
+    residual = np.linalg.norm((stack @ vector[:, :, None])[:, :, 0] - value[:, None] * vector, axis=1)
+    bad = ~(residual <= 1e-10 * (1.0 + np.abs(value)))
+    if bad.any():
+        raise SolverError(
+            f"eigenpair {rank} residual {residual[bad][0]:.3e} exceeds bound at eps={epsilons[bad][0]:g}; "
+            "matrix badly scaled?"
+        )
+    first = np.argmax(np.abs(vector) > 1e-8, axis=1)
+    flip = (vector[np.arange(count), first] < 0.0) ^ _sturm_flips(diag.T, products.T, value, first)
+    return np.where(flip[:, None], -vector, vector)
+
+
+def _ladder_weights(mode: ModeIndex, epsilons):
+    """Charges l, descending, and the LG weights D[i] of one IG mode at each epsilons[i].
+
+    D[i] is the unit eigenvector of rank ``eigenvalue_rank(mode)`` of the
+    symmetrized recurrence at epsilons[i], reversed into ladder order and
+    given the sign (-1)^(n + l + (p + m)/2): the symmetrizing diagonal is
+    the LG normalization ratio, so no unscaling is needed.  The overall sign
+    is that of the Fourier vector, whose entry 0 is positive.  The grid is
+    solved in chunks of at most ``_CHUNK_BYTES`` of stacked matrices.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    _check_ellipticity(epsilons, mode.p)
+    square, shift, sub, sup = _pencil(mode)
+    pencil = (square, shift, np.sqrt(sub * sup))
+    step = _chunk_size(square.size)
+    vectors = np.empty((epsilons.size, square.size))
+    for start in range(0, epsilons.size, step):
+        vectors[start : start + step] = _rank_vectors(mode, pencil, epsilons[start : start + step])
+    charges = series_harmonics(mode)[::-1]
+    n = (mode.p - charges) // 2
+    return charges, _expansion_sign(n, charges, mode.p, mode.m) * vectors[:, ::-1]
+
+
 def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     """LG weights of one IG mode at the given ellipticity.
 
     Every admissible equal-Gouy-order term is present: the charges l are the
-    series harmonics, taken in descending order.  The weights are the
-    Fourier vector times ``ince.lg_scale`` (the LG ratio sqrt((n + l)! n!),
-    times sqrt(2) at l = 0, which also symmetrizes the recurrence), reversed,
-    given the sign (-1)^(n + l + (p + m)/2) and normalized to sum D^2 = 1.
-    Their overall sign is that of the Fourier vector, whose first entry is
-    positive (see ``IncePolynomial``).
+    series harmonics, taken in descending order.  The weights are the unit
+    eigenvector of the symmetrized recurrence (whose symmetrizing diagonal,
+    ``ince.lg_scale``, is the LG ratio sqrt((n + l)! n!), times sqrt(2) at
+    l = 0), reversed and given the sign (-1)^(n + l + (p + m)/2).  Their
+    overall sign is that of the Fourier vector, whose first entry is
+    positive (see ``IncePolynomial``).  This is ``oam_curve``'s solver on a
+    one-point grid, so its eigh stack is one matrix, far below the
+    ``_CHUNK_BYTES`` = 128 KiB chunk bound.
     """
-    poly = solve_ince(mode, ellipticity)
-    charges = poly.harmonics[::-1]
-    n = (mode.p - charges) // 2
-    raw = _expansion_sign(n, charges, mode.p, mode.m) * (lg_scale(mode) * poly.fourier)[::-1]
-    # one term at a time in ladder order; np.sum would pair terms up
-    scale = 1.0 / math.sqrt(sum(raw * raw))
-    return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=raw * scale)
+    charges, weights = _ladder_weights(mode, [float(ellipticity)])
+    return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=weights[0])
 
 
 def _parity_state(expansion: Decomposition) -> QuantumModeState:
@@ -150,12 +233,17 @@ def _parity_state(expansion: Decomposition) -> QuantumModeState:
     return QuantumModeState((mode.p - expansion.charges) // 2, expansion.charges, even, odd)
 
 
-def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
-    """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes."""
+def _check_helical(mode: ModeIndex, epsilons: np.ndarray) -> None:
     if mode.m < 1:
         raise InvalidModeError("helical states need m >= 1 (no odd partner for m = 0)")
-    if not ellipticity > 0.0:
-        raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
+    bad = ~(epsilons > 0.0)
+    if bad.any():
+        raise InvalidModeError(f"ellipticity must be positive, got {epsilons[bad][0]}")
+
+
+def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
+    """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes."""
+    _check_helical(mode, np.array([ellipticity], dtype=float))
     sign = _as_sign(sign)
     even = decompose(ModeIndex(mode.p, mode.m, Parity.EVEN), ellipticity)
     odd = decompose(ModeIndex(mode.p, mode.m, Parity.ODD), ellipticity)
@@ -200,13 +288,22 @@ def oam_distribution(state: QuantumModeState) -> dict:
 
 
 def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
-    """<Lz>(eps) of the helical state over a strictly increasing eps grid."""
+    """<Lz>(eps) of the helical state over a strictly increasing eps grid.
+
+    <Lz> = s * sum_l l * D_even(l) * D_odd(l), summed in ladder order, with
+    both weight ladders solved for the whole grid at once in eigh stacks of
+    at most ``_CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
+    """
     sign = _as_sign(sign)
     eps = np.asarray(list(epsilons), dtype=float)
-    values = np.fromiter(
-        (oam_expectation(helical_state(mode, sign, e)) for e in eps), dtype=float, count=eps.size
-    )
-    return OamCurve(mode=mode, sign=sign, epsilons=eps, oam=values)
+    _check_helical(mode, eps)
+    charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), eps)
+    _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), eps)
+    # the odd ladder is the even one without its l = 0 row
+    values = np.zeros(eps.size)
+    for j in range(odd.shape[1]):
+        values += charges[j] * even[:, j] * odd[:, j]
+    return OamCurve(mode=mode, sign=sign, epsilons=eps, oam=sign.value_int * values)
 
 
 def find_turning_points(curve: OamCurve):

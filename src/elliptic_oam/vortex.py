@@ -82,7 +82,8 @@ def find_vortices(field: ComplexField):
     enclosed singularity, positioned at the bilinear zero-crossing estimate.
     Candidates whose corner amplitudes do not all clear
     1e-9 * max|field| are treated as numerical noise.  Result is sorted by
-    x then y.
+    the plaquette's column index, then its row index: nearly x then y, but
+    a field that moves by rounding keeps its order.
     """
     if field.nx < 8 or field.ny < 8:
         raise GridError(f"grid {field.ny}x{field.nx} too small for winding detection (need 8x8)")
@@ -102,6 +103,8 @@ def find_vortices(field: ComplexField):
         np.minimum(np.abs(c00), np.abs(c10)), np.minimum(np.abs(c01), np.abs(c11))
     )
     (keep,) = np.nonzero((charge != 0) & (corner_min > floor))
+    # plaquette column, then row: integers, so rounding in the field cannot reorder them
+    keep = keep[np.lexsort((iy[keep], ix[keep]))]
 
     x0, y0 = field.origin
     spacing = field.spacing
@@ -115,7 +118,6 @@ def find_vortices(field: ComplexField):
                 charge=int(charge[k]),
             )
         )
-    found.sort(key=lambda vtx: (vtx.x, vtx.y))
     return found
 
 

@@ -7,7 +7,9 @@ series values from plain term-by-term summation, and LG and HG field values
 from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
 from overlap quadrature of the elliptic-series fields are
 ``verify.quadrature_weights``; ``symmetric_lg_weights`` reads them, at any
-order, straight off LAPACK's eigenvector of the symmetrized recurrence.
+order, straight off LAPACK's eigenvector of the symmetrized recurrence, one
+eps at a time and up to sign, and ``fourier_lg_weights`` from the refined
+Fourier vector of ``solve_ince``.
 ``band_scale`` reads the symmetrizing diagonal off the bands, the route
 that ``ince.lg_scale`` replaces in the library.  ``random_states``
 supplies the random one-photon states of the OAM identity tests.
@@ -17,7 +19,9 @@ as powers of the unit phasor.  ``polar_lg_sum`` evaluates the same LG sum
 with the azimuth from arctan2 and one cos and sin per row, over the whole
 array at once, and ``hg_projection`` projects it onto the HG modes of its
 order by Gauss-Hermite quadrature.  ``dense_vortices`` is the whole-grid
-winding detector that ``vortex.find_vortices`` must match exactly.
+winding detector that ``vortex.find_vortices`` must match exactly, and
+``field_csv`` the per-sample writer whose bytes the CLI's field CSV must
+reproduce.
 """
 
 import math
@@ -26,7 +30,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry
-from elliptic_oam.ince import build_recurrence_matrix, eigenvalue_rank, series_harmonics
+from elliptic_oam.ince import build_recurrence_matrix, eigenvalue_rank, lg_scale, series_harmonics, solve_ince
 from elliptic_oam.quantum import QuantumModeState
 from elliptic_oam.vortex import Vortex, _bilinear_zero
 
@@ -126,6 +130,21 @@ def symmetric_lg_weights(mode, eps):
     charges = series_harmonics(mode)[::-1]
     n = (mode.p - charges) // 2
     return np.where((n + charges + (mode.p + mode.m) // 2) % 2, -1.0, 1.0) * u
+
+
+def fourier_lg_weights(mode, eps):
+    """LG weights of an IG mode by way of its refined Fourier vector.
+
+    ``solve_ince``'s Fourier vector (inverse-iterated on the unsymmetrized
+    recurrence) times ``lg_scale``, reversed, given the alternating sign
+    (-1)^(n + l + (p + m)/2) and normalized one term at a time: the same D
+    as the library's, overall sign included, by another eigenvector route.
+    """
+    poly = solve_ince(mode, eps)
+    charges = poly.harmonics[::-1]
+    n = (mode.p - charges) // 2
+    raw = np.where((n + charges + (mode.p + mode.m) // 2) % 2, -1.0, 1.0) * (lg_scale(mode) * poly.fourier)[::-1]
+    return raw / math.sqrt(sum(raw * raw))
 
 
 def series_sum(harmonics, coeffs, func, arg):
@@ -358,13 +377,30 @@ def random_states(count, seed=1234):
         yield QuantumModeState(n, l, amplitudes[:, 0], amplitudes[:, 1])
 
 
+def field_csv(field):
+    """The ``field --format csv`` payload, one ``format(value, '.17g')`` per number."""
+
+    def fmt(value):
+        return format(float(value), ".17g")
+
+    xs = field.x_coords()
+    ys = field.y_coords()
+    lines = ["x,y,re,im"]
+    for iy in range(field.ny):
+        for ix in range(field.nx):
+            value = field.values[iy, ix]
+            lines.append(f"{fmt(xs[ix])},{fmt(ys[iy])},{fmt(value.real)},{fmt(value.imag)}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def dense_vortices(field):
     """Phase singularities by the winding of every plaquette of the grid.
 
     The phase, the four wrapped corner differences, the 1e-9 * max|field|
     corner-amplitude floor and the sign change of both quadratures are all
     computed over the whole plaquette grid, then filtered; survivors are
-    refined by the library's bilinear zero and sorted by x then y.
+    refined by the library's bilinear zero and listed by plaquette column,
+    then row.
     """
     values = field.values
     phase = np.angle(values)
@@ -390,10 +426,9 @@ def dense_vortices(field):
     candidates = (charge != 0) & (corner_min > floor) & sign_change(values.real) & sign_change(values.imag)
     x0, y0 = field.origin
     found = []
-    for iy, ix in zip(*np.nonzero(candidates)):
+    for iy, ix in sorted(zip(*np.nonzero(candidates)), key=lambda cell: (cell[1], cell[0])):
         u, v = _bilinear_zero(values[iy, ix], values[iy, ix + 1], values[iy + 1, ix], values[iy + 1, ix + 1])
         found.append(
             Vortex(x=x0 + (ix + u) * field.spacing, y=y0 + (iy + v) * field.spacing, charge=int(charge[iy, ix]))
         )
-    found.sort(key=lambda vtx: (vtx.x, vtx.y))
     return found

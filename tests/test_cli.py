@@ -6,13 +6,14 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from elliptic_oam import cli, quantum, verify
-from elliptic_oam.beams import eval_ig, sample_grid
+from elliptic_oam.beams import ComplexField, eval_ig, sample_grid
 from elliptic_oam.ince import ModeIndex, Parity
 
-from oracles import geometry
+from oracles import field_csv, geometry
 
 
 def run_cli(args):
@@ -152,6 +153,15 @@ class TestField:
                 value.real,
                 value.imag,
             )
+
+    def test_csv_bytes_match_the_per_sample_writer(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(256, 256)) * 10.0 ** rng.integers(-320, 308, size=(256, 256))
+        values = values + 1j * rng.normal(size=(256, 256))
+        values.real[0, :4] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+        values.imag[1, :3] = [-0.0, 1.7976931348623157e308, -4e-320]
+        field = ComplexField(256, 256, (-3.7, -1e-17), 0.029, values)
+        assert cli._field_csv(field) == field_csv(field)
 
     def test_center_value_is_normalization_constant(self, tmp_path):
         out = tmp_path / "gauss.csv"

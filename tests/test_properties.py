@@ -1,14 +1,15 @@
 """Property tests of the LG expansion and the OAM algebra.
 
 Hypothesis draws admissible modes of order p <= 20 and log-uniform
-ellipticities in [1e-3, 1e3]; runs are derandomized, so they repeat.
+ellipticities in [1e-3, 1e3], alone or as sorted grids; runs are
+derandomized, so they repeat.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_oam.ince import ModeIndex, Parity
-from elliptic_oam.quantum import decompose, helical_state, oam_distribution, oam_expectation
+from elliptic_oam.quantum import decompose, helical_state, oam_curve, oam_distribution, oam_expectation
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 ELLIPTICITIES = st.floats(-3.0, 3.0).map(lambda t: 10.0**t)
@@ -49,3 +50,16 @@ def test_oam_is_first_moment_of_distribution(mode, eps, sign):
     state = helical_state(mode, sign, eps)
     moment = sum(l * weight for l, weight in oam_distribution(state).items())
     assert abs(moment - oam_expectation(state)) < 1e-12
+
+
+@PROPERTY
+@given(
+    modes(helical=True),
+    st.lists(ELLIPTICITIES, min_size=1, max_size=12, unique=True),
+    st.sampled_from(["plus", "minus"]),
+)
+def test_curve_is_the_pointwise_oam(mode, epsilons, sign):
+    grid = sorted(epsilons)
+    curve = oam_curve(mode, sign, grid)
+    for eps, value in zip(grid, curve.oam):
+        assert abs(value - oam_expectation(helical_state(mode, sign, eps))) < 1e-13

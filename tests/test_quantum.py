@@ -1,12 +1,15 @@
 """Tests for LG decompositions, helical states, and the OAM algebra."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from elliptic_oam.errors import GridError, InvalidModeError, UnnormalizedStateError
-from elliptic_oam.ince import ModeIndex, Parity, solve_ince, valid_modes
+from elliptic_oam import quantum
+from elliptic_oam.errors import GridError, InvalidModeError, SolverError, UnnormalizedStateError
+from elliptic_oam.ince import ModeIndex, Parity, series_harmonics, solve_ince, valid_modes
 from elliptic_oam.quantum import (
     OamCurve,
     QuantumModeState,
@@ -22,7 +25,7 @@ from elliptic_oam.quantum import (
 
 from elliptic_oam.verify import ig22_closed_form, quadrature_weights
 
-from oracles import random_states, symmetric_lg_weights
+from oracles import fourier_lg_weights, random_states, symmetric_lg_weights
 
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
@@ -91,6 +94,96 @@ class TestDecompose:
     def test_order_past_factorial_overflow(self):
         weights = decompose(ModeIndex(200, 2, Parity.EVEN), 0.5)
         assert abs(sum(d * d for _, d in weights.terms) - 1.0) < 1e-12
+
+
+class TestLadderWeights:
+    """The whole-grid eigh route to D against per-eps oracles, chunking and error semantics."""
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-6, 0.35, 3.0, 50.0, 1e4])
+    def test_matches_both_oracles_through_p40(self, eps):
+        worst = 0.0
+        for mode in valid_modes(40):
+            weights = decompose(mode, eps).weights
+            symmetric = symmetric_lg_weights(mode, eps)
+            symmetric *= math.copysign(1.0, symmetric @ weights)
+            fourier = fourier_lg_weights(mode, eps)
+            worst = max(worst, float(np.max(np.abs(weights - symmetric))), float(np.max(np.abs(weights - fourier))))
+        assert worst <= 1e-13
+
+    def test_chunk_boundaries_are_invisible(self):
+        mode = ModeIndex(20, 10, Parity.EVEN)
+        chunk = quantum._chunk_size(series_harmonics(mode).size)
+        grid = np.geomspace(0.05, 60.0, 2 * chunk + 1)
+        single = np.array([oam_curve(mode, "minus", [e]).oam[0] for e in grid])
+        for size in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            assert np.array_equal(oam_curve(mode, "minus", grid[:size]).oam, single[:size]), size
+        for parity in Parity:
+            ladder = ModeIndex(20, 10, parity)
+            _, weights = quantum._ladder_weights(ladder, grid)
+            assert all(np.array_equal(w, decompose(ladder, e).weights) for w, e in zip(weights, grid))
+
+    def test_curve_makes_no_per_point_solves(self, monkeypatch):
+        # a per-eps loop would call solve_ince or eigh once per point
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("elliptic_oam"):
+                for function in ("solve_ince", "eigen_tridiagonal"):
+                    if hasattr(module, function):
+                        monkeypatch.setattr(module, function, counted(function, getattr(module, function)))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        mode, points = ModeIndex(20, 10, Parity.EVEN), 1000
+        oam_curve(mode, "plus", np.geomspace(0.01, 100.0, points))
+        chunk = quantum._chunk_size(series_harmonics(mode).size)
+        assert calls["solve_ince"] == calls["eigen_tridiagonal"] == 0
+        assert 0 < calls["eigh"] <= 2 * math.ceil(points / chunk)
+
+    @pytest.mark.parametrize("grid", [[1.0, 1e308], [1.0, 1e200]], ids=["bands", "coupling-product"])
+    def test_overflow_is_a_solver_error(self, grid):
+        with pytest.raises(SolverError):
+            oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", grid)
+        with pytest.raises(SolverError):
+            decompose(ModeIndex(7, 5, Parity.ODD), grid[1])
+
+    @pytest.mark.parametrize("grid", [[-1.0, 1.0], [1.0, math.inf], [0.5, math.nan]])
+    def test_outside_the_domain_is_invalid(self, grid):
+        with pytest.raises(InvalidModeError):
+            oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", grid)
+
+    def test_tiny_ellipticity_is_the_lg_limit(self):
+        curve = oam_curve(ModeIndex(3, 1, Parity.EVEN), "plus", [1e-300, 1e-299, 1e-298])
+        assert np.array_equal(curve.oam, [1.0, 1.0, 1.0])
+
+    def test_eigenvalue_collision_is_a_solver_error(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def colliding(stack):
+            values, vectors = eigh(stack)
+            values[-1, 1] = values[-1, 0]
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", colliding)
+        with pytest.raises(SolverError, match="collision"):
+            oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", [0.5, 1.0, 2.0])
+
+    def test_residual_failure_is_a_solver_error(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(stack):
+            values, vectors = eigh(stack)
+            vectors[-1] = vectors[-1, ::-1]
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(SolverError, match="residual"):
+            oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", [0.5, 1.0, 2.0])
 
 
 class TestHelicalState:

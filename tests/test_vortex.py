@@ -93,9 +93,22 @@ class TestFindVortices:
             assert math.hypot(partner.x - c.x, partner.y - c.y) < coarse_cell
 
     def test_sorted_output(self):
-        found = find_vortices(hig_field(M53, 2.0, 256))
-        keys = [(v.x, v.y) for v in found]
-        assert keys == sorted(keys)
+        # by plaquette column, then row
+        field = hig_field(M53, 2.0, 256)
+        found = find_vortices(field)
+        x0, y0 = field.origin
+        cells = [(math.floor((v.x - x0) / field.spacing), math.floor((v.y - y0) / field.spacing)) for v in found]
+        assert len(found) > 10 and cells == sorted(cells)
+
+    def test_order_survives_a_last_bit_change(self):
+        # mirror pairs (x, +-y) share x up to rounding; a float (x, y) sort
+        # swapped some of them when the field moved by one ulp
+        field = hig_field(ModeIndex(20, 10, Parity.EVEN), 5.3, 384)
+        nudged = ComplexField(field.nx, field.ny, field.origin, field.spacing, field.values * (1.0 + 2.0**-52))
+        before, after = find_vortices(field), find_vortices(nudged)
+        assert len(before) == len(after) > 100
+        for a, b in zip(before, after):
+            assert a.charge == b.charge and abs(a.x - b.x) < 1e-9 and abs(a.y - b.y) < 1e-9
 
     def test_degenerate_grid_rejected(self):
         values = np.ones((4, 4), dtype=complex)
