@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
-from .linalg import _sturm_flips
+from .linalg import _symmetric_eigenpairs
 from .quantum import QuantumModeState, _parity_state, decompose, helical_state
 
 # Entries in one block's table of Hermite rows at scattered points, (order
@@ -148,10 +148,10 @@ def _lg_to_hg(order: int) -> np.ndarray:
     n = (order - l) / 2; HG_(k, order - k) has k quanta along x.  In the
     basis (-i)^k HG_(k, order - k), L_z is the real symmetric tridiagonal
     matrix with zero diagonal and couplings sqrt((k + 1)(order - k)).  Its
-    eigenvalues are -order, -order + 2, ..., order, all 2 apart, so ``eigh``
-    gives the eigenvectors u to about ``order`` ulp.  Each u is signed so
-    that entry 0 is positive by the Sturm sequence (``linalg._sturm_flips``;
-    every coupling is positive), which reads no entry below rounding.  The
+    eigenvalues are -order, -order + 2, ..., order, all 2 apart, so the
+    package's eigen kernel, ``linalg._symmetric_eigenpairs``, gives the
+    eigenvectors u to about ``order`` ulp, each signed so that entry 0 is
+    positive by the Sturm sequence (every coupling is positive).  The
     helical LG mode of charge +-l is then (-1)^n sum_k u_k i^(+-(l - k))
     HG_k, from the ladder operators, the (-1)^n being the sign of the
     leading coefficient of L_n^l.  So the cos and sin modes are
@@ -162,14 +162,12 @@ def _lg_to_hg(order: int) -> np.ndarray:
     k = np.arange(order + 1)
     charge = np.abs(2 * k - order)
     coupling = np.sqrt(k[1:] * (order + 1.0 - k[1:]))
-    # eigh's eigenvalues ascend, -order + 2 j in column j: column (order + l) / 2 is u of eigenvalue l
-    u = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))[1][:, (order + charge) // 2]
-    first = np.argmax(np.abs(u) > 1e-8, axis=0)
-    flips = (u[first, k] < 0.0) ^ _sturm_flips(np.zeros(order + 1), coupling**2, charge, first)
+    # the eigenvalues ascend, -order + 2 j at rank j: rank (order + l) / 2 is u of eigenvalue l
+    u = _symmetric_eigenpairs(np.zeros((1, order + 1)), coupling[None], (order + charge) // 2)[1][0]
     # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
     pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
     scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)
-    return np.where(flips, -u, u) * pattern * scale
+    return u * pattern * scale
 
 
 def _hg_coefficients(state: QuantumModeState) -> np.ndarray:

@@ -68,7 +68,8 @@ class IncePolynomial:
     ``fourier[j]`` multiplies cos(harmonics[j]*eta) for even parity and
     sin(harmonics[j]*eta) for odd parity.  The coefficient vector has unit
     Euclidean norm; its first entry (nonzero for eps > 0) is positive, by the
-    Sturm-sequence rule of ``linalg.eigen_tridiagonal`` where it is rounding noise.
+    Sturm-sequence rule of ``linalg._symmetric_eigenpairs`` where it is
+    rounding noise.
     """
 
     mode: ModeIndex

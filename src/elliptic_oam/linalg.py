@@ -1,11 +1,13 @@
 """Small dense linear-algebra and quadrature kernels.
 
-No physics lives here: a tridiagonal eigensolver (LAPACK ``eigh`` on the
-symmetric form for the whole spectrum, then one step of inverse iteration on
-the original matrix for the one eigenvector asked for, unscaled by a
-symmetrizing diagonal that the caller supplies, sign-fixed by a Sturm
-sequence and residual-checked), that Sturm-sequence sign rule on its own,
-and a tensor-product Gauss-Legendre quadrature over a square window.
+No physics lives here.  ``_symmetric_eigenpairs`` is the package's one
+symmetric tridiagonal eigen kernel: a stack of matrices in one LAPACK
+``eigh`` call, with the coupling-overflow guard, the residual check and the
+Sturm-sequence sign rule; ``ince``, ``quantum`` and ``beams`` all solve
+through it.  ``eigen_tridiagonal`` adds to it, for one unsymmetric matrix,
+the unscaling by a symmetrizing diagonal that the caller supplies and one
+step of inverse iteration on the original matrix.  A tensor-product
+Gauss-Legendre quadrature over a square window completes the module.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class TridiagonalMatrix:
         return np.diag(self.diag) + np.diag(self.sup, 1) + np.diag(self.sub, -1)
 
 
+# The largest coupling whose square, the product sub[i]*sup[i], is finite.
+_LARGEST_COUPLING = float(np.sqrt(np.finfo(float).max))
+
+
 def _sturm_flips(diag, products, values, first):
     """Whether entry ``first`` of each eigenvector has the opposite sign to entry 0.
 
@@ -74,39 +80,77 @@ def _sturm_flips(diag, products, values, first):
     return flips
 
 
+def _symmetric_eigenpairs(diag, coupling, ranks):
+    """Eigenpairs of a stack of symmetric tridiagonal matrices, one ``eigh`` call for all.
+
+    Matrix i has diagonal ``diag[i]`` and couplings ``coupling[i] >= 0`` on
+    both off-diagonals.  Returns every eigenvalue, ascending, as
+    ``values[i]``, and the unit eigenvectors of the ranks in ``ranks``
+    (repeats allowed) as the columns of ``vectors[i]``.  Each vector is
+    signed so that entry 0 is positive: the sign of its first entry above
+    1e-8 is carried back to entry 0 by ``_sturm_flips``, however small
+    entry 0 is.  Each pair's residual is checked against the largest
+    eigenvalue of its matrix, the scale of eigh's error.
+    """
+    ranks = np.asarray(ranks)
+    if np.max(coupling, initial=0.0) > _LARGEST_COUPLING:
+        raise SolverError("a coupling product sub[i]*sup[i] overflows the double range")
+    count, dimension = diag.shape
+    stack = np.zeros((count, dimension, dimension))
+    flat = stack.reshape(count, -1)  # a view, whose three bands are strided slices
+    flat[:, :: dimension + 1] = diag
+    flat[:, 1 :: dimension + 1] = coupling
+    flat[:, dimension :: dimension + 1] = coupling
+    try:
+        values, vectors = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    chosen, vectors = values[:, ranks], vectors[:, :, ranks]
+    # S v - lam v from the bands: a dense product costs d^3 at d ranks, and
+    # BLAS's matrix-matrix buffers raise the peak memory of small solves
+    error = (diag[:, :, None] - chosen[:, None, :]) * vectors
+    error[:, :-1] += coupling[:, :, None] * vectors[:, 1:]
+    error[:, 1:] += coupling[:, :, None] * vectors[:, :-1]
+    residual = np.sqrt(np.sum(error * error, axis=1))
+    # the values ascend, so the largest |value| is at one end
+    bad = ~(residual <= 1e-10 * (1.0 + np.maximum(-values[:, :1], values[:, -1:])))
+    if bad.any():
+        raise SolverError(
+            f"eigenpair {ranks[np.nonzero(bad)[1][0]]} residual {residual[bad][0]:.3e} exceeds bound; "
+            "matrix badly scaled?"
+        )
+    first = np.argmax(np.abs(vectors) > 1e-8, axis=1)
+    flips = vectors[np.arange(count)[:, None], first, np.arange(ranks.size)] < 0.0
+    flips ^= _sturm_flips(diag.T[:, :, None], (coupling * coupling).T[:, :, None], chosen, first)
+    return values, np.where(flips[:, None, :], -vectors, vectors)
+
+
 def eigen_tridiagonal(matrix: TridiagonalMatrix, scale, rank: int):
     """All eigenvalues, ascending, and the unit eigenvector of rank ``rank``.
 
     The couplings must be non-negative, zero on both sides or on neither,
     and ``scale`` the symmetrizing diagonal, ``scale[i + 1] / scale[i] =
     sqrt(sup[i] / sub[i])`` (``ince.lg_scale`` for the Ince recurrence).
-    Entry 0 of the vector is positive, its sign read off the first entry
-    above 1e-8 by ``_sturm_flips``, however small entry 0 is.  The residual
-    is checked.
+    The symmetric form is solved by ``_symmetric_eigenpairs``, which fixes
+    the sign; entry 0 of the vector is positive.  The residual on the
+    original matrix is checked against the eigenvalue itself.
     """
-    try:
-        with np.errstate(over="raise"):
-            products = matrix.sub * matrix.sup
-    except FloatingPointError as exc:
-        raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
-    coupling = np.sqrt(products)
-    symmetric = np.diag(matrix.diag) + np.diag(coupling, 1) + np.diag(coupling, -1)
+    with np.errstate(over="ignore"):  # an overflowing product is the kernel's to report
+        coupling = np.sqrt(matrix.sub * matrix.sup)
+    eigenvalues, symmetric = _symmetric_eigenpairs(matrix.diag[None], coupling[None], [rank])
+    eigenvalues, value = eigenvalues[0], float(eigenvalues[0, rank])
     dense = matrix.to_dense()
+    # unscaling amplifies the eigh error in small entries, and eigh misses
+    # couplings whose product underflowed; one inverse-iteration step on
+    # the original matrix restores them.  The shift offset scales with the
+    # largest eigenvalue, as the eigh error does, so it is never singular.
+    shift = value + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(symmetric)
-        # unscaling amplifies the eigh error in small entries, and eigh misses
-        # couplings whose product underflowed; one inverse-iteration step on
-        # the original matrix restores them.  The shift offset scales with the
-        # largest eigenvalue, as the eigh error does, so it is never singular.
-        shift = eigenvalues[rank] + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
-        vector = np.linalg.solve(dense - shift * np.eye(matrix.dimension), eigenvectors[:, rank] / scale)
+        vector = np.linalg.solve(dense - shift * np.eye(matrix.dimension), symmetric[0, :, 0] / scale)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    vector /= np.sqrt(sum(vector * vector))  # one term at a time, in index order
-    value = float(eigenvalues[rank])
-    j = int(np.argmax(np.abs(vector) > 1e-8))
-    if bool(vector[j] < 0.0) ^ bool(_sturm_flips(matrix.diag, products, value, j)):
-        vector = -vector
+    # the shift lies above the eigenvalue, so the step reverses the sign
+    vector /= -np.sqrt(sum(vector * vector))  # one term at a time, in index order
     residual = np.linalg.norm(dense @ vector - value * vector)
     if not residual <= 1e-10 * (1.0 + abs(value)):
         raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")

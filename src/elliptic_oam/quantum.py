@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, InvalidModeError, SolverError, UnnormalizedStateError
+from .errors import GridError, InvalidModeError, UnnormalizedStateError
 from .ince import (
     ModeIndex,
     Parity,
@@ -26,7 +26,7 @@ from .ince import (
     eigenvalue_rank,
     series_harmonics,
 )
-from .linalg import _sturm_flips
+from .linalg import _symmetric_eigenpairs
 
 _NORM_TOL = 1e-12
 
@@ -143,66 +143,29 @@ def _chunk_size(dimension: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
 
 
-def _rank_vectors(mode: ModeIndex, pencil, epsilons: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors u[i] of rank ``eigenvalue_rank(mode)`` of S(epsilons[i]), harmonic order.
-
-    S(eps) = diag(k^2 + eps*shift) + eps*coupling is the symmetric form of
-    the recurrence, stacked over eps and solved by one ``eigh``.  Each u is
-    signed so that the Fourier vector's entry 0 is positive: the sign of
-    its first entry above 1e-8, carried back to entry 0 by the Sturm
-    sequence (``linalg._sturm_flips``), however small entry 0 is.
-    """
-    square, shift, coupling = pencil
-    rank = eigenvalue_rank(mode)
-    count, dimension = epsilons.size, square.size
-    diag = square + epsilons[:, None] * shift
-    off = epsilons[:, None] * coupling
-    try:
-        with np.errstate(over="raise"):
-            products = off * off
-    except FloatingPointError as exc:
-        raise SolverError("a coupling product sub[i]*sup[i] overflows the double range") from exc
-    stack = np.zeros((count, dimension, dimension))
-    index = np.arange(dimension)
-    stack[:, index, index] = diag
-    stack[:, index[1:], index[:-1]] = off
-    stack[:, index[:-1], index[1:]] = off
-    try:
-        values, vectors = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    _check_simple_spectrum(mode, epsilons, values)
-    value, vector = values[:, rank], vectors[:, :, rank]
-    residual = np.linalg.norm((stack @ vector[:, :, None])[:, :, 0] - value[:, None] * vector, axis=1)
-    bad = ~(residual <= 1e-10 * (1.0 + np.abs(value)))
-    if bad.any():
-        raise SolverError(
-            f"eigenpair {rank} residual {residual[bad][0]:.3e} exceeds bound at eps={epsilons[bad][0]:g}; "
-            "matrix badly scaled?"
-        )
-    first = np.argmax(np.abs(vector) > 1e-8, axis=1)
-    flip = (vector[np.arange(count), first] < 0.0) ^ _sturm_flips(diag.T, products.T, value, first)
-    return np.where(flip[:, None], -vector, vector)
-
-
 def _ladder_weights(mode: ModeIndex, epsilons):
     """Charges l, descending, and the LG weights D[i] of one IG mode at each epsilons[i].
 
     D[i] is the unit eigenvector of rank ``eigenvalue_rank(mode)`` of the
-    symmetrized recurrence at epsilons[i], reversed into ladder order and
-    given the sign (-1)^(n + l + (p + m)/2): the symmetrizing diagonal is
-    the LG normalization ratio, so no unscaling is needed.  The overall sign
-    is that of the Fourier vector, whose entry 0 is positive.  The grid is
-    solved in chunks of at most ``_CHUNK_BYTES`` of stacked matrices.
+    symmetrized recurrence S(eps) = diag(k^2 + eps*shift) + eps*coupling at
+    epsilons[i], reversed into ladder order and given the sign
+    (-1)^(n + l + (p + m)/2): the symmetrizing diagonal is the LG
+    normalization ratio, so no unscaling is needed.  The overall sign is
+    that of the Fourier vector, whose entry 0 is positive.  The grid is
+    solved by ``linalg._symmetric_eigenpairs`` in chunks of at most
+    ``_CHUNK_BYTES`` of stacked matrices.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     _check_ellipticity(epsilons, mode.p)
     square, shift, sub, sup = _pencil(mode)
-    pencil = (square, shift, np.sqrt(sub * sup))
+    coupling, rank = np.sqrt(sub * sup), eigenvalue_rank(mode)
     step = _chunk_size(square.size)
     vectors = np.empty((epsilons.size, square.size))
     for start in range(0, epsilons.size, step):
-        vectors[start : start + step] = _rank_vectors(mode, pencil, epsilons[start : start + step])
+        eps = epsilons[start : start + step, None]
+        values, chunk = _symmetric_eigenpairs(square + eps * shift, eps * coupling, [rank])
+        _check_simple_spectrum(mode, eps[:, 0], values)
+        vectors[start : start + step] = chunk[:, :, 0]
     charges = series_harmonics(mode)[::-1]
     n = (mode.p - charges) // 2
     return charges, _expansion_sign(n, charges, mode.p, mode.m) * vectors[:, ::-1]
@@ -311,23 +274,19 @@ def find_turning_points(curve: OamCurve):
     eps, vals = curve.epsilons, curve.oam
     if eps.size < 3:
         raise GridError("need at least 3 samples to locate turning points")
-    out = []
-    for i in range(1, eps.size - 1):
-        left = vals[i] - vals[i - 1]
-        right = vals[i + 1] - vals[i]
-        if left * right < 0.0:
-            out.append(_parabolic_vertex(eps[i - 1 : i + 2], vals[i - 1 : i + 2]))
-    return out
+    step = np.diff(vals)
+    i = np.flatnonzero(step[:-1] * step[1:] < 0.0) + 1
+    return _parabolic_vertex(eps[i - 1], eps[i], eps[i + 1], vals[i - 1], vals[i], vals[i + 1]).tolist()
 
 
-def _parabolic_vertex(x3, y3) -> float:
-    x0, x1, x2 = x3
-    y0, y1, y2 = y3
+def _parabolic_vertex(x0, x1, x2, y0, y1, y2) -> np.ndarray:
+    """Abscissae of the vertices of the parabolas through three points each; x1 where they are collinear."""
     denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if denom == 0.0:
-        return float(x1)
-    shift = 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
-    return float(x1 - shift)
+    # float_power squares with libm pow(), as scalar ** does in the per-sample
+    # reference; ** 2 on an array multiplies, which can differ in the last bit
+    numer = np.float_power(x1 - x0, 2.0) * (y1 - y2) - np.float_power(x1 - x2, 2.0) * (y1 - y0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom == 0.0, x1, x1 - 0.5 * numer / denom)
 
 
 def find_crossings(a: OamCurve, b: OamCurve):
@@ -340,14 +299,10 @@ def find_crossings(a: OamCurve, b: OamCurve):
         raise GridError("curves must share an identical ellipticity grid")
     eps = a.epsilons
     diff = a.oam - b.oam
-    out = []
-    for i in range(eps.size - 1):
-        d0, d1 = diff[i], diff[i + 1]
-        if d0 == 0.0:
-            if 0 < i and diff[i - 1] * d1 < 0.0:
-                out.append(float(eps[i]))
-            continue
-        if d0 * d1 < 0.0:
-            t = d0 / (d0 - d1)
-            out.append(float(eps[i] + t * (eps[i + 1] - eps[i])))
-    return out
+    d0, d1 = diff[:-1], diff[1:]
+    # an exact zero at an interior sample is a crossing when its neighbours differ in sign
+    before = np.concatenate(([0.0], diff[:-2]))
+    at_sample = (d0 == 0.0) & (before * d1 < 0.0)
+    i = np.flatnonzero(at_sample | (d0 * d1 < 0.0))
+    t = d0[i] / (d0[i] - d1[i])
+    return np.where(at_sample[i], eps[i], eps[i] + t * (eps[i + 1] - eps[i])).tolist()

@@ -21,7 +21,9 @@ array at once, and ``hg_projection`` projects it onto the HG modes of its
 order by Gauss-Hermite quadrature.  ``dense_vortices`` is the whole-grid
 winding detector that ``vortex.find_vortices`` must match exactly, and
 ``field_csv`` the per-sample writer whose bytes the CLI's field CSV must
-reproduce.
+reproduce.  ``loop_turning_points`` and ``loop_crossings`` are the
+per-sample loops whose results ``quantum.find_turning_points`` and
+``quantum.find_crossings`` must reproduce bit for bit.
 """
 
 import math
@@ -30,7 +32,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry
-from elliptic_oam.ince import build_recurrence_matrix, eigenvalue_rank, lg_scale, series_harmonics, solve_ince
+from elliptic_oam.ince import _pencil, build_recurrence_matrix, eigenvalue_rank, lg_scale, series_harmonics, solve_ince
 from elliptic_oam.quantum import QuantumModeState
 from elliptic_oam.vortex import Vortex, _bilinear_zero
 
@@ -130,6 +132,33 @@ def symmetric_lg_weights(mode, eps):
     charges = series_harmonics(mode)[::-1]
     n = (mode.p - charges) // 2
     return np.where((n + charges + (mode.p + mode.m) // 2) % 2, -1.0, 1.0) * u
+
+
+def mp_lg_weights(mode, eps, digits=250):
+    """LG weights of an IG mode from ``mp.eigsy`` of the symmetrized recurrence at ``digits`` digits.
+
+    S = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on the off-diagonals, in
+    mpmath from the pencil's bands; its eigenvector u of the mode's rank,
+    signed so that u[0] (the Fourier vector's entry 0) is positive, reversed
+    and given the alternating sign (-1)^(n + l + (p + m)/2), as floats.
+    At eps = 1e100 the small eigenvalues sit 100 digits below the largest,
+    so the default precision keeps well clear of that.
+    """
+    square, shift, sub, sup = _pencil(mode)
+    d = square.size
+    with mp.workdps(digits):
+        e = mp.mpf(float(eps))
+        symmetric = mp.matrix(d, d)
+        for i in range(d):
+            symmetric[i, i] = mp.mpf(float(square[i])) + e * mp.mpf(float(shift[i]))
+        for i in range(d - 1):
+            symmetric[i, i + 1] = symmetric[i + 1, i] = e * mp.sqrt(mp.mpf(float(sub[i])) * mp.mpf(float(sup[i])))
+        _, vectors = mp.eigsy(symmetric)  # values ascending
+        u = [vectors[i, eigenvalue_rank(mode)] for i in range(d)]
+        u = [float(x if u[0] > 0 else -x) for x in u][::-1]
+    charges = series_harmonics(mode)[::-1]
+    n = (mode.p - charges) // 2
+    return np.where((n + charges + (mode.p + mode.m) // 2) % 2, -1.0, 1.0) * np.array(u)
 
 
 def fourier_lg_weights(mode, eps):
@@ -432,3 +461,39 @@ def dense_vortices(field):
             Vortex(x=x0 + (ix + u) * field.spacing, y=y0 + (iy + v) * field.spacing, charge=int(charge[iy, ix]))
         )
     return found
+
+
+def loop_turning_points(curve):
+    """Strict interior extrema of a curve, one sample at a time, each refined by a parabola."""
+    eps, vals = curve.epsilons, curve.oam
+    out = []
+    for i in range(1, eps.size - 1):
+        left = vals[i] - vals[i - 1]
+        right = vals[i + 1] - vals[i]
+        if left * right < 0.0:
+            x0, x1, x2 = eps[i - 1 : i + 2]
+            y0, y1, y2 = vals[i - 1 : i + 2]
+            denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+            if denom == 0.0:
+                out.append(float(x1))
+                continue
+            shift = 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
+            out.append(float(x1 - shift))
+    return out
+
+
+def loop_crossings(a, b):
+    """Sign changes of a - b, one interval at a time: an exact interior zero, or linear interpolation."""
+    eps = a.epsilons
+    diff = a.oam - b.oam
+    out = []
+    for i in range(eps.size - 1):
+        d0, d1 = diff[i], diff[i + 1]
+        if d0 == 0.0:
+            if 0 < i and diff[i - 1] * d1 < 0.0:
+                out.append(float(eps[i]))
+            continue
+        if d0 * d1 < 0.0:
+            t = d0 / (d0 - d1)
+            out.append(float(eps[i] + t * (eps[i + 1] - eps[i])))
+    return out

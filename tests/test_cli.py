@@ -316,6 +316,15 @@ class TestHugeEllipticity:
         assert run_cli(["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e150", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["harmonics"] == [1, 3, 5, 7]
 
+    def test_small_eigenvalue_at_huge_ellipticity(self, tmp_path):
+        # D's residual is bounded by the scale of the matrix, so its accurate
+        # weights are accepted; eigh's eigenvalue itself is not accurate at
+        # 1e100 (about 1e85 for an exact 12), so solve-ince still refuses it
+        argv = ["-p", "4", "-m", "2", "--parity", "even"]
+        assert run_cli(["decompose", *argv, "-e", "1e7", "-o", str(tmp_path / "dec.json")]) == 0
+        assert run_cli(["decompose", *argv, "-e", "1e100", "-o", str(tmp_path / "dec.json")]) == 0
+        assert run_cli(["solve-ince", *argv, "-e", "1e100", "-o", str(tmp_path / "ince.json")]) == 3
+
     def test_tiny_ellipticity_still_solves(self, tmp_path):
         # every coupling product underflows to 0 here; none is defective
         out = tmp_path / "curve.json"

@@ -1,14 +1,21 @@
-"""Tests for the tridiagonal eigensolver and plane quadrature."""
+"""Tests for the tridiagonal eigensolvers and plane quadrature."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elliptic_oam
+from elliptic_oam import beams
+from elliptic_oam.beams import eval_lg
 from elliptic_oam.errors import SolverError
-from elliptic_oam.linalg import TridiagonalMatrix, eigen_tridiagonal, plane_quadrature_grid
+from elliptic_oam.ince import ModeIndex, Parity, solve_ince
+from elliptic_oam.linalg import TridiagonalMatrix, _symmetric_eigenpairs, eigen_tridiagonal, plane_quadrature_grid
+from elliptic_oam.quantum import decompose
 
-from oracles import band_scale, sturm_eigenvalues
+from oracles import band_scale, geometry, sturm_eigenvalues
 
 
 def solve(matrix, rank):
@@ -114,6 +121,125 @@ class TestEigenTridiagonal:
             TridiagonalMatrix(diag=[1.0, 2.0], sub=[1.0, 1.0], sup=[1.0])
 
 
+class TestSymmetricEigenpairs:
+    def test_stack_is_bit_identical_to_one_call_per_matrix(self):
+        rng = np.random.default_rng(11)
+        diag, coupling = rng.uniform(-3.0, 3.0, (9, 7)), rng.uniform(0.0, 2.0, (9, 6))
+        ranks = [0, 3, 6]
+        values, vectors = _symmetric_eigenpairs(diag, coupling, ranks)
+        for i in range(9):
+            one_values, one_vectors = _symmetric_eigenpairs(diag[i : i + 1], coupling[i : i + 1], ranks)
+            assert np.array_equal(values[i], one_values[0]) and np.array_equal(vectors[i], one_vectors[0])
+
+    def test_conventions(self):
+        rng = np.random.default_rng(5)
+        diag, coupling = rng.uniform(-3.0, 3.0, (4, 12)), rng.uniform(0.1, 2.0, (4, 11))
+        values, vectors = _symmetric_eigenpairs(diag, coupling, np.arange(12))
+        for i in range(4):
+            symmetric = np.diag(diag[i]) + np.diag(coupling[i], 1) + np.diag(coupling[i], -1)
+            assert np.all(np.diff(values[i]) > 0.0)
+            assert np.max(np.abs(vectors[i].T @ vectors[i] - np.eye(12))) < 1e-14
+            assert np.max(np.abs(symmetric @ vectors[i] - vectors[i] * values[i])) < 1e-13
+            assert np.all(vectors[i, 0] > 0.0)
+
+    def test_repeated_ranks_give_repeated_columns(self):
+        diag, coupling = np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([[0.5, 0.5, 0.5]])
+        _, vectors = _symmetric_eigenpairs(diag, coupling, [2, 0, 2, 2])
+        _, single = _symmetric_eigenpairs(diag, coupling, [0, 2])
+        assert np.array_equal(vectors[0], single[0][:, [1, 0, 1, 1]])
+
+    def test_zero_couplings_give_signed_basis_vectors(self):
+        # across a zero coupling the Sturm sequence still sets the sign: entry
+        # j of the vector of lam is negative when an odd number of diag[i],
+        # i < j, lies above lam
+        values, vectors = _symmetric_eigenpairs(np.array([[3.0, 1.0, 2.0]]), np.zeros((1, 2)), [0, 1, 2])
+        assert values.tolist() == [[1.0, 2.0, 3.0]]
+        assert vectors[0].tolist() == [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+
+    def test_underflowing_coupling_product(self):
+        # 1e-170 squared underflows to 0, so the Sturm sequence reads a split
+        # matrix; eigh drops the coupling too, and the pairs are the blocks'
+        values, vectors = _symmetric_eigenpairs(np.array([[1.0, 2.0]]), np.array([[1e-170]]), [0, 1])
+        assert values.tolist() == [[1.0, 2.0]]
+        assert vectors[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_sign_from_sturm_sequence_past_a_zero_pivot(self):
+        # eigh returns lambda = diag[0] = 0 exactly, so q_0 = 0; the exact
+        # vector is (1e-13, 0, -1) up to its norm, entry 0 below 1e-8
+        values, vectors = _symmetric_eigenpairs(np.zeros((1, 3)), np.array([[1.0, 1e-13]]), [1])
+        assert values[0, 1] == 0.0
+        assert vectors[0, 0, 0] == pytest.approx(1e-13, rel=1e-12)
+        assert vectors[0, 2, 0] == pytest.approx(-1.0, rel=1e-15)
+
+    def test_overflowing_coupling_product_named(self):
+        with np.errstate(all="raise"), pytest.raises(SolverError, match="overflows"):
+            _symmetric_eigenpairs(np.zeros((2, 2)), np.array([[1.0], [1e160]]), [0])
+
+    def test_residual_is_bounded_by_the_largest_eigenvalue(self):
+        # the middle eigenvalue is 0 and the largest 1e12: eigh's residual of
+        # about 1e-4 on the middle pair is rounding at the matrix's scale
+        diag, coupling = np.array([[0.0, 0.0, 0.0]]), np.array([[1e12 / math.sqrt(2.0)] * 2])
+        values, vectors = _symmetric_eigenpairs(diag, coupling, [1])
+        assert abs(values[0, 1]) < 1e-3
+        assert np.max(np.abs(vectors[0, :, 0] - [1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0)])) < 1e-15
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: solve_ince(ModeIndex(5, 3, Parity.EVEN), 2.0),
+            lambda: decompose(ModeIndex(5, 3, Parity.ODD), 2.0),
+            lambda: eval_lg(1, 2, "even", geometry(), 0.3, 0.2),
+        ],
+        ids=["solve_ince", "decompose", "eval_lg"],
+    )
+    def test_lapack_failure_is_a_solver_error(self, solve, monkeypatch):
+        def failing(stack):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(SolverError, match="did not converge"):
+            solve()
+
+    def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(stack):
+            values, vectors = eigh(stack)
+            vectors[0] = vectors[0][:, [0, 1, 3, 2, 4]]  # the transform reads ranks 2 to 4
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(SolverError, match="residual"):
+            beams._lg_to_hg(4)
+
+
+def _eigen_calls(path):
+    """(enclosing function, callee) of every call to eigh or _sturm_flips in a module, and of every import of eigh."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ("eigh", "_sturm_flips"):
+                    found.append((owner, name))
+            elif isinstance(child, ast.ImportFrom) and any(alias.name == "eigh" for alias in child.names):
+                found.append((owner, "import eigh"))
+            visit(child, getattr(child, "name", owner) if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_eigen_kernel():
+    # the symmetric eigensolve and its sign rule have one owner, which calls eigh once
+    package = Path(elliptic_oam.__file__).parent
+    calls = {path.name: _eigen_calls(path) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {
+        "linalg.py": [("_symmetric_eigenpairs", "eigh"), ("_symmetric_eigenpairs", "_sturm_flips")]
+    }
+
+
 class TestIntegratePlane:
     def test_gaussian_integral(self):
         X, Y, W = plane_quadrature_grid(8.0, 64)
@@ -126,10 +252,6 @@ class TestIntegratePlane:
         assert abs(value) < 1e-14
 
     def test_lg01_normalization(self):
-        from elliptic_oam.beams import eval_lg
-
-        from oracles import geometry
-
         geo = geometry()
         X, Y, W = plane_quadrature_grid(8.0, 96)
         value = np.sum(np.abs(eval_lg(0, 1, "helical_plus", geo, X, Y)) ** 2 * W)

@@ -1,15 +1,28 @@
-"""Property tests of the LG expansion and the OAM algebra.
+"""Property tests of the LG expansion, the OAM algebra and the curve analysis.
 
 Hypothesis draws admissible modes of order p <= 20 and log-uniform
-ellipticities in [1e-3, 1e3], alone or as sorted grids; runs are
-derandomized, so they repeat.
+ellipticities in [1e-3, 1e3], alone or as sorted grids, and synthetic
+curve pairs whose samples tie and touch often; runs are derandomized, so
+they repeat.
 """
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_oam.ince import ModeIndex, Parity
-from elliptic_oam.quantum import decompose, helical_state, oam_curve, oam_distribution, oam_expectation
+from elliptic_oam.quantum import (
+    OamCurve,
+    decompose,
+    find_crossings,
+    find_turning_points,
+    helical_state,
+    oam_curve,
+    oam_distribution,
+    oam_expectation,
+)
+
+from oracles import loop_crossings, loop_turning_points
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 ELLIPTICITIES = st.floats(-3.0, 3.0).map(lambda t: 10.0**t)
@@ -63,3 +76,34 @@ def test_curve_is_the_pointwise_oam(mode, epsilons, sign):
     curve = oam_curve(mode, sign, grid)
     for eps, value in zip(grid, curve.oam):
         assert abs(value - oam_expectation(helical_state(mode, sign, eps))) < 1e-13
+
+
+# few distinct values, so equal neighbours and exact zeros of a difference
+# are common; any float now and then
+SAMPLES = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]), st.floats(-1e3, 1e3))
+STEPS = st.one_of(st.sampled_from([0.25, 1.0]), st.floats(1e-6, 10.0))
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves on one strictly increasing grid; b equals a at a random subset of samples."""
+    size = draw(st.integers(0, 40))
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+    eps, a, other = np.cumsum(column(STEPS)), column(SAMPLES), column(SAMPLES)
+    b = np.where(column(st.booleans()) == 1.0, a, other)
+    mode = ModeIndex(1, 1, Parity.EVEN)
+    return OamCurve(mode, None, eps, a), OamCurve(mode, None, eps, b)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY
+@given(curve_pairs())
+def test_curve_analysis_matches_the_per_sample_loops(pair):
+    a, b = pair
+    if a.epsilons.size >= 3:
+        assert _bits(find_turning_points(a)) == _bits(loop_turning_points(a))
+        assert _bits(find_turning_points(b)) == _bits(loop_turning_points(b))
+    assert _bits(find_crossings(a, b)) == _bits(loop_crossings(a, b))

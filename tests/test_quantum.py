@@ -25,7 +25,14 @@ from elliptic_oam.quantum import (
 
 from elliptic_oam.verify import ig22_closed_form, quadrature_weights
 
-from oracles import fourier_lg_weights, random_states, symmetric_lg_weights
+from oracles import (
+    fourier_lg_weights,
+    loop_crossings,
+    loop_turning_points,
+    mp_lg_weights,
+    random_states,
+    symmetric_lg_weights,
+)
 
 M22 = ModeIndex(2, 2, Parity.EVEN)
 
@@ -172,6 +179,24 @@ class TestLadderWeights:
         monkeypatch.setattr(np.linalg, "eigh", colliding)
         with pytest.raises(SolverError, match="collision"):
             oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", [0.5, 1.0, 2.0])
+
+    # the rank's eigenvalue stays O(p^2) while the largest grows like eps:
+    # a residual bound relative to that eigenvalue alone refused all of these
+    SMALL_EIGENVALUE_MODES = [
+        ModeIndex(p, m, parity)
+        for p, m, parity in [(4, 2, "even"), (6, 4, "odd"), (8, 4, "even"), (10, 6, "odd"), (12, 6, "even")]
+        + [(14, 8, "odd"), (16, 8, "even"), (18, 10, "odd"), (20, 10, "even")]
+    ]
+
+    @pytest.mark.parametrize("eps", [1e7, 1e100])
+    def test_huge_ellipticity_matches_extended_precision(self, eps):
+        for mode in valid_modes(20):
+            decompose(mode, eps)
+        worst = max(
+            float(np.max(np.abs(decompose(mode, eps).weights - mp_lg_weights(mode, eps))))
+            for mode in self.SMALL_EIGENVALUE_MODES
+        )
+        assert worst <= 1e-15
 
     def test_residual_failure_is_a_solver_error(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -396,6 +421,25 @@ class TestCurveAnalysis:
         b = oam_curve(M22, "plus", [0.5, 1.1, 2.0])
         with pytest.raises(GridError):
             find_crossings(a, b)
+
+    def test_underflowing_parabola_falls_back_to_the_sample(self):
+        # both products in the fit's denominator underflow to zero
+        xs = np.array([1e-170, 2e-170, 3e-170])
+        curve = OamCurve(M22, sign=None, epsilons=xs, oam=np.array([0.0, 1e-160, 0.0]))
+        assert find_turning_points(curve) == loop_turning_points(curve) == [2e-170]
+
+    def test_vertex_is_bit_identical_to_the_per_sample_loop(self):
+        # here pow(x, 2) and x * x round (x1 - x0)^2 differently, which moves the vertex by one ulp
+        xs = np.array([0.3604920552045193, 0.7782409683113781, 1.655433234197119])
+        curve = OamCurve(M22, sign=None, epsilons=xs, oam=np.array([0.0, 1.0, 0.9901112812831188]))
+        assert find_turning_points(curve) == loop_turning_points(curve) == [1.2138022307670902]
+
+    def test_exact_zero_at_a_sample_is_one_crossing(self):
+        xs = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        a = OamCurve(M22, sign=None, epsilons=xs, oam=np.array([0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 0.0]))
+        b = OamCurve(M22, sign=None, epsilons=xs, oam=np.zeros(7))
+        # a touch at 5 and the zeros at the ends are not crossings
+        assert find_crossings(a, b) == loop_crossings(a, b) == [3.0]
 
     def test_75_crosses_77(self):
         grid = np.linspace(8.0, 16.0, 400)
