@@ -20,7 +20,8 @@ are kept as independent oracles, in the test suite and in ``verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -84,16 +85,22 @@ class BeamGeometry:
 
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex samples on a uniform rectangular grid, row-major in y then x."""
+    """Complex samples on a uniform rectangular grid, row-major in y then x.
+
+    ``values`` is copied, so the caller's array stays writeable and
+    detached; ``_fresh=True`` takes over a new complex array that nothing
+    else references, as ``sample_grid`` does, without the copy.
+    """
 
     nx: int
     ny: int
     origin: tuple
     spacing: float
     values: np.ndarray
+    _fresh: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self):
-        values = np.array(self.values, dtype=complex)  # a copy: the caller's array stays writeable
+    def __post_init__(self, _fresh):
+        values = self.values if _fresh else np.array(self.values, dtype=complex)
         if values.shape != (self.ny, self.nx):
             raise GridError(f"values shape {values.shape} != (ny={self.ny}, nx={self.nx})")
         if self.spacing <= 0.0:
@@ -285,16 +292,32 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
     as a row of shape (1, resolution) and y as a column of shape
     (resolution, 1), and its result is broadcast to the square; the field
     evaluators take such axes as a grid.  Deterministic row-major output.
+    A new complex square that nothing else references, which is what the
+    evaluators return, becomes the field's values without a copy; any
+    other result is copied, so an array the callable keeps stays writeable.
     """
     if resolution < 16:
         raise GridError(f"resolution must be at least 16, got {resolution}")
     if not 0.0 < window_half_width < np.inf:
         raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
     coords = np.linspace(-window_half_width, window_half_width, resolution)
+    values = field(coords[None, :], coords[:, None])
+    # it owns its memory and only this name refers to it (the reference
+    # count test of numpy's ndarray.resize), so no caller can see it frozen
+    fresh = (
+        isinstance(values, np.ndarray)
+        and values.dtype == complex
+        and values.shape == (resolution, resolution)
+        and values.base is None
+        and sys.getrefcount(values) <= 2
+    )
+    if not fresh:
+        values = np.array(np.broadcast_to(values, (resolution, resolution)), dtype=complex)
     return ComplexField(
         nx=resolution,
         ny=resolution,
         origin=(-window_half_width, -window_half_width),
         spacing=float(coords[1] - coords[0]),
-        values=np.broadcast_to(field(coords[None, :], coords[:, None]), (resolution, resolution)),
+        values=values,
+        _fresh=True,
     )

@@ -6,6 +6,12 @@ against an independent one: ODE residuals for the eigenproblem, quadrature
 overlaps of the elliptic-series fields for the expansion weights, Gram
 matrices for the field normalizations, and limit anchors for the OAM
 algebra.
+
+The quadrature oracle computes nothing per mode that does not depend on
+the mode.  One elliptic frame per (eps, waist), the elliptic coordinates
+and Gaussian envelopes of the 128-node overlap grid and of the 160-node
+norm grid, serves every mode of that eps; one table of LG fields per waist
+serves every eps, and the LG Gram check reads its fields from it too.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .ince import (
     eval_angular,
     eval_radial,
     ince_ode_residual,
+    series_harmonics,
     solve_ince,
     valid_modes,
 )
@@ -110,6 +117,28 @@ def elliptic_to_cartesian(point: EllipticPoint, semifocal: float):
     return x, y
 
 
+def _series_fields(modes, ellipticity: float, geometry: BeamGeometry, x, y):
+    """Yield the unit-norm series field of each mode at (x, y), one at a time.
+
+    The elliptic frame is built once for all the modes: the elliptic
+    coordinates and Gaussian envelope of the points and of the 160-node
+    norm grid.  Each mode then pays only for its solve, its series values
+    and its norm.
+    """
+    polys = [solve_ince(mode, ellipticity) for mode in modes]
+    semifocal = geometry.semifocal(ellipticity)
+    X, Y, W = plane_quadrature_grid(8.0 * geometry.width, 160)
+    grid_point, grid_envelope = cartesian_to_elliptic(X, Y, semifocal), beams.eval_gaussian(geometry, X, Y)
+    point, envelope = cartesian_to_elliptic(x, y, semifocal), beams.eval_gaussian(geometry, x, y)
+
+    def profile(poly, at, envelope):
+        return eval_radial(poly, at.xi) * eval_angular(poly, at.eta) * envelope
+
+    for poly in polys:
+        norm = math.sqrt(float(np.sum(np.abs(profile(poly, grid_point, grid_envelope)) ** 2 * W)))
+        yield profile(poly, point, envelope) * np.exp(-1j * poly.mode.p * geometry.gouy) / norm
+
+
 def series_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     """Unit-norm Ince-Gauss field from the elliptic-coordinate series.
 
@@ -119,31 +148,50 @@ def series_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y)
     for that expansion.  The radial cosh/sinh series cancels badly at high
     order and ellipticity; the battery uses it for p <= 8 and eps <= 5.
     Odd fields come out real because the factor i of the sine series at
-    imaginary argument is dropped (it is a global phase).
+    imaginary argument is dropped (it is a global phase).  This is the
+    one-mode case of the battery's route, which builds the elliptic frame
+    and the 160-node norm grid once for all the modes of one eps and waist.
     """
-    poly = solve_ince(mode, ellipticity)
-    semifocal = geometry.semifocal(ellipticity)
+    return next(_series_fields([mode], ellipticity, geometry, x, y))
 
-    def profile(x, y):
-        point = cartesian_to_elliptic(x, y, semifocal)
-        envelope = beams.eval_gaussian(geometry, x, y)
-        return eval_radial(poly, point.xi) * eval_angular(poly, point.eta) * envelope
 
-    X, Y, W = plane_quadrature_grid(8.0 * geometry.width, 160)
-    norm = math.sqrt(float(np.sum(np.abs(profile(X, Y)) ** 2 * W)))
-    return profile(x, y) * np.exp(-1j * mode.p * geometry.gouy) / norm
+class _QuadraturePlane:
+    """The 128-node overlap grid on [-8 w0, 8 w0]^2 at the waist, and its LG fields.
+
+    The LG fields do not depend on the ellipticity, so one plane serves
+    every eps of its waist; each (n, l, parity) field is evaluated on first
+    use and kept.  At the waist every LG field is real to the last bit, so
+    only its real part is kept: half the memory, and the same overlaps.
+    """
+
+    def __init__(self, waist: float):
+        self.geometry = _geometry(waist)
+        self.X, self.Y, self.W = plane_quadrature_grid(8.0 * waist, 128)
+        self._lg = {}
+
+    def lg(self, n: int, l: int, parity: str) -> np.ndarray:
+        key = (n, l, parity)
+        if key not in self._lg:
+            self._lg[key] = beams.eval_lg(n, l, parity, self.geometry, self.X, self.Y).real.copy()
+        return self._lg[key]
+
+
+def _overlap_weights(modes, eps: float, plane: _QuadraturePlane):
+    """LG weights {l: D} of each mode by overlap quadrature, one elliptic frame for all."""
+    out = []
+    for mode, ig in zip(modes, _series_fields(modes, eps, plane.geometry, plane.X, plane.Y)):
+        out.append(
+            {
+                l: float(np.sum(plane.lg((mode.p - l) // 2, l, mode.parity.value) * ig * plane.W).real)
+                for l in series_harmonics(mode)[::-1].tolist()
+            }
+        )
+    return out
 
 
 def quadrature_weights(mode: ModeIndex, eps: float, waist: float = 1.0):
     """Independent overlap-integral route to the LG weights."""
-    geometry = _geometry(waist)
-    X, Y, W = plane_quadrature_grid(8.0 * waist, 128)
-    ig = series_ig(mode, eps, geometry, X, Y)
-    out = {}
-    for l in quantum.decompose(mode, eps).charges.tolist():
-        lg = beams.eval_lg((mode.p - l) // 2, l, mode.parity.value, geometry, X, Y)
-        out[l] = float(np.sum(np.conj(lg) * ig * W).real)
-    return out
+    return _overlap_weights([mode], eps, _QuadraturePlane(waist))[0]
 
 
 def ig22_closed_form(eps: float) -> dict:
@@ -166,6 +214,60 @@ def _pseudo_states(count: int):
         amplitudes /= np.linalg.norm(amplitudes)
         states.append(QuantumModeState(n, l, amplitudes[:, 0], amplitudes[:, 1]))
     return states
+
+
+def _quadrature_checks(full: bool):
+    """The overlap-oracle and Gram checks on one waist-1 plane, and the waist-independence check.
+
+    The plane's LG table serves the three eps of the overlap check and the
+    LG Gram matrix, and is freed on return, before the vortex grids.  The
+    waist-independence check reuses the eps-2 weights of the overlap check
+    and solves its two modes at waist 1.6 in one frame.
+    """
+    results = []
+    plane = _QuadraturePlane(1.0)
+    X, Y, W = plane.X, plane.Y, plane.W
+
+    # expansion weights against the overlap-integral oracle
+    p_max = 8 if full else 5
+    modes = valid_modes(p_max)
+    for eps in (0.5, 2.0, 5.0):
+        worst = 0.0
+        oracles = _overlap_weights(modes, eps, plane)
+        for mode, oracle in zip(modes, oracles):
+            weights = dict(quantum.decompose(mode, eps).terms)
+            worst = max(worst, max(abs(weights[l] - oracle[l]) for l in oracle))
+        if eps == 2.0:
+            at_waist_1 = dict(zip(modes, oracles))
+        results.append(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
+
+    # IG orthonormality
+    p_max = 6 if full else 4
+    fields = [beams.eval_ig(mode, 2.0, plane.geometry, X, Y) for mode in valid_modes(p_max)]
+    gram = np.array([[np.sum(np.conj(a) * b * W).real for b in fields] for a in fields])
+    worst = float(np.max(np.abs(gram - np.eye(len(fields)))))
+    results.append(CheckResult(f"ig-gram-identity-p{p_max}", worst, 1e-6, worst <= 1e-6))
+
+    # LG orthonormality (oracle for the quadrature side itself)
+    lg_fields = [
+        plane.lg((p - l) // 2, l, parity)
+        for p in range(5)
+        for l in range(p % 2, p + 1, 2)
+        for parity in (("even", "odd") if l else ("even",))
+    ]
+    gram = np.array([[np.sum(a * b * W) for b in lg_fields] for a in lg_fields])
+    worst = float(np.max(np.abs(gram - np.eye(len(lg_fields)))))
+    results.append(CheckResult("lg-gram-identity", worst, 1e-8, worst <= 1e-8))
+
+    # waist independence of the weights along the quadrature route
+    worst = 0.0
+    pair = (ModeIndex(3, 1, Parity.EVEN), ModeIndex(4, 2, Parity.ODD))
+    for mode, b in zip(pair, _overlap_weights(pair, 2.0, _QuadraturePlane(1.6))):
+        a = at_waist_1[mode]
+        worst = max(worst, max(abs(a[i] - b[i]) for i in a))
+    # the two routes agree to a few ulp; printing that noise would make the
+    # report move with every last-bit change of the field kernels
+    return results, CheckResult("waist-independence-quadrature", worst, 1e-9, worst <= 1e-9, floor=1e-14)
 
 
 def run_checks(level: str = "fast") -> Report:
@@ -192,35 +294,8 @@ def run_checks(level: str = "fast") -> Report:
     worst = max(abs(computed[l] - d) for l, d in ig22_closed_form(0.5).items())
     add(CheckResult("ig22-closed-form", worst, 1e-10, worst <= 1e-10, IG22_NOTE))
 
-    # expansion weights against the overlap-integral oracle
-    p_max = 8 if full else 5
-    for eps in (0.5, 2.0, 5.0):
-        worst = 0.0
-        for mode in valid_modes(p_max):
-            weights = dict(quantum.decompose(mode, eps).terms)
-            oracle = quadrature_weights(mode, eps)
-            worst = max(worst, max(abs(weights[l] - oracle[l]) for l in oracle))
-        add(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
-
-    # IG orthonormality
-    p_max = 6 if full else 4
-    X, Y, W = plane_quadrature_grid(8.0, 128)
-    fields = [beams.eval_ig(mode, 2.0, geometry, X, Y) for mode in valid_modes(p_max)]
-    gram = np.array([[np.sum(np.conj(a) * b * W).real for b in fields] for a in fields])
-    worst = float(np.max(np.abs(gram - np.eye(len(fields)))))
-    add(CheckResult(f"ig-gram-identity-p{p_max}", worst, 1e-6, worst <= 1e-6))
-
-    # LG orthonormality (oracle for the quadrature side itself)
-    lg_set = []
-    for p in range(5):
-        for l in range(p % 2, p + 1, 2):
-            lg_set.append(((p - l) // 2, l, "even"))
-            if l >= 1:
-                lg_set.append(((p - l) // 2, l, "odd"))
-    lg_fields = [beams.eval_lg(n, l, parity, geometry, X, Y) for n, l, parity in lg_set]
-    gram = np.array([[np.sum(np.conj(a) * b * W).real for b in lg_fields] for a in lg_fields])
-    worst = float(np.max(np.abs(gram - np.eye(len(lg_fields)))))
-    add(CheckResult("lg-gram-identity", worst, 1e-8, worst <= 1e-8))
+    overlap_results, waist_result = _quadrature_checks(full)
+    report.results.extend(overlap_results)
 
     # elliptic coordinate round trip on a deterministic point cloud
     f0 = 0.8
@@ -316,15 +391,7 @@ def run_checks(level: str = "fast") -> Report:
         worst = max(worst, abs(moment - quantum.oam_expectation(state)))
     add(CheckResult(f"distribution-first-moment-n{count}", worst, 1e-12, worst <= 1e-12))
 
-    # waist independence of the weights along the quadrature route
-    worst = 0.0
-    for mode in (ModeIndex(3, 1, Parity.EVEN), ModeIndex(4, 2, Parity.ODD)):
-        a = quadrature_weights(mode, 2.0, waist=1.0)
-        b = quadrature_weights(mode, 2.0, waist=1.6)
-        worst = max(worst, max(abs(a[i] - b[i]) for i in a))
-    # the two routes agree to a few ulp; printing that noise would make the
-    # report move with every last-bit change of the field kernels
-    add(CheckResult("waist-independence-quadrature", worst, 1e-9, worst <= 1e-9, floor=1e-14))
+    add(waist_result)
 
     # vortex structure of the reference helical mode
     resolution = 512 if full else 384

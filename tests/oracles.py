@@ -6,10 +6,13 @@ eigenvectors, from mpmath's symmetric eigensolver in extended precision;
 series values from plain term-by-term summation, and LG and HG field values
 from their closed forms in 40-digit mpmath arithmetic.  Expansion weights
 from overlap quadrature of the elliptic-series fields are
-``verify.quadrature_weights``; ``symmetric_lg_weights`` reads them, at any
-order, straight off LAPACK's eigenvector of the symmetrized recurrence, one
-eps at a time and up to sign, and ``fourier_lg_weights`` from the refined
-Fourier vector of ``solve_ince``.
+``verify.quadrature_weights``, which shares one elliptic frame and one LG
+table among the modes of an eps and waist; ``per_mode_series_ig`` and
+``per_mode_quadrature_weights`` build both afresh for every mode, and the
+shared route must reproduce them bit for bit.  ``symmetric_lg_weights``
+reads the weights, at any order, straight off LAPACK's eigenvector of the
+symmetrized recurrence, one eps at a time and up to sign, and
+``fourier_lg_weights`` from the refined Fourier vector of ``solve_ince``.
 ``band_scale`` reads the symmetrizing diagonal off the bands, the route
 that ``ince.lg_scale`` replaces in the library.  ``random_states``
 supplies the random one-photon states of the OAM identity tests.
@@ -31,9 +34,20 @@ import math
 import mpmath as mp
 import numpy as np
 
-from elliptic_oam.beams import BeamGeometry
-from elliptic_oam.ince import _pencil, build_recurrence_matrix, eigenvalue_rank, lg_scale, series_harmonics, solve_ince
-from elliptic_oam.quantum import QuantumModeState
+from elliptic_oam.beams import BeamGeometry, eval_gaussian, eval_lg
+from elliptic_oam.ince import (
+    _pencil,
+    build_recurrence_matrix,
+    eigenvalue_rank,
+    eval_angular,
+    eval_radial,
+    lg_scale,
+    series_harmonics,
+    solve_ince,
+)
+from elliptic_oam.linalg import plane_quadrature_grid
+from elliptic_oam.quantum import QuantumModeState, decompose
+from elliptic_oam.verify import cartesian_to_elliptic
 from elliptic_oam.vortex import Vortex, _bilinear_zero
 
 
@@ -496,4 +510,31 @@ def loop_crossings(a, b):
         if d0 * d1 < 0.0:
             t = d0 / (d0 - d1)
             out.append(float(eps[i] + t * (eps[i + 1] - eps[i])))
+    return out
+
+
+def per_mode_series_ig(mode, ellipticity, geometry, x, y):
+    """The elliptic-series field of one mode, its coordinates, envelope and norm grid built afresh."""
+    poly = solve_ince(mode, ellipticity)
+    semifocal = geometry.semifocal(ellipticity)
+
+    def profile(x, y):
+        point = cartesian_to_elliptic(x, y, semifocal)
+        envelope = eval_gaussian(geometry, x, y)
+        return eval_radial(poly, point.xi) * eval_angular(poly, point.eta) * envelope
+
+    X, Y, W = plane_quadrature_grid(8.0 * geometry.width, 160)
+    norm = math.sqrt(float(np.sum(np.abs(profile(X, Y)) ** 2 * W)))
+    return profile(x, y) * np.exp(-1j * mode.p * geometry.gouy) / norm
+
+
+def per_mode_quadrature_weights(mode, eps, waist=1.0):
+    """LG weights {l: D} of one mode by overlap quadrature, every LG field evaluated afresh."""
+    geo = geometry(waist)
+    X, Y, W = plane_quadrature_grid(8.0 * waist, 128)
+    ig = per_mode_series_ig(mode, eps, geo, X, Y)
+    out = {}
+    for l in decompose(mode, eps).charges.tolist():
+        lg = eval_lg((mode.p - l) // 2, l, mode.parity.value, geo, X, Y)
+        out[l] = float(np.sum(np.conj(lg) * ig * W).real)
     return out

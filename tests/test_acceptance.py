@@ -61,10 +61,11 @@ def test_criterion_02_zero_ellipticity_eigenvalue_anchor():
 def test_criterion_03_decomposition_quadrature_equivalence():
     start = time.perf_counter()
     worst = 0.0
+    modes = valid_modes(8)
+    plane = verify._QuadraturePlane(1.0)  # one LG table for the three eps, as in the battery
     for eps in (0.5, 2.0, 5.0):
-        for mode in valid_modes(8):
+        for mode, oracle in zip(modes, verify._overlap_weights(modes, eps, plane)):
             weights = dict(quantum.decompose(mode, eps).terms)
-            oracle = quadrature_weights(mode, eps)
             worst = max(worst, max(abs(weights[i] - oracle[i]) for i in oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-7 and elapsed <= 60.0

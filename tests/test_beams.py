@@ -1,6 +1,7 @@
 """Tests for field evaluation: coordinates, envelopes, LG/HG/IG/HIG modes."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -624,3 +625,27 @@ class TestComplexField:
         assert not field.values.flags.writeable
         values[3, 4] = 2.0 + 1.0j
         assert field.values[3, 4] == 0.0
+
+    def test_sample_grid_takes_over_a_fresh_grid(self):
+        made = []
+
+        def fresh(x, y):
+            out = np.full((16, 16), 1.0 + 2.0j)
+            made.append(weakref.ref(out))
+            return out
+
+        field = sample_grid(fresh, 1.0, 16)
+        assert made[0]() is field.values
+        assert not field.values.flags.writeable
+
+    def test_sample_grid_copies_a_held_grid(self):
+        held = np.full((16, 16), 1.0 + 2.0j)
+        field = sample_grid(lambda x, y: held, 1.0, 16)
+        assert field.values is not held and not np.shares_memory(field.values, held)
+        assert held.flags.writeable and not field.values.flags.writeable
+        held[3, 4] = 0.0
+        assert field.values[3, 4] == 1.0 + 2.0j
+
+    def test_sample_grid_checks_a_fresh_grid(self):
+        with pytest.raises(GridError):
+            sample_grid(lambda x, y: np.full((16, 16), complex(np.nan, 0.0)), 1.0, 16)
