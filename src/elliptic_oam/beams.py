@@ -87,9 +87,11 @@ class BeamGeometry:
 class ComplexField:
     """Complex samples on a uniform rectangular grid, row-major in y then x.
 
-    ``values`` is copied, so the caller's array stays writeable and
-    detached; ``_fresh=True`` takes over a new complex array that nothing
-    else references, as ``sample_grid`` does, without the copy.
+    ``values`` is copied into a C-ordered complex array, so the caller's
+    array stays writeable and detached, and whatever its memory layout the
+    field's real and imaginary parts interleave row by row; ``_fresh=True``
+    takes over a new C-ordered complex array that nothing else references,
+    as ``sample_grid`` does, without the copy.
     """
 
     nx: int
@@ -100,7 +102,7 @@ class ComplexField:
     _fresh: InitVar[bool] = field(default=False, kw_only=True)
 
     def __post_init__(self, _fresh):
-        values = self.values if _fresh else np.array(self.values, dtype=complex)
+        values = self.values if _fresh else np.array(self.values, dtype=complex, order="C")
         if values.shape != (self.ny, self.nx):
             raise GridError(f"values shape {values.shape} != (ny={self.ny}, nx={self.nx})")
         if self.spacing <= 0.0:
@@ -292,9 +294,10 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
     as a row of shape (1, resolution) and y as a column of shape
     (resolution, 1), and its result is broadcast to the square; the field
     evaluators take such axes as a grid.  Deterministic row-major output.
-    A new complex square that nothing else references, which is what the
-    evaluators return, becomes the field's values without a copy; any
-    other result is copied, so an array the callable keeps stays writeable.
+    A new C-ordered complex square that nothing else references, which is
+    what the evaluators return, becomes the field's values without a copy;
+    any other result is copied, so an array the callable keeps stays
+    writeable.
     """
     if resolution < 16:
         raise GridError(f"resolution must be at least 16, got {resolution}")
@@ -308,11 +311,12 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
         isinstance(values, np.ndarray)
         and values.dtype == complex
         and values.shape == (resolution, resolution)
+        and values.flags.c_contiguous
         and values.base is None
         and sys.getrefcount(values) <= 2
     )
     if not fresh:
-        values = np.array(np.broadcast_to(values, (resolution, resolution)), dtype=complex)
+        values = np.array(np.broadcast_to(values, (resolution, resolution)), dtype=complex, order="C")
     return ComplexField(
         nx=resolution,
         ny=resolution,

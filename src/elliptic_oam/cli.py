@@ -138,17 +138,16 @@ def cmd_oam_curve(args) -> int:
 def _field_csv(field) -> bytes:
     """One ``x,y,re,im`` line per sample, row by row, every number as ``_fmt`` writes it.
 
-    The axis values are formatted once; each row fills one template with
-    its interleaved real and imaginary parts, and '%.17g' formats a float
-    exactly as format(value, '.17g') does.
+    The axis values are formatted once, into one row template whose y
+    placeholder (a letter no formatted float contains) each row replaces;
+    the row's real and imaginary parts, interleaved in the field's float64
+    view, fill it, and '%.17g' formats a float exactly as
+    format(value, '.17g') does.
     """
-    xs = [_fmt(x) for x in field.x_coords()]
-    parts = np.empty((field.nx, 2))
+    template = "".join(f"{_fmt(x)},y,%.17g,%.17g\n" for x in field.x_coords())
     rows = ["x,y,re,im\n"]
-    for y, values in zip(field.y_coords(), field.values):
-        y = _fmt(y)
-        parts[:, 0], parts[:, 1] = values.real, values.imag
-        rows.append("".join(f"{x},{y},%.17g,%.17g\n" for x in xs) % tuple(parts.ravel().tolist()))
+    for y, parts in zip(field.y_coords(), field.values.view(np.float64)):
+        rows.append(template.replace("y", _fmt(y)) % tuple(parts.tolist()))
     return "".join(rows).encode("utf-8")
 
 

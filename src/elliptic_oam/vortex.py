@@ -5,8 +5,12 @@ plaquette.  Real-valued fields (even/odd modes) produce pi phase jumps
 across nodal lines that must not be mistaken for vortices, so a plaquette
 only counts when both the real and the imaginary part change sign among its
 corners, i.e. when an isolated zero of the complex field can lie inside.
-That test runs first, on boolean corner masks; the winding is computed only
-on the few plaquettes that pass it.
+That test runs first, as a few whole-array boolean passes over the field's
+interleaved float64 view: one comparison each way against zero, then ORs
+over the row pairs and column pairs of each plaquette's corners.  The
+winding is computed only on the few plaquettes that pass it, and each
+vortex is positioned by a Newton polish of the bilinear interpolant's zero,
+run on its corner values as Python complex numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ def _wrap(angles: np.ndarray) -> np.ndarray:
     return np.mod(angles + np.pi, 2.0 * np.pi) - np.pi
 
 
-def _bilinear_zero(f00, f10, f01, f11) -> tuple:
+def _bilinear_zero(f00: complex, f10: complex, f01: complex, f11: complex) -> tuple:
     """Newton solve for the zero of the bilinear interpolant, in cell units."""
     u, v = 0.5, 0.5
     for _ in range(30):
@@ -62,43 +66,65 @@ def _bilinear_zero(f00, f10, f01, f11) -> tuple:
     return min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
 
 
-def _sign_change(component: np.ndarray) -> np.ndarray:
-    """Plaquettes with a corner above zero and a corner below zero."""
-    above = component > 0.0
-    below = component < 0.0
-    return (
-        (above[:-1, :-1] | above[:-1, 1:] | above[1:, :-1] | above[1:, 1:])
-        & (below[:-1, :-1] | below[:-1, 1:] | below[1:, :-1] | below[1:, 1:])
-    )
+def _candidate_mask(values: np.ndarray) -> np.ndarray:
+    """Plaquettes where both quadratures change sign among the four corners.
+
+    ``values`` must be C-ordered.  Its float64 view holds each sample's real
+    and imaginary part side by side, so one comparison each way flags the
+    signs of both quadratures at once, and a sample's x-neighbour sits two
+    columns on.  The flags are OR-ed over row pairs, then over those column
+    pairs, which leaves "a corner above zero" and "a corner below zero" per
+    plaquette and quadrature; a candidate has both, in both quadratures.
+    Each step writes into a plane whose flags are spent, so the pass holds
+    three boolean planes of the float view's size.
+    """
+    parts = values.view(np.float64)
+    above = parts > 0.0
+    below = parts < 0.0
+    above_rows = above[:-1] | above[1:]
+    below_rows = np.bitwise_or(below[:-1], below[1:], out=above[:-1])
+    any_above = np.bitwise_or(above_rows[:, :-2], above_rows[:, 2:], out=below[:-1, :-2])
+    any_below = np.bitwise_or(below_rows[:, :-2], below_rows[:, 2:], out=above_rows[:, :-2])
+    change = np.bitwise_and(any_above, any_below, out=any_below)
+    return change[:, 0::2] & change[:, 1::2]
 
 
 def find_vortices(field: ComplexField):
     """Detect phase singularities and their charges on a sampled field.
 
-    Candidates are found first: a plaquette can enclose a zero only if both
-    field quadratures change sign among its corners, a test on boolean
-    corner masks.  Only on the candidates are the wrapped phase differences
-    around the four corners summed; a nonzero multiple of 2*pi marks an
-    enclosed singularity, positioned at the bilinear zero-crossing estimate.
-    Candidates whose corner amplitudes do not all clear
-    1e-9 * max|field| are treated as numerical noise.  Result is sorted by
-    the plaquette's column index, then its row index: nearly x then y, but
-    a field that moves by rounding keeps its order.
+    Candidates are found first, in a few whole-array boolean passes over
+    the field's interleaved float view (``_candidate_mask``): a plaquette
+    can enclose a zero only if both field quadratures change sign among its
+    corners.  They are read off as flat indices.  Only on the candidates
+    are the wrapped phase differences around the four corners summed; a
+    nonzero multiple of 2*pi marks an enclosed singularity.  Candidates
+    whose corner amplitudes do not all clear 1e-9 * max|field| are treated
+    as numerical noise.  Each survivor is positioned at the zero of the
+    bilinear interpolant by a Newton solve on its corner values as Python
+    complex numbers.  Result is sorted by the plaquette's column index,
+    then its row index: nearly x then y, but a field that moves by rounding
+    keeps its order.  The search's temporaries stay under half of the
+    field's bytes.
     """
-    if field.nx < 8 or field.ny < 8:
-        raise GridError(f"grid {field.ny}x{field.nx} too small for winding detection (need 8x8)")
+    nx, ny = field.nx, field.ny
+    if nx < 8 or ny < 8:
+        raise GridError(f"grid {ny}x{nx} too small for winding detection (need 8x8)")
     values = field.values
-    iy, ix = np.nonzero(_sign_change(values.real) & _sign_change(values.imag))
-    c00 = values[iy, ix]
-    c10 = values[iy, ix + 1]
-    c11 = values[iy + 1, ix + 1]
-    c01 = values[iy + 1, ix]
+    iy, ix = np.divmod(np.flatnonzero(_candidate_mask(values)), nx - 1)
+    samples = values.reshape(-1)
+    corner = iy * nx + ix
+    c00 = samples[corner]
+    c10 = samples[corner + 1]
+    c01 = samples[corner + nx]
+    c11 = samples[corner + (nx + 1)]
     p00, p10, p11, p01 = (np.angle(c) for c in (c00, c10, c11, c01))
     winding = (
         _wrap(p10 - p00) + _wrap(p11 - p10) + _wrap(p01 - p11) + _wrap(p00 - p01)
     )
     charge = np.rint(winding / (2.0 * np.pi)).astype(int)
-    floor = 1e-9 * float(np.abs(values).max())
+    # max|field| half by half, so its temporary is a quarter of the field's bytes
+    half = ny // 2
+    floor = 1e-9 * max(float(np.abs(values[:half]).max()), float(np.abs(values[half:]).max()))
     corner_min = np.minimum(
         np.minimum(np.abs(c00), np.abs(c10)), np.minimum(np.abs(c01), np.abs(c11))
     )
@@ -109,12 +135,12 @@ def find_vortices(field: ComplexField):
     x0, y0 = field.origin
     spacing = field.spacing
     found = []
-    for k in keep:
-        u, v = _bilinear_zero(c00[k], c10[k], c01[k], c11[k])
+    for k in keep.tolist():
+        u, v = _bilinear_zero(c00[k].item(), c10[k].item(), c01[k].item(), c11[k].item())
         found.append(
             Vortex(
-                x=x0 + (ix[k] + u) * spacing,
-                y=y0 + (iy[k] + v) * spacing,
+                x=x0 + (int(ix[k]) + u) * spacing,
+                y=y0 + (int(iy[k]) + v) * spacing,
                 charge=int(charge[k]),
             )
         )

@@ -22,7 +22,10 @@ as powers of the unit phasor.  ``polar_lg_sum`` evaluates the same LG sum
 with the azimuth from arctan2 and one cos and sin per row, over the whole
 array at once, and ``hg_projection`` projects it onto the HG modes of its
 order by Gauss-Hermite quadrature.  ``dense_vortices`` is the whole-grid
-winding detector that ``vortex.find_vortices`` must match exactly, and
+winding detector that ``vortex.find_vortices`` must match exactly, with its
+own Newton polish on numpy scalars, ``scalar_bilinear_zero``;
+``sign_change`` is the per-quadrature corner test that the packed candidate
+mask of ``vortex`` must reproduce, and
 ``field_csv`` the per-sample writer whose bytes the CLI's field CSV must
 reproduce.  ``loop_turning_points`` and ``loop_crossings`` are the
 per-sample loops whose results ``quantum.find_turning_points`` and
@@ -48,7 +51,7 @@ from elliptic_oam.ince import (
 from elliptic_oam.linalg import plane_quadrature_grid
 from elliptic_oam.quantum import QuantumModeState, decompose
 from elliptic_oam.verify import cartesian_to_elliptic
-from elliptic_oam.vortex import Vortex, _bilinear_zero
+from elliptic_oam.vortex import Vortex
 
 
 def sturm_count(diag, sub, sup, x):
@@ -436,14 +439,51 @@ def field_csv(field):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def sign_change(component):
+    """Plaquettes with a corner above zero and a corner below zero, per quadrature.
+
+    Boolean corner masks OR-ed over the four corners; the candidate test of
+    ``vortex.find_vortices`` is this AND-ed over the real and imaginary parts.
+    """
+    above = component > 0.0
+    below = component < 0.0
+    return (
+        (above[:-1, :-1] | above[:-1, 1:] | above[1:, :-1] | above[1:, 1:])
+        & (below[:-1, :-1] | below[:-1, 1:] | below[1:, :-1] | below[1:, 1:])
+    )
+
+
+def scalar_bilinear_zero(f00, f10, f01, f11):
+    """Newton solve for the zero of the bilinear interpolant, in cell units.
+
+    The same iteration as ``vortex._bilinear_zero``, run here on the numpy
+    complex scalars that indexing a field returns.
+    """
+    u, v = 0.5, 0.5
+    for _ in range(30):
+        value = f00 * (1 - u) * (1 - v) + f10 * u * (1 - v) + f01 * (1 - u) * v + f11 * u * v
+        du = (f10 - f00) * (1 - v) + (f11 - f01) * v
+        dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
+        det = du.real * dv.imag - du.imag * dv.real
+        if det == 0.0:
+            break
+        step_u = (value.real * dv.imag - value.imag * dv.real) / det
+        step_v = (du.real * value.imag - du.imag * value.real) / det
+        u -= step_u
+        v -= step_v
+        if abs(step_u) < 1e-14 and abs(step_v) < 1e-14:
+            break
+    return min(max(u, 0.0), 1.0), min(max(v, 0.0), 1.0)
+
+
 def dense_vortices(field):
     """Phase singularities by the winding of every plaquette of the grid.
 
     The phase, the four wrapped corner differences, the 1e-9 * max|field|
     corner-amplitude floor and the sign change of both quadratures are all
     computed over the whole plaquette grid, then filtered; survivors are
-    refined by the library's bilinear zero and listed by plaquette column,
-    then row.
+    refined by ``scalar_bilinear_zero`` on numpy scalars and listed by
+    plaquette column, then row.
     """
     values = field.values
     phase = np.angle(values)
@@ -462,15 +502,19 @@ def dense_vortices(field):
         np.minimum(amplitude[1:, :-1], amplitude[1:, 1:]),
     )
 
-    def sign_change(component):
+    def corner_sign_change(component):
         corners = (component[:-1, :-1], component[:-1, 1:], component[1:, 1:], component[1:, :-1])
         return (np.maximum.reduce(corners) > 0.0) & (np.minimum.reduce(corners) < 0.0)
 
-    candidates = (charge != 0) & (corner_min > floor) & sign_change(values.real) & sign_change(values.imag)
+    candidates = (
+        (charge != 0) & (corner_min > floor) & corner_sign_change(values.real) & corner_sign_change(values.imag)
+    )
     x0, y0 = field.origin
     found = []
     for iy, ix in sorted(zip(*np.nonzero(candidates)), key=lambda cell: (cell[1], cell[0])):
-        u, v = _bilinear_zero(values[iy, ix], values[iy, ix + 1], values[iy + 1, ix], values[iy + 1, ix + 1])
+        u, v = scalar_bilinear_zero(
+            values[iy, ix], values[iy, ix + 1], values[iy + 1, ix], values[iy + 1, ix + 1]
+        )
         found.append(
             Vortex(x=x0 + (ix + u) * field.spacing, y=y0 + (iy + v) * field.spacing, charge=int(charge[iy, ix]))
         )

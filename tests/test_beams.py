@@ -649,3 +649,19 @@ class TestComplexField:
     def test_sample_grid_checks_a_fresh_grid(self):
         with pytest.raises(GridError):
             sample_grid(lambda x, y: np.full((16, 16), complex(np.nan, 0.0)), 1.0, 16)
+
+    def test_values_are_c_ordered_whatever_the_callers_layout(self):
+        values = np.asfortranarray(np.arange(24 * 16).reshape(24, 16) * (1.0 - 0.5j))
+        field = ComplexField(16, 24, (0.0, 0.0), 0.1, values)
+        assert field.values.flags.c_contiguous
+        np.testing.assert_array_equal(field.values, values)
+
+    def test_sample_grid_copies_a_fresh_fortran_grid_to_c_order(self):
+        grid = np.arange(256).reshape(16, 16) * (1.0 + 2.0j)
+
+        def fortran(x, y):
+            return np.asfortranarray(grid)
+
+        field = sample_grid(fortran, 1.0, 16)
+        assert field.values.flags.c_contiguous
+        np.testing.assert_array_equal(field.values, grid)

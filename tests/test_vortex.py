@@ -1,6 +1,7 @@
 """Tests for phase-singularity detection and the ellipticity census."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from elliptic_oam.beams import ComplexField, eval_hig, eval_ig, eval_lg, sample_grid
 from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity
-from elliptic_oam.vortex import census_window, find_vortices, vortex_census
+from elliptic_oam.vortex import _bilinear_zero, _candidate_mask, census_window, find_vortices, vortex_census
 
-from oracles import dense_vortices, geometry
+from oracles import dense_vortices, geometry, scalar_bilinear_zero, sign_change
 
 M53 = ModeIndex(5, 3, Parity.EVEN)
 M22 = ModeIndex(2, 2, Parity.EVEN)
@@ -117,8 +118,26 @@ class TestFindVortices:
             find_vortices(field)
 
 
+def lg_sum_field(nx, ny, half_width, terms, order="C"):
+    """A sum of LG modes on an nx-by-ny grid of square cells, in the given memory order."""
+    geo = geometry()
+    spacing = 2.0 * half_width / (max(nx, ny) - 1)
+    xs = -half_width + spacing * np.arange(nx)
+    ys = -half_width + spacing * np.arange(ny)
+    X, Y = np.meshgrid(xs, ys)
+    values = sum(c * eval_lg(n, l, kind, geo, X, Y) for n, l, kind, c in terms)
+    return ComplexField(nx, ny, (-half_width, -half_width), spacing, np.array(values, order=order))
+
+
+SPLIT_TERMS = [(0, 2, "helical_plus", 1.0), (1, 1, "even", 0.4 + 0.3j), (0, 3, "helical_minus", 0.2j)]
+
+
 class TestDenseOracle:
-    """The sign-change-first search equals the whole-grid winding detector."""
+    """The sign-change-first search equals the whole-grid winding detector.
+
+    The oracle polishes on numpy scalars with its own copy of the Newton
+    iteration, so these also check the library's Python-complex polish.
+    """
 
     @pytest.mark.parametrize("p, m", [(4, 2), (5, 3), (7, 5), (9, 1), (12, 6), (20, 10)])
     @pytest.mark.parametrize("eps", [0.05, 0.8, 2.0, 5.3, 30.0])
@@ -155,6 +174,90 @@ class TestDenseOracle:
         values = sum(c * eval_lg(n, l, kind if l else "even", geo, X, Y) for n, l, kind, c in terms)
         field = ComplexField(resolution, resolution, (-half_width, -half_width), coords[1] - coords[0], values)
         assert find_vortices(field) == dense_vortices(field)
+
+    def test_fortran_ordered_field(self):
+        c_field = lg_sum_field(96, 96, 3.0, SPLIT_TERMS)
+        f_values = np.asfortranarray(c_field.values)
+        assert f_values.flags.f_contiguous and not f_values.flags.c_contiguous
+        f_field = ComplexField(96, 96, c_field.origin, c_field.spacing, f_values)
+        found = find_vortices(f_field)
+        assert len(found) >= 3
+        assert found == find_vortices(c_field) == dense_vortices(f_field)
+
+    @pytest.mark.parametrize("nx, ny", [(64, 37), (37, 64), (8, 9), (9, 8)])
+    def test_non_square_grids(self, nx, ny):
+        for order in ("C", "F"):
+            field = lg_sum_field(nx, ny, 2.5, SPLIT_TERMS, order)
+            assert find_vortices(field) == dense_vortices(field), order
+
+    def test_non_square_transpose_swaps_coordinates(self):
+        field = lg_sum_field(64, 37, 2.5, SPLIT_TERMS)
+        flipped = ComplexField(37, 64, field.origin, field.spacing, field.values.T)
+        found = find_vortices(field)
+        assert len(found) >= 2
+        # transposing x and y mirrors the phase, so the charges flip
+        assert sorted((round(v.y, 9), round(v.x, 9), -v.charge) for v in found) == sorted(
+            (round(v.x, 9), round(v.y, 9), v.charge) for v in find_vortices(flipped)
+        )
+
+    def test_exact_zero_corners(self):
+        # zeros on a sample, on a cell edge and inside a cell of a grid through
+        # the origin, where whole rows and columns of a quadrature are exact zeros
+        coords = np.arange(-8, 9) * 0.25
+        X, Y = np.meshgrid(coords, coords)
+        z = X + 1j * Y
+        counts = []
+        for values in (z, z**2, (z - 0.125) * (z + 0.5 + 0.25j), z * np.conj(z - 0.375 - 0.125j)):
+            field = ComplexField(17, 17, (-2.0, -2.0), 0.25, values)
+            assert np.any(field.values == 0.0)
+            found = find_vortices(field)
+            assert found == dense_vortices(field)
+            counts.append(len(found))
+        # a zero on a sample fails the corner-amplitude floor; one on an edge or inside a cell is found
+        assert counts == [0, 0, 1, 1]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda ny: st.integers(2, 12).flatmap(
+                lambda nx: st.lists(
+                    st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from([-1.0, 0.0, 1.0])),
+                    min_size=nx * ny,
+                    max_size=nx * ny,
+                ).map(lambda cells: np.array([complex(*c) for c in cells]).reshape(ny, nx))
+            )
+        )
+    )
+    def test_candidate_mask_matches_per_quadrature_sign_change(self, values):
+        expected = sign_change(values.real) & sign_change(values.imag)
+        np.testing.assert_array_equal(_candidate_mask(values), expected)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        st.lists(
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_python_complex_polish_matches_numpy_scalar_polish(self, corners):
+        as_numpy = [np.complex128(c) for c in corners]
+        assert _bilinear_zero(*corners) == scalar_bilinear_zero(*as_numpy)
+
+
+class TestAllocation:
+    @pytest.mark.parametrize("resolution", [256, 512])
+    def test_traced_peak_is_at_most_half_the_field(self, resolution):
+        field = hig_field(M53, 2.0, resolution, z=0.3)
+        find_vortices(field)  # first-call allocations (caches, code) are not the search's
+        tracemalloc.start()
+        try:
+            found = find_vortices(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(found) > 10
+        assert peak <= field.values.nbytes // 2, (peak, field.values.nbytes)
 
 
 class TestCensus:
