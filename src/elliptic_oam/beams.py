@@ -10,10 +10,11 @@ Every LG, HG, IG and helical IG field has one Gouy order p, and every field
 of order p is a sum over the Hermite-Gauss modes HG_(k, p - k) of that order.
 The HG coefficients of a state are its even and odd LG amplitudes (the
 expansion of ``quantum.decompose`` for IG fields) times the LG -> HG
-transform of the order, which does not depend on the ellipticity.  The HG
-sum separates in x and y: on a grid it is one matrix product of 1-D
-Hermite-function rows, and its curvature phase is an outer product of two
-1-D phases.  The Laguerre-Gauss sum and the elliptic-coordinate series
+transform of the order, which does not depend on the ellipticity: it is
+built once per order and kept as a read-only table, so a field pays only
+for its own LG amplitudes and its grid.  The HG sum separates in x and y:
+on a grid it is one matrix product of 1-D Hermite-function rows, and its
+curvature phase is an outer product of two 1-D phases.  The Laguerre-Gauss sum and the elliptic-coordinate series
 are kept as independent oracles, in the test suite and in ``verify``.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,7 +93,12 @@ class ComplexField:
     array stays writeable and detached, and whatever its memory layout the
     field's real and imaginary parts interleave row by row; ``_fresh=True``
     takes over a new C-ordered complex array that nothing else references,
-    as ``sample_grid`` does, without the copy.
+    as ``sample_grid`` does, without the copy.  Every sample must be
+    finite: the check is the largest and the smallest entry of that
+    interleaved float64 view, two reductions with no temporary array, as
+    a NaN anywhere propagates to both and an infinity shows in one.  They
+    also give ``max_part``, the largest |Re| or |Im| of any sample, which
+    stays exact because ``values`` is read-only.
     """
 
     nx: int
@@ -100,6 +107,7 @@ class ComplexField:
     spacing: float
     values: np.ndarray
     _fresh: InitVar[bool] = field(default=False, kw_only=True)
+    max_part: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _fresh):
         values = self.values if _fresh else np.array(self.values, dtype=complex, order="C")
@@ -107,10 +115,13 @@ class ComplexField:
             raise GridError(f"values shape {values.shape} != (ny={self.ny}, nx={self.nx})")
         if self.spacing <= 0.0:
             raise GridError(f"spacing must be positive, got {self.spacing}")
-        if not np.all(np.isfinite(values)):
+        parts = values.view(np.float64)
+        top, bottom = parts.max(initial=0.0), parts.min(initial=0.0)
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise GridError("field contains non-finite samples")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "max_part", max(float(top), -float(bottom)))
 
     def x_coords(self) -> np.ndarray:
         return self.origin[0] + self.spacing * np.arange(self.nx)
@@ -149,6 +160,7 @@ def _hermite_rows(order: int, u) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=32)
 def _lg_to_hg(order: int) -> np.ndarray:
     """Real orthogonal T with LG_j = sum_k T[k, j] HG_(k, order - k).
 
@@ -166,7 +178,9 @@ def _lg_to_hg(order: int) -> np.ndarray:
     leading coefficient of L_n^l.  So the cos and sin modes are
     (-1)^n sqrt(2) cos((l - k) pi / 2) u_k and (-1)^n sqrt(2) sin((l - k) pi / 2) u_k,
     real, each on the k of one parity; at l = 0 the sqrt(2) drops out.
-    The transform does not depend on the ellipticity.
+    The transform does not depend on the ellipticity, so it is a constant
+    table of the order, like ``linalg._gauss_legendre``'s nodes: each order
+    is solved once and kept, read-only, in a bounded cache.
     """
     k = np.arange(order + 1)
     charge = np.abs(2 * k - order)
@@ -176,7 +190,9 @@ def _lg_to_hg(order: int) -> np.ndarray:
     # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
     pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
     scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)
-    return u * pattern * scale
+    table = u * pattern * scale
+    table.setflags(write=False)
+    return table
 
 
 def _hg_coefficients(state: QuantumModeState) -> np.ndarray:
@@ -199,6 +215,7 @@ def _hg_coefficients(state: QuantumModeState) -> np.ndarray:
     return coefficients
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
     """The field sum_k C_k HG_(k, p - k) at z, of Gouy order p = len(C) - 1.
 
@@ -208,12 +225,15 @@ def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
     (ny, 1), the axes that ``sample_grid`` passes, is a grid: the sum is one
     (ny x (p + 1)) @ ((p + 1) x nx) product of Hermite rows, with the phases
     and the scale folded into the two factors as 1-D arrays, so no
-    exponential is taken per grid point.  Other points take the same sum
-    elementwise, term by term in ascending k, so each point's value does
-    not depend on the block it falls in; the blocks of
-    ``_ROW_TABLE // (p + 1)`` points keep their Hermite rows in cache.  Zero
-    coefficient parts are skipped.  A 0-d input gives a numpy complex
-    scalar.
+    exponential is taken per grid point; equal x and y axes, as on the
+    square grids of ``sample_grid``, share their rows and phases.  Other
+    points take the same sum elementwise, term by term in ascending k, so
+    each point's value does not depend on the block it falls in; the
+    blocks of ``_ROW_TABLE // (p + 1)`` points keep their Hermite rows in
+    cache.  Zero coefficient parts are skipped.  A 0-d input gives a numpy complex
+    scalar.  Points far outside the beam may overflow to inf or NaN
+    without a warning: ``ComplexField`` gives the verdict on non-finite
+    samples.
     """
     order = coefficients.size - 1
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -222,9 +242,13 @@ def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
         x, y = x[0], y[:, 0]
         curvature = 0.5 * geometry.wavenumber * geometry.inverse_curvature
         gouy = np.exp(-1j * (order + 1) * geometry.gouy)
-        x_factor = _hermite_rows(order, scale * x) * (scale * np.exp(1j * curvature * x**2))
-        y_factor = _hermite_rows(order, scale * y)[::-1].T * (coefficients * gouy)
-        return (y_factor * np.exp(1j * curvature * y**2)[:, None]) @ x_factor
+        rows_x, phase_x = _hermite_rows(order, scale * x), np.exp(1j * curvature * x**2)
+        same = np.array_equal(x, y)
+        rows_y = rows_x if same else _hermite_rows(order, scale * y)
+        phase_y = phase_x if same else np.exp(1j * curvature * y**2)
+        x_factor = rows_x * (scale * phase_x)
+        y_factor = rows_y[::-1].T * (coefficients * gouy)
+        return (y_factor * phase_y[:, None]) @ x_factor
     x, y = np.broadcast_arrays(x, y)
     out = np.empty(x.shape, dtype=complex)
     flat_x, flat_y, flat_out = x.ravel(), y.ravel(), out.reshape(-1)
@@ -303,7 +327,8 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
         raise GridError(f"resolution must be at least 16, got {resolution}")
     if not 0.0 < window_half_width < np.inf:
         raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
-    coords = np.linspace(-window_half_width, window_half_width, resolution)
+    with np.errstate(over="ignore", invalid="ignore"):  # a window near the double range spans inf
+        coords = np.linspace(-window_half_width, window_half_width, resolution)
     values = field(coords[None, :], coords[:, None])
     # it owns its memory and only this name refers to it (the reference
     # count test of numpy's ndarray.resize), so no caller can see it frozen

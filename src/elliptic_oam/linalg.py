@@ -93,7 +93,7 @@ def _symmetric_eigenpairs(diag, coupling, ranks):
     eigenvalue of its matrix, the scale of eigh's error.
     """
     ranks = np.asarray(ranks)
-    if np.max(coupling, initial=0.0) > _LARGEST_COUPLING:
+    if coupling.max(initial=0.0) > _LARGEST_COUPLING:
         raise SolverError("a coupling product sub[i]*sup[i] overflows the double range")
     count, dimension = diag.shape
     stack = np.zeros((count, dimension, dimension))
@@ -108,10 +108,12 @@ def _symmetric_eigenpairs(diag, coupling, ranks):
     chosen, vectors = values[:, ranks], vectors[:, :, ranks]
     # S v - lam v from the bands: a dense product costs d^3 at d ranks, and
     # BLAS's matrix-matrix buffers raise the peak memory of small solves
-    error = (diag[:, :, None] - chosen[:, None, :]) * vectors
-    error[:, :-1] += coupling[:, :, None] * vectors[:, 1:]
-    error[:, 1:] += coupling[:, :, None] * vectors[:, :-1]
-    residual = np.sqrt(np.sum(error * error, axis=1))
+    error = diag[:, :, None] - chosen[:, None, :]
+    error *= vectors
+    band = coupling[:, :, None]
+    error[:, :-1] += band * vectors[:, 1:]
+    error[:, 1:] += band * vectors[:, :-1]
+    residual = np.sqrt(np.sum(np.square(error, out=error), axis=1))
     # the values ascend, so the largest |value| is at one end
     bad = ~(residual <= 1e-10 * (1.0 + np.maximum(-values[:, :1], values[:, -1:])))
     if bad.any():
@@ -121,7 +123,8 @@ def _symmetric_eigenpairs(diag, coupling, ranks):
         )
     first = np.argmax(np.abs(vectors) > 1e-8, axis=1)
     flips = vectors[np.arange(count)[:, None], first, np.arange(ranks.size)] < 0.0
-    flips ^= _sturm_flips(diag.T[:, :, None], (coupling * coupling).T[:, :, None], chosen, first)
+    if first.any():  # with every first entry at 0 the Sturm sequence flips nothing
+        flips ^= _sturm_flips(diag.T[:, :, None], (coupling * coupling).T[:, :, None], chosen, first)
     return values, np.where(flips[:, None, :], -vectors, vectors)
 
 

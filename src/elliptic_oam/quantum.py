@@ -205,18 +205,23 @@ def _check_helical(mode: ModeIndex, epsilons: np.ndarray) -> None:
 
 
 def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
-    """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes."""
-    _check_helical(mode, np.array([ellipticity], dtype=float))
+    """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes.
+
+    The even and odd ladders are solved as ``decompose`` solves one, on a
+    one-point eps grid, without building a ``Decomposition`` for either.
+    """
+    eps = np.array([ellipticity], dtype=float)
+    _check_helical(mode, eps)
     sign = _as_sign(sign)
-    even = decompose(ModeIndex(mode.p, mode.m, Parity.EVEN), ellipticity)
-    odd = decompose(ModeIndex(mode.p, mode.m, Parity.ODD), ellipticity)
+    charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), eps)
+    _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), eps)
     # the odd ladder stops at l = 1 or 2; the even one may go on to l = 0
-    odd_weights = np.concatenate((odd.weights, np.zeros(even.charges.size - odd.charges.size)))
+    odd_weights = np.concatenate((odd[0], np.zeros(charges.size - odd.shape[1])))
     phase = 1j * sign.value_int / math.sqrt(2.0)
     return QuantumModeState(
-        n=(mode.p - even.charges) // 2,
-        l=even.charges,
-        even=even.weights / math.sqrt(2.0),
+        n=(mode.p - charges) // 2,
+        l=charges,
+        even=even[0] / math.sqrt(2.0),
         odd=phase * odd_weights,
     )
 

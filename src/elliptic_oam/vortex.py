@@ -89,6 +89,18 @@ def _candidate_mask(values: np.ndarray) -> np.ndarray:
     return change[:, 0::2] & change[:, 1::2]
 
 
+# Relative margin on the bracket of the noise floor, far above the few ulp
+# by which a rounded |z| and the products 1e-9 * ... can stray.
+_FLOOR_MARGIN = 1e-12
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
+
+def _noise_floor(values: np.ndarray) -> float:
+    """1e-9 * max|field|, half by half, so its temporary is a quarter of the field's bytes."""
+    half = values.shape[0] // 2
+    return 1e-9 * max(float(np.abs(values[:half]).max()), float(np.abs(values[half:]).max()))
+
+
 def find_vortices(field: ComplexField):
     """Detect phase singularities and their charges on a sampled field.
 
@@ -99,7 +111,15 @@ def find_vortices(field: ComplexField):
     are the wrapped phase differences around the four corners summed; a
     nonzero multiple of 2*pi marks an enclosed singularity.  Candidates
     whose corner amplitudes do not all clear 1e-9 * max|field| are treated
-    as numerical noise.  Each survivor is positioned at the zero of the
+    as numerical noise.  That floor is bracketed first without a complex
+    modulus: with M the largest |Re| or |Im| of any sample
+    (``ComplexField.max_part``, read off the max and min of the float view
+    when the field was checked finite), 1e-9 M <= 1e-9 max|field| <=
+    1e-9 sqrt(2) M, so a charged candidate whose smallest corner amplitude
+    lies outside the bracket (widened by a rounding margin) is decided by
+    it.  Only if one falls inside, or the bracket is below the normal
+    double range, is max|field| itself taken, half by half; the survivors
+    are the same either way.  Each survivor is positioned at the zero of the
     bilinear interpolant by a Newton solve on its corner values as Python
     complex numbers.  Result is sorted by the plaquette's column index,
     then its row index: nearly x then y, but a field that moves by rounding
@@ -122,13 +142,16 @@ def find_vortices(field: ComplexField):
         _wrap(p10 - p00) + _wrap(p11 - p10) + _wrap(p01 - p11) + _wrap(p00 - p01)
     )
     charge = np.rint(winding / (2.0 * np.pi)).astype(int)
-    # max|field| half by half, so its temporary is a quarter of the field's bytes
-    half = ny // 2
-    floor = 1e-9 * max(float(np.abs(values[:half]).max()), float(np.abs(values[half:]).max()))
+    charged = charge != 0
     corner_min = np.minimum(
         np.minimum(np.abs(c00), np.abs(c10)), np.minimum(np.abs(c01), np.abs(c11))
     )
-    (keep,) = np.nonzero((charge != 0) & (corner_min > floor))
+    lower = 1e-9 * field.max_part * (1.0 - _FLOOR_MARGIN)
+    floor = 1e-9 * math.sqrt(2.0) * field.max_part * (1.0 + _FLOOR_MARGIN)
+    # below the normal range rounding is no longer relative, so the margin would not cover it
+    if lower < _SMALLEST_NORMAL or np.any(charged & (corner_min > lower) & (corner_min <= floor)):
+        floor = _noise_floor(values)
+    (keep,) = np.nonzero(charged & (corner_min > floor))
     # plaquette column, then row: integers, so rounding in the field cannot reorder them
     keep = keep[np.lexsort((iy[keep], ix[keep]))]
 

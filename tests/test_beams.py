@@ -278,6 +278,13 @@ class TestGouyKernel:
         value = self.evaluate(np.array([]), np.array([]))
         assert value.shape == (0,) and value.dtype == complex
 
+    def test_equal_axes_share_their_tables_bit_for_bit(self):
+        xs = np.linspace(-4.0, 4.0, 73)
+        ys = xs.copy()
+        ys[0] = -4.5  # one row off, so the y rows and phases are built on their own
+        shared, separate = self.evaluate(xs[None, :], xs[:, None]), self.evaluate(xs[None, :], ys[:, None])
+        np.testing.assert_array_equal(shared[1:], separate[1:])
+
     @pytest.mark.parametrize("z", [0.0, 0.3])
     def test_grid_path_equals_pointwise_path(self, z):
         xs, ys = np.linspace(-4.0, 4.0, 73), np.linspace(-3.0, 3.5, 65)
@@ -363,6 +370,11 @@ class TestHermiteGaussRoute:
         transform = beams._lg_to_hg(order)
         assert np.max(np.abs(transform - hg_projection(order))) <= 1e-13
         np.testing.assert_allclose(transform.T @ transform, np.eye(order + 1), rtol=0.0, atol=1e-13)
+
+    def test_transform_is_one_read_only_table_per_order(self):
+        transform = beams._lg_to_hg(9)
+        assert beams._lg_to_hg(9) is transform and not transform.flags.writeable
+        assert np.array_equal(transform, beams._lg_to_hg.__wrapped__(9))
 
     def test_high_order_transform_stays_orthogonal(self):
         transform = beams._lg_to_hg(400)
@@ -616,6 +628,19 @@ class TestSampleGrid:
         with pytest.raises(GridError):
             sample_grid(lambda x, y: x, 1.0, 8)
 
+    # 1e308 overflows the grid's span itself; at 1e200 the Hermite rows overflow
+    @pytest.mark.parametrize("window", [1e308, 1e200])
+    def test_overflowing_window_is_a_grid_error_without_warnings(self, window):
+        # RuntimeWarnings are errors in this suite, so a warning would surface in place of GridError
+        geo = geometry()
+        with pytest.raises(GridError, match="non-finite"):
+            sample_grid(lambda x, y: eval_hig(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0, geo, x, y), window, 32)
+
+    def test_far_scattered_points_overflow_without_warnings(self):
+        geo = geometry()
+        values = eval_hig(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0, geo, np.array([1e200, 0.3]), np.array([0.0, 0.2]))
+        assert not np.isfinite(values[0]) and np.isfinite(values[1])
+
 
 class TestComplexField:
     def test_caller_array_stays_writeable_and_detached(self):
@@ -649,6 +674,43 @@ class TestComplexField:
     def test_sample_grid_checks_a_fresh_grid(self):
         with pytest.raises(GridError):
             sample_grid(lambda x, y: np.full((16, 16), complex(np.nan, 0.0)), 1.0, 16)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("index", [(0, 0), (-1, -1)], ids=["first", "last"])
+    def test_a_non_finite_sample_is_refused(self, bad, part, index):
+        values = np.ones((16, 24), dtype=complex)
+        getattr(values, part)[index] = bad
+        with pytest.raises(GridError, match="non-finite"):
+            ComplexField(24, 16, (0.0, 0.0), 0.1, values)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [(complex(math.inf, 0.0), complex(-math.inf, 0.0)), (complex(0.0, -math.inf), complex(0.0, math.inf)),
+         (complex(math.inf, -math.inf), 0.0)],
+        ids=["re", "im", "one-sample"],
+    )
+    def test_opposite_infinities_are_refused(self, first, second):
+        values = np.zeros((16, 16), dtype=complex)
+        values[3, 4], values[11, 2] = first, second
+        with pytest.raises(GridError, match="non-finite"):
+            ComplexField(16, 16, (0.0, 0.0), 0.1, values)
+
+    def test_the_largest_doubles_are_finite(self):
+        # a sum of the samples would overflow here
+        largest = np.finfo(float).max
+        assert largest == 1.7976931348623157e308
+        values = np.full((16, 16), complex(largest, -largest))
+        values[::2] = complex(-largest, largest)
+        field = ComplexField(16, 16, (0.0, 0.0), 0.1, values)
+        np.testing.assert_array_equal(field.values, values)
+
+    def test_a_fortran_ordered_array_is_checked_in_every_sample(self):
+        values = np.asfortranarray(np.ones((24, 16), dtype=complex))
+        assert ComplexField(16, 24, (0.0, 0.0), 0.1, values).values.flags.c_contiguous
+        values[-1, 0] = complex(0.0, math.nan)
+        with pytest.raises(GridError, match="non-finite"):
+            ComplexField(16, 24, (0.0, 0.0), 0.1, values)
 
     def test_values_are_c_ordered_whatever_the_callers_layout(self):
         values = np.asfortranarray(np.arange(24 * 16).reshape(24, 16) * (1.0 - 0.5j))

@@ -362,6 +362,20 @@ class TestDomainErrors:
         assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
 
+class TestOverflowingWindow:
+    @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
+    def test_non_finite_field_prints_only_the_error(self, warnings):
+        proc = subprocess.run(
+            [sys.executable, "-W", warnings, "-m", "elliptic_oam.cli", "field", "-p", "5", "-m", "3",
+             "--kind", "helical_plus", "-e", "2", "--window", "1e308", "--resolution", "32"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: field contains non-finite samples\n"
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "poly.json"

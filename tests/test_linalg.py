@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import elliptic_oam
 from elliptic_oam import beams
-from elliptic_oam.beams import eval_lg
+from elliptic_oam.beams import eval_hig, eval_lg
 from elliptic_oam.errors import SolverError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince
 from elliptic_oam.linalg import TridiagonalMatrix, _symmetric_eigenpairs, eigen_tridiagonal, plane_quadrature_grid
@@ -192,7 +193,7 @@ class TestSymmetricEigenpairs:
         ],
         ids=["solve_ince", "decompose", "eval_lg"],
     )
-    def test_lapack_failure_is_a_solver_error(self, solve, monkeypatch):
+    def test_lapack_failure_is_a_solver_error(self, solve, monkeypatch, unbuilt_lg_to_hg):
         def failing(stack):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -200,7 +201,7 @@ class TestSymmetricEigenpairs:
         with pytest.raises(SolverError, match="did not converge"):
             solve()
 
-    def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch):
+    def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch, unbuilt_lg_to_hg):
         eigh = np.linalg.eigh
 
         def perturbed(stack):
@@ -211,6 +212,18 @@ class TestSymmetricEigenpairs:
         monkeypatch.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(SolverError, match="residual"):
             beams._lg_to_hg(4)
+
+
+@pytest.fixture
+def unbuilt_lg_to_hg():
+    """No LG -> HG table is kept, so the next field of any order solves its transform again.
+
+    The tables are built once per order; one built earlier in the session
+    would hide an eigensolve failure patched in by the test.
+    """
+    beams._lg_to_hg.cache_clear()
+    yield
+    beams._lg_to_hg.cache_clear()
 
 
 def _eigen_calls(path):
@@ -238,6 +251,50 @@ def test_one_eigen_kernel():
     assert {name: found for name, found in calls.items() if found} == {
         "linalg.py": [("_symmetric_eigenpairs", "eigh"), ("_symmetric_eigenpairs", "_sturm_flips")]
     }
+
+
+def _cached_functions(path):
+    """(function, decorator) of every function decorated with ``lru_cache`` or ``cache`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name in ("lru_cache", "cache"):
+                    found.append((node.name, name))
+    return found
+
+
+def test_only_constant_tables_are_cached():
+    # tables keyed by a Gouy order or a node count; a (mode, eps) solve cache would hide the solver's cost and checks
+    package = Path(elliptic_oam.__file__).parent
+    cached = {path.name: _cached_functions(path) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in cached.items() if found} == {
+        "beams.py": [("_lg_to_hg", "lru_cache")],
+        "linalg.py": [("_gauss_legendre", "lru_cache")],
+    }
+
+
+def test_a_built_transform_leaves_one_solve_per_ladder(monkeypatch, unbuilt_lg_to_hg):
+    calls = []
+
+    def counted(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("elliptic_oam") and hasattr(module, "_symmetric_eigenpairs"):
+            monkeypatch.setattr(module, "_symmetric_eigenpairs", counted(module._symmetric_eigenpairs))
+    mode, geo = ModeIndex(7, 3, Parity.EVEN), geometry()
+    eval_hig(mode, "plus", 1.5, geo, 0.3, 0.2)
+    assert len(calls) == 3  # the even and odd ladders, and the order-7 transform
+    calls.clear()
+    eval_hig(mode, "minus", 2.5, geo, np.zeros((1, 16)), np.zeros((16, 1)))
+    assert len(calls) == 2
 
 
 class TestIntegratePlane:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elliptic_oam import vortex
 from elliptic_oam.beams import ComplexField, eval_hig, eval_ig, eval_lg, sample_grid
 from elliptic_oam.errors import GridError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity
@@ -243,6 +244,85 @@ class TestDenseOracle:
     def test_python_complex_polish_matches_numpy_scalar_polish(self, corners):
         as_numpy = [np.complex128(c) for c in corners]
         assert _bilinear_zero(*corners) == scalar_bilinear_zero(*as_numpy)
+
+
+def band_field(amplitudes, peak=1.0 + 1.0j):
+    """A 16 x 16 field, zero but for a +1 vortex plaquette of corner amplitude a for each a, and one sample ``peak``.
+
+    With the default peak the largest |Re| or |Im| is 1 and max|field| is
+    sqrt(2), so the noise floor 1e-9 * max|field| is the top of the
+    bracket (1e-9, 1e-9 sqrt(2)].
+    """
+    values = np.zeros((16, 16), dtype=complex)
+    values[-1, -1] = peak
+    for i, a in enumerate(amplitudes):
+        iy, ix = 2 + 4 * i, 3
+        values[iy, ix], values[iy, ix + 1], values[iy + 1, ix + 1], values[iy + 1, ix] = a, 1j * a, -a, -1j * a
+    return ComplexField(16, 16, (0.0, 0.0), 1.0, values)
+
+
+class TestNoiseFloorBracket:
+    """Candidates are classified against 1e-9 * max(|Re|, |Im|) bounds; max|field| only inside them."""
+
+    @pytest.fixture
+    def exact_floors(self, monkeypatch):
+        calls = []
+        exact = vortex._noise_floor
+
+        def counted(values):
+            calls.append(values.shape)
+            return exact(values)
+
+        monkeypatch.setattr(vortex, "_noise_floor", counted)
+        return calls
+
+    def test_candidate_inside_the_bracket_takes_the_exact_floor(self, exact_floors):
+        # 1.2e-9 lies between 1e-9 and the floor sqrt(2) * 1e-9; 1.4143e-9 just above the floor
+        field = band_field([1.2e-9, 1.4143e-9])
+        found = find_vortices(field)
+        assert found == dense_vortices(field)
+        assert [(v.charge, round(v.y - 0.5, 9)) for v in found] == [(1, 6.0)]
+        assert exact_floors == [(16, 16)]
+
+    def test_candidates_outside_the_bracket_are_decided_by_it(self, exact_floors):
+        # 0.99e-9 below the bracket, 1.4143e-9 above it
+        field = band_field([0.99e-9, 1.4143e-9])
+        found = find_vortices(field)
+        assert found == dense_vortices(field)
+        assert [(v.charge, round(v.y - 0.5, 9)) for v in found] == [(1, 6.0)]
+        assert exact_floors == []
+
+    def test_subnormal_bracket_takes_the_exact_floor(self, exact_floors):
+        # the floor is subnormal here, and rounds one step above the bracket's top: a corner
+        # amplitude equal to it is noise, which the bracket alone would have kept
+        peak = complex(1.114606111384117e-303, 1.114606111384117e-303)
+        floor = 1e-9 * float(np.abs(band_field([], peak).values).max())
+        assert floor > 1e-9 * math.sqrt(2.0) * peak.real * (1.0 + 1e-12)
+        field = band_field([floor], peak)
+        assert find_vortices(field) == dense_vortices(field) == []
+        assert exact_floors == [(16, 16)]
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(
+        st.integers(8, 12).flatmap(
+            lambda ny: st.integers(8, 12).flatmap(
+                lambda nx: st.lists(
+                    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), min_size=nx * ny, max_size=nx * ny
+                ).map(lambda cells: np.array([complex(*c) for c in cells]).reshape(ny, nx))
+            )
+        ),
+        st.floats(0.0, 1.0),
+        st.sampled_from([1.0, -1.0, 1.0j, -1.0j]),
+        st.integers(0, 10**6),
+    )
+    def test_fields_straddling_the_bracket_match_the_dense_detector(self, cells, ratio, turn, spot):
+        # samples of order 1e-9 around one peak sample whose |Re|, |Im| are 1 and ``ratio``:
+        # many corner amplitudes fall inside the bracket
+        values = cells * 1e-9
+        values.flat[spot % values.size] = turn * complex(1.0, ratio)
+        ny, nx = values.shape
+        field = ComplexField(nx, ny, (0.0, 0.0), 1.0, values)
+        assert find_vortices(field) == dense_vortices(field)
 
 
 class TestAllocation:
