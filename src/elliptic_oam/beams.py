@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex
-from .linalg import _symmetric_eigenpairs
+from .linalg import eigen_tridiagonal
 from .quantum import QuantumModeState, _parity_state, decompose, helical_state
 
 # Entries in one block's table of Hermite rows at scattered points, (order
@@ -98,7 +98,8 @@ class ComplexField:
     interleaved float64 view, two reductions with no temporary array, as
     a NaN anywhere propagates to both and an infinity shows in one.  They
     also give ``max_part``, the largest |Re| or |Im| of any sample, which
-    stays exact because ``values`` is read-only.
+    stays exact because ``values`` is a view over a read-only array, whose
+    write flag cannot be set again.
     """
 
     nx: int
@@ -120,7 +121,7 @@ class ComplexField:
         if not (np.isfinite(top) and np.isfinite(bottom)):
             raise GridError("field contains non-finite samples")
         values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", values.view())
         object.__setattr__(self, "max_part", max(float(top), -float(bottom)))
 
     def x_coords(self) -> np.ndarray:
@@ -170,7 +171,7 @@ def _lg_to_hg(order: int) -> np.ndarray:
     basis (-i)^k HG_(k, order - k), L_z is the real symmetric tridiagonal
     matrix with zero diagonal and couplings sqrt((k + 1)(order - k)).  Its
     eigenvalues are -order, -order + 2, ..., order, all 2 apart, so the
-    package's eigen kernel, ``linalg._symmetric_eigenpairs``, gives the
+    package's eigen kernel, ``linalg.eigen_tridiagonal``, gives the
     eigenvectors u to about ``order`` ulp, each signed so that entry 0 is
     positive by the Sturm sequence (every coupling is positive).  The
     helical LG mode of charge +-l is then (-1)^n sum_k u_k i^(+-(l - k))
@@ -186,7 +187,7 @@ def _lg_to_hg(order: int) -> np.ndarray:
     charge = np.abs(2 * k - order)
     coupling = np.sqrt(k[1:] * (order + 1.0 - k[1:]))
     # the eigenvalues ascend, -order + 2 j at rank j: rank (order + l) / 2 is u of eigenvalue l
-    u = _symmetric_eigenpairs(np.zeros((1, order + 1)), coupling[None], (order + charge) // 2)[1][0]
+    u = eigen_tridiagonal(np.zeros((1, order + 1)), coupling[None], (order + charge) // 2)[1][0]
     # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
     pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
     scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)

@@ -48,7 +48,9 @@ def _emit(payload: bytes, args, parameters: dict) -> None:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
     else:
-        sys.stdout.write(payload.decode("utf-8", errors="replace"))
+        sys.stdout.flush()  # raw bytes (a PGM is not text), in order with the text around them
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
 
 
 def _json_bytes(document: dict) -> bytes:

@@ -7,10 +7,14 @@ harmonics k and collecting terms yields the tridiagonal pencil
 T(eps) = T0 + eps*T1 with T0 = diag(k^2); the separation constant ``a`` is
 the eigenvalue and the Fourier coefficients are the eigenvector.  Mode m
 takes the eigenvalue of ascending rank (m - k[0]) / 2, the position of m
-among the harmonics, which is the eigenvalue m^2 at eps = 0.  Correctness
-of the matrix entries is enforced by the ODE residual oracle below, not by
-any transcription; the frozen-band test in ``tests/test_ince.py`` only
-guards them against unintended change.
+among the harmonics, which is the eigenvalue m^2 at eps = 0.  Every
+eigenpair comes from ``rank_eigenpairs``, the pencil symmetrized by
+``lg_scale`` and solved over an eps grid in chunked stacks: its vector is
+the LG expansion ``quantum`` reads, and ``solve_ince`` refines its
+one-point case on T(eps) into the Fourier vector.  Correctness of the
+matrix entries is enforced by the ODE residual oracle below, not by any
+transcription; the frozen-band test in ``tests/test_ince.py`` only guards
+them against unintended change.
 """
 
 from __future__ import annotations
@@ -22,6 +26,12 @@ import numpy as np
 
 from .errors import InvalidModeError, SolverError
 from .linalg import TridiagonalMatrix, eigen_tridiagonal
+
+# Bytes of one stack of symmetric matrices handed to eigh: an eps grid of
+# any length is solved in chunks of at most this many, so the stack and
+# eigh's equal-sized eigenvector output stay cache-sized.  Unchunked stacks
+# of long grids raised the peak memory of whole curve sweeps measurably.
+_CHUNK_BYTES = 128 << 10
 
 
 class Parity(enum.Enum):
@@ -68,7 +78,7 @@ class IncePolynomial:
     ``fourier[j]`` multiplies cos(harmonics[j]*eta) for even parity and
     sin(harmonics[j]*eta) for odd parity.  The coefficient vector has unit
     Euclidean norm; its first entry (nonzero for eps > 0) is positive, by the
-    Sturm-sequence rule of ``linalg._symmetric_eigenpairs`` where it is
+    Sturm-sequence rule of ``linalg.eigen_tridiagonal`` where it is
     rounding noise.
     """
 
@@ -172,16 +182,65 @@ def eigenvalue_rank(mode: ModeIndex) -> int:
     return int((mode.m - series_harmonics(mode)[0]) // 2)
 
 
+def _chunk_size(dimension: int) -> int:
+    """Matrices of this dimension per eigh stack: as many as fit in ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
+
+
+def rank_eigenpairs(mode: ModeIndex, epsilons):
+    """Eigenvalue, spectral radius and unit eigenvector of rank ``eigenvalue_rank(mode)`` at each epsilons[i].
+
+    S(eps) = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on both off-diagonals,
+    T(eps) under the similarity ``lg_scale``, is solved by
+    ``linalg.eigen_tridiagonal`` in stacks of at most ``_CHUNK_BYTES``, each
+    checked for eigenvalue collisions.  The vectors are in harmonic order,
+    entry 0 positive; the radius, max |eigenvalue|, is the scale of eigh's error.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    _check_ellipticity(epsilons, mode.p)
+    square, shift, sub, sup = _pencil(mode)
+    coupling, rank = np.sqrt(sub * sup), eigenvalue_rank(mode)
+    step = _chunk_size(square.size)
+    values, radii = np.empty(epsilons.size), np.empty(epsilons.size)
+    vectors = np.empty((epsilons.size, square.size))
+    for start in range(0, epsilons.size, step):
+        eps = epsilons[start : start + step, None]
+        spectra, chunk = eigen_tridiagonal(square + eps * shift, eps * coupling, [rank])
+        _check_simple_spectrum(mode, eps[:, 0], spectra)
+        values[start : start + step] = spectra[:, rank]
+        # the values ascend, so the largest |value| is at one end
+        radii[start : start + step] = np.maximum(-spectra[:, 0], spectra[:, -1])
+        vectors[start : start + step] = chunk[:, :, 0]
+    return values, radii, vectors
+
+
 def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
     """Ince polynomial of the given mode at ellipticity eps >= 0.
 
     Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
     so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
+    ``rank_eigenpairs`` at one eps, unscaled by ``lg_scale`` and refined on T(eps).
     """
-    rank = eigenvalue_rank(mode)
-    values, vector = eigen_tridiagonal(build_recurrence_matrix(mode, ellipticity), lg_scale(mode), rank)
-    _check_simple_spectrum(mode, [ellipticity], values[None, :])
-    return IncePolynomial(mode, float(ellipticity), float(values[rank]), vector)
+    eps, rank = float(ellipticity), eigenvalue_rank(mode)
+    (value,), (radius,), (symmetric,) = rank_eigenpairs(mode, [eps])
+    value, dense = float(value), build_recurrence_matrix(mode, eps).to_dense()
+    # unscaling amplifies the eigh error in small entries, and eigh misses
+    # couplings whose product underflowed; one inverse-iteration step on
+    # the original matrix restores them.  The shift offset scales with the
+    # largest eigenvalue, as the eigh error does, so it is never singular.
+    shift = value + 1e-13 * (1.0 + radius)
+    try:
+        vector = np.linalg.solve(dense - shift * np.eye(dense.shape[0]), symmetric / lg_scale(mode))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    # entries near 1 / (1e-13 max|a|) square to 0 at large eps: scale the largest into [0.5, 1), exactly
+    vector = np.ldexp(vector, -np.frexp(np.max(np.abs(vector)))[1])
+    # the shift lies above the eigenvalue, so the step reverses the sign
+    vector /= -np.sqrt(sum(vector * vector))  # one term at a time, in index order
+    residual = np.linalg.norm(dense @ vector - value * vector)
+    if not residual <= 1e-10 * (1.0 + abs(value)):
+        raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
+    return IncePolynomial(mode, eps, value, vector)
 
 
 def eval_angular(poly: IncePolynomial, eta):

@@ -1,12 +1,12 @@
 """Small dense linear-algebra and quadrature kernels.
 
-No physics lives here.  ``_symmetric_eigenpairs`` is the package's one
+No physics lives here.  ``eigen_tridiagonal`` is the package's one
 symmetric tridiagonal eigen kernel: a stack of matrices in one LAPACK
 ``eigh`` call, with the coupling-overflow guard, the residual check and the
-Sturm-sequence sign rule; ``ince``, ``quantum`` and ``beams`` all solve
-through it.  ``eigen_tridiagonal`` adds to it, for one unsymmetric matrix,
-the unscaling by a symmetrizing diagonal that the caller supplies and one
-step of inverse iteration on the original matrix.  A tensor-product
+Sturm-sequence sign rule; the Ince route of ``ince`` and the LG -> HG
+transform of ``beams`` solve through it.  ``TridiagonalMatrix`` holds the
+three bands of one unsymmetric matrix, whose dense form the Fourier-vector
+refinement of ``ince.solve_ince`` iterates on.  A tensor-product
 Gauss-Legendre quadrature over a square window completes the module.
 """
 
@@ -80,7 +80,7 @@ def _sturm_flips(diag, products, values, first):
     return flips
 
 
-def _symmetric_eigenpairs(diag, coupling, ranks):
+def eigen_tridiagonal(diag, coupling, ranks):
     """Eigenpairs of a stack of symmetric tridiagonal matrices, one ``eigh`` call for all.
 
     Matrix i has diagonal ``diag[i]`` and couplings ``coupling[i] >= 0`` on
@@ -126,38 +126,6 @@ def _symmetric_eigenpairs(diag, coupling, ranks):
     if first.any():  # with every first entry at 0 the Sturm sequence flips nothing
         flips ^= _sturm_flips(diag.T[:, :, None], (coupling * coupling).T[:, :, None], chosen, first)
     return values, np.where(flips[:, None, :], -vectors, vectors)
-
-
-def eigen_tridiagonal(matrix: TridiagonalMatrix, scale, rank: int):
-    """All eigenvalues, ascending, and the unit eigenvector of rank ``rank``.
-
-    The couplings must be non-negative, zero on both sides or on neither,
-    and ``scale`` the symmetrizing diagonal, ``scale[i + 1] / scale[i] =
-    sqrt(sup[i] / sub[i])`` (``ince.lg_scale`` for the Ince recurrence).
-    The symmetric form is solved by ``_symmetric_eigenpairs``, which fixes
-    the sign; entry 0 of the vector is positive.  The residual on the
-    original matrix is checked against the eigenvalue itself.
-    """
-    with np.errstate(over="ignore"):  # an overflowing product is the kernel's to report
-        coupling = np.sqrt(matrix.sub * matrix.sup)
-    eigenvalues, symmetric = _symmetric_eigenpairs(matrix.diag[None], coupling[None], [rank])
-    eigenvalues, value = eigenvalues[0], float(eigenvalues[0, rank])
-    dense = matrix.to_dense()
-    # unscaling amplifies the eigh error in small entries, and eigh misses
-    # couplings whose product underflowed; one inverse-iteration step on
-    # the original matrix restores them.  The shift offset scales with the
-    # largest eigenvalue, as the eigh error does, so it is never singular.
-    shift = value + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
-    try:
-        vector = np.linalg.solve(dense - shift * np.eye(matrix.dimension), symmetric[0, :, 0] / scale)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    # the shift lies above the eigenvalue, so the step reverses the sign
-    vector /= -np.sqrt(sum(vector * vector))  # one term at a time, in index order
-    residual = np.linalg.norm(dense @ vector - value * vector)
-    if not residual <= 1e-10 * (1.0 + abs(value)):
-        raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
-    return eigenvalues, vector
 
 
 @lru_cache(maxsize=32)

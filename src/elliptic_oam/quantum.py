@@ -2,8 +2,9 @@
 
 An Ince-Gauss mode expands over Laguerre-Gauss modes of equal Gouy order
 (p = 2n + l) and matching parity.  The expansion weights are the
-eigenvector of the symmetrized Ince recurrence, solved for whole
-ellipticity grids at once; helical combinations of the even and odd
+eigenvector of the symmetrized Ince recurrence, which ``ince.rank_eigenpairs``
+solves for whole ellipticity grids at once; this module only orders and
+signs it into the LG ladder.  Helical combinations of the even and odd
 one-photon states then carry a continuous, generally non-integer expectation
 of the orbital angular momentum, computed here in units of hbar per photon.
 """
@@ -17,24 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, InvalidModeError, UnnormalizedStateError
-from .ince import (
-    ModeIndex,
-    Parity,
-    _check_ellipticity,
-    _check_simple_spectrum,
-    _pencil,
-    eigenvalue_rank,
-    series_harmonics,
-)
-from .linalg import _symmetric_eigenpairs
+from .ince import ModeIndex, Parity, rank_eigenpairs, series_harmonics
 
 _NORM_TOL = 1e-12
-
-# Bytes of one stack of symmetric matrices handed to eigh: an eps grid of
-# any length is solved in chunks of at most this many, so the stack and
-# eigh's equal-sized eigenvector output stay cache-sized.  Unchunked stacks
-# of long grids raised the peak memory of whole curve sweeps measurably.
-_CHUNK_BYTES = 128 << 10
 
 
 class HelicalSign(enum.Enum):
@@ -138,34 +124,16 @@ def _expansion_sign(n, l, p: int, m: int):
     return np.where((n + l + (p + m) // 2) % 2, -1.0, 1.0)
 
 
-def _chunk_size(dimension: int) -> int:
-    """Matrices of this dimension per eigh stack: as many as fit in ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
-
-
 def _ladder_weights(mode: ModeIndex, epsilons):
     """Charges l, descending, and the LG weights D[i] of one IG mode at each epsilons[i].
 
-    D[i] is the unit eigenvector of rank ``eigenvalue_rank(mode)`` of the
-    symmetrized recurrence S(eps) = diag(k^2 + eps*shift) + eps*coupling at
-    epsilons[i], reversed into ladder order and given the sign
-    (-1)^(n + l + (p + m)/2): the symmetrizing diagonal is the LG
-    normalization ratio, so no unscaling is needed.  The overall sign is
-    that of the Fourier vector, whose entry 0 is positive.  The grid is
-    solved by ``linalg._symmetric_eigenpairs`` in chunks of at most
-    ``_CHUNK_BYTES`` of stacked matrices.
+    D[i] is the eigenvector of ``ince.rank_eigenpairs`` at epsilons[i],
+    reversed into ladder order and given the sign (-1)^(n + l + (p + m)/2):
+    the symmetrizing diagonal is the LG normalization ratio, so no
+    unscaling is needed.  The overall sign is that of the Fourier vector,
+    whose entry 0 is positive.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
-    _check_ellipticity(epsilons, mode.p)
-    square, shift, sub, sup = _pencil(mode)
-    coupling, rank = np.sqrt(sub * sup), eigenvalue_rank(mode)
-    step = _chunk_size(square.size)
-    vectors = np.empty((epsilons.size, square.size))
-    for start in range(0, epsilons.size, step):
-        eps = epsilons[start : start + step, None]
-        values, chunk = _symmetric_eigenpairs(square + eps * shift, eps * coupling, [rank])
-        _check_simple_spectrum(mode, eps[:, 0], values)
-        vectors[start : start + step] = chunk[:, :, 0]
+    vectors = rank_eigenpairs(mode, epsilons)[2]
     charges = series_harmonics(mode)[::-1]
     n = (mode.p - charges) // 2
     return charges, _expansion_sign(n, charges, mode.p, mode.m) * vectors[:, ::-1]
@@ -182,7 +150,7 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     overall sign is that of the Fourier vector, whose first entry is
     positive (see ``IncePolynomial``).  This is ``oam_curve``'s solver on a
     one-point grid, so its eigh stack is one matrix, far below the
-    ``_CHUNK_BYTES`` = 128 KiB chunk bound.
+    ``ince._CHUNK_BYTES`` = 128 KiB chunk bound.
     """
     charges, weights = _ladder_weights(mode, [float(ellipticity)])
     return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=weights[0])
@@ -260,7 +228,7 @@ def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
 
     <Lz> = s * sum_l l * D_even(l) * D_odd(l), summed in ladder order, with
     both weight ladders solved for the whole grid at once in eigh stacks of
-    at most ``_CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
+    at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
     """
     sign = _as_sign(sign)
     eps = np.asarray(list(epsilons), dtype=float)

@@ -14,7 +14,9 @@ reads the weights, at any order, straight off LAPACK's eigenvector of the
 symmetrized recurrence, one eps at a time and up to sign, and
 ``fourier_lg_weights`` from the refined Fourier vector of ``solve_ince``.
 ``band_scale`` reads the symmetrizing diagonal off the bands, the route
-that ``ince.lg_scale`` replaces in the library.  ``random_states``
+that ``ince.lg_scale`` replaces in the library, and ``refined_eigenpair``
+is the per-matrix eigen route that ``ince.solve_ince`` replaced: couplings
+symmetrized from the bands of one matrix, unscaled and refined on it.  ``random_states``
 supplies the random one-photon states of the OAM identity tests.
 ``lg_sum`` is the Laguerre-Gauss route to the fields of one Gouy order
 that the library evaluates as Hermite-Gauss sums: blocked, with the azimuth
@@ -38,6 +40,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry, eval_gaussian, eval_lg
+from elliptic_oam.errors import SolverError
 from elliptic_oam.ince import (
     _pencil,
     build_recurrence_matrix,
@@ -48,7 +51,7 @@ from elliptic_oam.ince import (
     series_harmonics,
     solve_ince,
 )
-from elliptic_oam.linalg import plane_quadrature_grid
+from elliptic_oam.linalg import eigen_tridiagonal, plane_quadrature_grid
 from elliptic_oam.quantum import QuantumModeState, decompose
 from elliptic_oam.verify import cartesian_to_elliptic
 from elliptic_oam.vortex import Vortex
@@ -102,6 +105,37 @@ def band_scale(matrix):
     sub, sup = matrix.sub, matrix.sup
     ratios = np.sqrt(np.divide(sup, sub, out=np.ones_like(sub), where=sub != 0.0))
     return np.concatenate(([1.0], np.cumprod(ratios)))
+
+
+def refined_eigenpair(matrix, scale, rank):
+    """All eigenvalues, ascending, and the unit eigenvector of rank ``rank`` of one tridiagonal matrix.
+
+    The couplings must be non-negative, zero on both sides or on neither,
+    and ``scale`` the symmetrizing diagonal, ``scale[i + 1] / scale[i] =
+    sqrt(sup[i] / sub[i])``.  The symmetric form, with couplings
+    sqrt(sub * sup) of the matrix's own bands, is solved as a one-matrix
+    stack by ``linalg.eigen_tridiagonal``; its vector is unscaled, refined by
+    one inverse-iteration step on the matrix itself, normalized one term at a
+    time, and its residual on the matrix is checked against the eigenvalue.
+    ``ince.solve_ince`` builds its couplings as eps * sqrt(sub * sup) from the
+    pencil instead, so the two agree to rounding, not bit for bit.
+    """
+    with np.errstate(over="ignore"):  # an overflowing product is the kernel's to report
+        coupling = np.sqrt(matrix.sub * matrix.sup)
+    eigenvalues, symmetric = eigen_tridiagonal(matrix.diag[None], coupling[None], [rank])
+    eigenvalues, value = eigenvalues[0], float(eigenvalues[0, rank])
+    dense = matrix.to_dense()
+    shift = value + 1e-13 * (1.0 + np.max(np.abs(eigenvalues)))
+    try:
+        vector = np.linalg.solve(dense - shift * np.eye(matrix.dimension), symmetric[0, :, 0] / scale)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    # the shift lies above the eigenvalue, so the step reverses the sign
+    vector /= -np.sqrt(sum(vector * vector))
+    residual = np.linalg.norm(dense @ vector - value * vector)
+    if not residual <= 1e-10 * (1.0 + abs(value)):
+        raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
+    return eigenvalues, vector
 
 
 def mp_eigenpairs(matrix, digits=50):

@@ -660,8 +660,15 @@ class TestComplexField:
             return out
 
         field = sample_grid(fresh, 1.0, 16)
-        assert made[0]() is field.values
+        assert made[0]() is field.values.base
         assert not field.values.flags.writeable
+
+    @pytest.mark.parametrize("fresh", [False, True], ids=["copied", "fresh"])
+    def test_values_cannot_be_made_writeable(self, fresh):
+        field = ComplexField(16, 16, (0.0, 0.0), 0.1, np.ones((16, 16), dtype=complex), _fresh=fresh)
+        with pytest.raises(ValueError):
+            field.values.setflags(write=True)
+        assert not field.values.flags.writeable and field.max_part == 1.0
 
     def test_sample_grid_copies_a_held_grid(self):
         held = np.full((16, 16), 1.0 + 2.0j)

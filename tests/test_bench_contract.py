@@ -8,7 +8,9 @@ moved or renamed would leave its metric missing, and ``bench/run.py
 the library directly (``decompose(...).terms``, ``oam_distribution``,
 ``census_window``), so the first op of each must still run and pass its
 check; the whole first ``imaging`` round runs too, so its plus/minus
-mirror and on-axis checks see the field and vortex kernels.  The ``cli``
+mirror and on-axis checks see the field and vortex kernels.  A traced
+first ``sweep`` op must count the eigen kernel's calls, so the layer-1
+metric cannot read 0 on working code.  The ``cli``
 workload's payload checkers call the library too
 (``build_recurrence_matrix``, ``eigenvalue_rank``, ``census_window``), so
 they must pass on payloads the CLI writes.
@@ -55,6 +57,19 @@ def test_first_in_process_op_passes_its_check(workload):
     first_round = next(workloads.WORKLOADS[workload].rounds(np.random.default_rng(0), None))
     op = first_round[0]
     assert op.check(op.run()) is None
+
+
+def test_traced_sweep_op_counts_the_eigen_kernel():
+    # the curves solve through linalg.eigen_tridiagonal; a kernel the tracer
+    # cannot see would read 0 calls on the layer-1 metric
+    tracer_module, workloads = _load("tracer"), _load("workloads")
+    op = next(workloads.WORKLOADS["sweep"].rounds(np.random.default_rng(0), None))[0]
+    tracer = tracer_module.Tracer().install()
+    try:
+        op.run()
+    finally:
+        tracer.uninstall()
+    assert tracer_module.layer_metrics(tracer.snapshot())["linalg.eigen_tridiagonal.calls"] >= 1
 
 
 def test_whole_first_imaging_round_passes_its_checks():

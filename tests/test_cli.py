@@ -124,6 +124,14 @@ class TestOamCurve:
                         "--steps", "2", "-o", str(tmp_path / "z.csv")]) == 2
         assert capsys.readouterr().err == "error: need at least 3 steps\n"
 
+    def test_stdout_holds_the_csv_then_the_analysis(self):
+        argv = ["oam-curve", "-p", "3", "-m", "3", "--eps-min", "0.1", "--eps-max", "2", "--steps", "8"]
+        proc = subprocess.run([sys.executable, "-m", "elliptic_oam.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        csv, analysis = proc.stdout.split("\n{", 1)
+        assert csv.splitlines()[0] == "epsilon,oam" and len(csv.splitlines()) == 9
+        assert "turning_points" in json.loads("{" + analysis)
+
 
 class TestField:
     def test_order_past_factorial_overflow(self, tmp_path):
@@ -181,6 +189,14 @@ class TestField:
         assert payload == b.read_bytes()
         assert payload.startswith(b"P5\n64 64\n65535\n")
         assert len(payload) == len(b"P5\n64 64\n65535\n") + 2 * 64 * 64
+
+    def test_pgm_to_stdout_is_the_file_bytes(self, tmp_path, capsysbinary):
+        argv = ["field", "-p", "2", "-m", "2", "--kind", "helical_minus", "-e", "1.0", "--window", "3",
+                "--resolution", "16", "--format", "pgm"]
+        out = tmp_path / "field.pgm"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        assert run_cli(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
     def test_bad_kind_combination_exits_2(self, tmp_path):
         assert run_cli(["field", "-p", "2", "-m", "0", "--kind", "helical_plus", "-e", "1.0",
@@ -315,6 +331,21 @@ class TestHugeEllipticity:
         out = tmp_path / "ince.json"
         assert run_cli(["solve-ince", "-p", "7", "-m", "5", "--parity", "even", "-e", "1e150", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["harmonics"] == [1, 3, 5, 7]
+
+    def test_tiny_refined_vector_is_normalized_without_warnings(self):
+        # the inverse-iteration step gives about 1e-187 at 1e200, whose square underflows
+        argv = ["-p", "1", "-m", "1", "--parity", "even", "-e", "1e200"]
+        documents = {}
+        for command in ("solve-ince", "decompose"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", command, *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            documents[command] = json.loads(proc.stdout)
+        assert documents["solve-ince"]["fourier"] == [1.0]
+        assert documents["decompose"]["terms"] == [{"n": 0, "l": 1, "D": 1.0}]
 
     def test_small_eigenvalue_at_huge_ellipticity(self, tmp_path):
         # D's residual is bounded by the scale of the matrix, so its accurate

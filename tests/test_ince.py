@@ -1,12 +1,15 @@
 """Tests for the Ince eigenproblem, series evaluation, and the ODE oracle."""
 
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from elliptic_oam import ince, quantum
 from elliptic_oam.errors import InvalidModeError
 from elliptic_oam.ince import (
     ModeIndex,
@@ -21,9 +24,7 @@ from elliptic_oam.ince import (
     solve_ince,
     valid_modes,
 )
-from elliptic_oam.linalg import eigen_tridiagonal
-
-from oracles import band_scale, mp_eigenpairs, series_sum
+from oracles import band_scale, mp_eigenpairs, refined_eigenpair, series_sum
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -65,7 +66,7 @@ class TestRecurrenceMatrix:
 
     def test_p2_even_at_zero_ellipticity(self):
         m = build_recurrence_matrix(ModeIndex(2, 2, Parity.EVEN), 0.0)
-        values, _ = eigen_tridiagonal(m, band_scale(m), 0)
+        values, _ = refined_eigenpair(m, band_scale(m), 0)
         assert np.allclose(sorted(values), [0.0, 4.0], atol=1e-14)
 
     @pytest.mark.parametrize(
@@ -290,7 +291,7 @@ class TestInvariants:
             m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
             for eps in (0.01, 2.0, 10.0):
                 matrix = build_recurrence_matrix(ModeIndex(p, m0 + 2, parity), eps)
-                values, _ = eigen_tridiagonal(matrix, band_scale(matrix), 0)
+                values, _ = refined_eigenpair(matrix, band_scale(matrix), 0)
                 gaps = np.diff(values)
                 assert np.all(gaps > 1e-12 * (1.0 + np.abs(values[:-1])))
 
@@ -301,3 +302,55 @@ class TestInvariants:
                 nz = np.flatnonzero(poly.fourier)
                 assert poly.fourier[nz[0]] > 0.0
                 assert abs(np.linalg.norm(poly.fourier) - 1.0) < 1e-12
+
+
+class TestOneRoute:
+    """Every eigenpair comes from ``ince.rank_eigenpairs``; ``solve_ince`` is its one-point case."""
+
+    def test_solve_ince_matches_the_per_matrix_reference(self):
+        worst_value = worst_vector = 0.0
+        for mode in valid_modes(40):
+            for eps in (0.0, 1e-3, 0.5, 2.0, 10.0, 50.0, 1e3):
+                poly = solve_ince(mode, eps)
+                matrix = build_recurrence_matrix(mode, eps)
+                values, vector = refined_eigenpair(matrix, lg_scale(mode), eigenvalue_rank(mode))
+                scale = 1.0 + np.max(np.abs(values))
+                worst_value = max(worst_value, abs(poly.eigenvalue - values[eigenvalue_rank(mode)]) / scale)
+                worst_vector = max(worst_vector, float(np.max(np.abs(poly.fourier - vector))))
+        assert worst_value <= 1e-14
+        assert worst_vector <= 2e-15
+
+    def test_quantum_does_not_know_the_pencil(self):
+        private = {"_pencil", "_check_ellipticity", "_check_simple_spectrum", "eigen_tridiagonal"}
+        imported = {
+            alias.name
+            for node in ast.walk(ast.parse(Path(quantum.__file__).read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert imported & private == set()
+        assert not any(hasattr(quantum, name) for name in private)
+
+    def test_solve_ince_makes_one_kernel_call(self, monkeypatch):
+        calls = []
+        kernel = ince.eigen_tridiagonal
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(ince, "eigen_tridiagonal", counted)
+        solve_ince(ModeIndex(7, 5, Parity.ODD), 2.0)
+        assert len(calls) == 1
+
+    def test_route_keeps_no_spectrum(self):
+        # the curves read only the vectors; one eigenvalue and one radius per eps come along
+        mode, grid = ModeIndex(9, 3, Parity.EVEN), np.geomspace(0.1, 10.0, 7)
+        values, radii, vectors = ince.rank_eigenpairs(mode, grid)
+        assert values.shape == radii.shape == (7,) and vectors.shape == (7, 5)
+        for eps, value, radius, vector in zip(grid, values, radii, vectors):
+            poly = solve_ince(mode, eps)
+            assert value == poly.eigenvalue and radius >= abs(value)
+            fourier = vector / lg_scale(mode)
+            assert np.max(np.abs(fourier / np.linalg.norm(fourier) - poly.fourier)) < 1e-13
+

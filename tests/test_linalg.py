@@ -1,4 +1,4 @@
-"""Tests for the tridiagonal eigensolvers and plane quadrature."""
+"""Tests for the tridiagonal eigen kernel, its per-matrix reference route, and plane quadrature."""
 
 import ast
 import math
@@ -13,14 +13,14 @@ from elliptic_oam import beams
 from elliptic_oam.beams import eval_hig, eval_lg
 from elliptic_oam.errors import SolverError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince
-from elliptic_oam.linalg import TridiagonalMatrix, _symmetric_eigenpairs, eigen_tridiagonal, plane_quadrature_grid
+from elliptic_oam.linalg import TridiagonalMatrix, eigen_tridiagonal, plane_quadrature_grid
 from elliptic_oam.quantum import decompose
 
-from oracles import band_scale, geometry, sturm_eigenvalues
+from oracles import band_scale, geometry, refined_eigenpair, sturm_eigenvalues
 
 
 def solve(matrix, rank):
-    return eigen_tridiagonal(matrix, band_scale(matrix), rank)
+    return refined_eigenpair(matrix, band_scale(matrix), rank)
 
 
 def random_symmetrizable(rng, n, ratio_range=(0.5, 2.0)):
@@ -127,15 +127,15 @@ class TestSymmetricEigenpairs:
         rng = np.random.default_rng(11)
         diag, coupling = rng.uniform(-3.0, 3.0, (9, 7)), rng.uniform(0.0, 2.0, (9, 6))
         ranks = [0, 3, 6]
-        values, vectors = _symmetric_eigenpairs(diag, coupling, ranks)
+        values, vectors = eigen_tridiagonal(diag, coupling, ranks)
         for i in range(9):
-            one_values, one_vectors = _symmetric_eigenpairs(diag[i : i + 1], coupling[i : i + 1], ranks)
+            one_values, one_vectors = eigen_tridiagonal(diag[i : i + 1], coupling[i : i + 1], ranks)
             assert np.array_equal(values[i], one_values[0]) and np.array_equal(vectors[i], one_vectors[0])
 
     def test_conventions(self):
         rng = np.random.default_rng(5)
         diag, coupling = rng.uniform(-3.0, 3.0, (4, 12)), rng.uniform(0.1, 2.0, (4, 11))
-        values, vectors = _symmetric_eigenpairs(diag, coupling, np.arange(12))
+        values, vectors = eigen_tridiagonal(diag, coupling, np.arange(12))
         for i in range(4):
             symmetric = np.diag(diag[i]) + np.diag(coupling[i], 1) + np.diag(coupling[i], -1)
             assert np.all(np.diff(values[i]) > 0.0)
@@ -145,42 +145,42 @@ class TestSymmetricEigenpairs:
 
     def test_repeated_ranks_give_repeated_columns(self):
         diag, coupling = np.array([[0.0, 1.0, 2.0, 3.0]]), np.array([[0.5, 0.5, 0.5]])
-        _, vectors = _symmetric_eigenpairs(diag, coupling, [2, 0, 2, 2])
-        _, single = _symmetric_eigenpairs(diag, coupling, [0, 2])
+        _, vectors = eigen_tridiagonal(diag, coupling, [2, 0, 2, 2])
+        _, single = eigen_tridiagonal(diag, coupling, [0, 2])
         assert np.array_equal(vectors[0], single[0][:, [1, 0, 1, 1]])
 
     def test_zero_couplings_give_signed_basis_vectors(self):
         # across a zero coupling the Sturm sequence still sets the sign: entry
         # j of the vector of lam is negative when an odd number of diag[i],
         # i < j, lies above lam
-        values, vectors = _symmetric_eigenpairs(np.array([[3.0, 1.0, 2.0]]), np.zeros((1, 2)), [0, 1, 2])
+        values, vectors = eigen_tridiagonal(np.array([[3.0, 1.0, 2.0]]), np.zeros((1, 2)), [0, 1, 2])
         assert values.tolist() == [[1.0, 2.0, 3.0]]
         assert vectors[0].tolist() == [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
 
     def test_underflowing_coupling_product(self):
         # 1e-170 squared underflows to 0, so the Sturm sequence reads a split
         # matrix; eigh drops the coupling too, and the pairs are the blocks'
-        values, vectors = _symmetric_eigenpairs(np.array([[1.0, 2.0]]), np.array([[1e-170]]), [0, 1])
+        values, vectors = eigen_tridiagonal(np.array([[1.0, 2.0]]), np.array([[1e-170]]), [0, 1])
         assert values.tolist() == [[1.0, 2.0]]
         assert vectors[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_sign_from_sturm_sequence_past_a_zero_pivot(self):
         # eigh returns lambda = diag[0] = 0 exactly, so q_0 = 0; the exact
         # vector is (1e-13, 0, -1) up to its norm, entry 0 below 1e-8
-        values, vectors = _symmetric_eigenpairs(np.zeros((1, 3)), np.array([[1.0, 1e-13]]), [1])
+        values, vectors = eigen_tridiagonal(np.zeros((1, 3)), np.array([[1.0, 1e-13]]), [1])
         assert values[0, 1] == 0.0
         assert vectors[0, 0, 0] == pytest.approx(1e-13, rel=1e-12)
         assert vectors[0, 2, 0] == pytest.approx(-1.0, rel=1e-15)
 
     def test_overflowing_coupling_product_named(self):
         with np.errstate(all="raise"), pytest.raises(SolverError, match="overflows"):
-            _symmetric_eigenpairs(np.zeros((2, 2)), np.array([[1.0], [1e160]]), [0])
+            eigen_tridiagonal(np.zeros((2, 2)), np.array([[1.0], [1e160]]), [0])
 
     def test_residual_is_bounded_by_the_largest_eigenvalue(self):
         # the middle eigenvalue is 0 and the largest 1e12: eigh's residual of
         # about 1e-4 on the middle pair is rounding at the matrix's scale
         diag, coupling = np.array([[0.0, 0.0, 0.0]]), np.array([[1e12 / math.sqrt(2.0)] * 2])
-        values, vectors = _symmetric_eigenpairs(diag, coupling, [1])
+        values, vectors = eigen_tridiagonal(diag, coupling, [1])
         assert abs(values[0, 1]) < 1e-3
         assert np.max(np.abs(vectors[0, :, 0] - [1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0)])) < 1e-15
 
@@ -249,7 +249,7 @@ def test_one_eigen_kernel():
     package = Path(elliptic_oam.__file__).parent
     calls = {path.name: _eigen_calls(path) for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == {
-        "linalg.py": [("_symmetric_eigenpairs", "eigh"), ("_symmetric_eigenpairs", "_sturm_flips")]
+        "linalg.py": [("eigen_tridiagonal", "eigh"), ("eigen_tridiagonal", "_sturm_flips")]
     }
 
 
@@ -287,8 +287,8 @@ def test_a_built_transform_leaves_one_solve_per_ladder(monkeypatch, unbuilt_lg_t
         return wrapper
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("elliptic_oam") and hasattr(module, "_symmetric_eigenpairs"):
-            monkeypatch.setattr(module, "_symmetric_eigenpairs", counted(module._symmetric_eigenpairs))
+        if name.startswith("elliptic_oam") and hasattr(module, "eigen_tridiagonal"):
+            monkeypatch.setattr(module, "eigen_tridiagonal", counted(module.eigen_tridiagonal))
     mode, geo = ModeIndex(7, 3, Parity.EVEN), geometry()
     eval_hig(mode, "plus", 1.5, geo, 0.3, 0.2)
     assert len(calls) == 3  # the even and odd ladders, and the order-7 transform
