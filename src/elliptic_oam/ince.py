@@ -10,11 +10,12 @@ takes the eigenvalue of ascending rank (m - k[0]) / 2, the position of m
 among the harmonics, which is the eigenvalue m^2 at eps = 0.  Every
 eigenpair comes from ``rank_eigenpairs``, the pencil symmetrized by
 ``lg_scale`` and solved over an eps grid in chunked stacks: its vector is
-the LG expansion ``quantum`` reads, and ``solve_ince`` refines its
-one-point case on T(eps) into the Fourier vector.  Correctness of the
-matrix entries is enforced by the ODE residual oracle below, not by any
-transcription; the frozen-band test in ``tests/test_ince.py`` only guards
-them against unintended change.
+the LG expansion ``quantum`` reads, and ``_fourier_polynomials`` refines
+each stack on T(eps) into Fourier vectors (``solve_ince`` at one eps).
+``build_recurrence_matrix`` and its ``TridiagonalMatrix`` serve only the
+benchmark and the tests.  The ODE residual oracle below enforces the
+matrix entries; the frozen-band test in ``tests/test_ince.py`` only
+guards them against unintended change.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModeError, SolverError
-from .linalg import TridiagonalMatrix, eigen_tridiagonal
+from .linalg import TridiagonalMatrix, _tridiagonal_stack, eigen_tridiagonal
 
 # Bytes of one stack of symmetric matrices handed to eigh: an eps grid of
 # any length is solved in chunks of at most this many, so the stack and
@@ -53,9 +54,13 @@ class ModeIndex:
 
     def __post_init__(self):
         if not isinstance(self.parity, Parity):
-            object.__setattr__(self, "parity", Parity(self.parity))
+            try:
+                object.__setattr__(self, "parity", Parity(self.parity))
+            except ValueError:
+                raise InvalidModeError(f"parity must be 'even' or 'odd', got {self.parity!r}") from None
         p, m = self.p, self.m
-        if p < 0 or m < 0 or p != int(p) or m != int(m):
+        # inf and nan fail the range test before int() can raise on them
+        if not (0 <= p < np.inf and 0 <= m < np.inf) or p != int(p) or m != int(m):
             raise InvalidModeError(f"order/degree must be non-negative integers, got p={p}, m={m}")
         if (p - m) % 2 != 0:
             raise InvalidModeError(f"p={p} and m={m} must have the same parity")
@@ -154,7 +159,7 @@ def _check_simple_spectrum(mode: ModeIndex, epsilons, values: np.ndarray) -> Non
 
 
 def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalMatrix:
-    """Recurrence matrix T0 + eps*T1 whose eigenpairs are (a, Fourier coefficients)."""
+    """Recurrence matrix T0 + eps*T1, eigenpairs (a, Fourier coefficients); for the benchmark and tests only."""
     eps = float(ellipticity)
     _check_ellipticity(np.array([eps]), mode.p)
     square, shift, sub, sup = _pencil(mode)
@@ -214,33 +219,52 @@ def rank_eigenpairs(mode: ModeIndex, epsilons):
     return values, radii, vectors
 
 
+def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
+    """Ince polynomials at each epsilons[i]: each ``rank_eigenpairs`` stack unscaled and refined on T(eps).
+
+    T(eps) is filled from the pencil's bands; each row's residual on it is checked.
+    """
+    epsilons, rank = np.asarray(epsilons, dtype=float), eigenvalue_rank(mode)
+    square, shift, sub, sup = _pencil(mode)
+    scale, step, polynomials = lg_scale(mode), _chunk_size(square.size), []
+    for start in range(0, epsilons.size, step):
+        eps = epsilons[start : start + step, None]
+        values, radii, symmetric = rank_eigenpairs(mode, eps[:, 0])
+        dense = _tridiagonal_stack(square + eps * shift, eps * sub, eps * sup)
+        # unscaling amplifies the eigh error in small entries, and eigh misses
+        # couplings whose product underflowed; one inverse-iteration step on
+        # the original matrix restores them.  The shift offset scales with the
+        # largest eigenvalue, as the eigh error does, so it is never singular.
+        shifted = dense - (values + 1e-13 * (1.0 + radii))[:, None, None] * np.eye(scale.size)
+        try:
+            vectors = np.linalg.solve(shifted, (symmetric / scale)[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+        # entries near 1 / (1e-13 max|a|) square to 0 at large eps: scale the largest into [0.5, 1), exactly
+        vectors = np.ldexp(vectors, -np.frexp(np.max(np.abs(vectors), axis=1, keepdims=True))[1])
+        norms = np.zeros(values.size)
+        for column in vectors.T:  # one term at a time, in index order
+            norms += column * column
+        # the shift lies above the eigenvalue, so the step reverses the sign
+        vectors /= -np.sqrt(norms)[:, None]
+        residuals = np.linalg.norm((dense @ vectors[..., None])[..., 0] - values[:, None] * vectors, axis=1)
+        bad = ~(residuals <= 1e-10 * (1.0 + np.abs(values)))
+        if bad.any():
+            raise SolverError(
+                f"eigenpair {rank} residual {residuals[bad][0]:.3e} exceeds bound at eps={eps[bad, 0][0]:g}; "
+                "matrix badly scaled?"
+            )
+        polynomials += [IncePolynomial(mode, *row) for row in zip(eps[:, 0].tolist(), values.tolist(), vectors)]
+    return polynomials
+
+
 def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
-    """Ince polynomial of the given mode at ellipticity eps >= 0.
+    """Ince polynomial of the given mode at ellipticity eps >= 0: ``_fourier_polynomials`` at one eps.
 
     Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
     so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
-    ``rank_eigenpairs`` at one eps, unscaled by ``lg_scale`` and refined on T(eps).
     """
-    eps, rank = float(ellipticity), eigenvalue_rank(mode)
-    (value,), (radius,), (symmetric,) = rank_eigenpairs(mode, [eps])
-    value, dense = float(value), build_recurrence_matrix(mode, eps).to_dense()
-    # unscaling amplifies the eigh error in small entries, and eigh misses
-    # couplings whose product underflowed; one inverse-iteration step on
-    # the original matrix restores them.  The shift offset scales with the
-    # largest eigenvalue, as the eigh error does, so it is never singular.
-    shift = value + 1e-13 * (1.0 + radius)
-    try:
-        vector = np.linalg.solve(dense - shift * np.eye(dense.shape[0]), symmetric / lg_scale(mode))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-    # entries near 1 / (1e-13 max|a|) square to 0 at large eps: scale the largest into [0.5, 1), exactly
-    vector = np.ldexp(vector, -np.frexp(np.max(np.abs(vector)))[1])
-    # the shift lies above the eigenvalue, so the step reverses the sign
-    vector /= -np.sqrt(sum(vector * vector))  # one term at a time, in index order
-    residual = np.linalg.norm(dense @ vector - value * vector)
-    if not residual <= 1e-10 * (1.0 + abs(value)):
-        raise SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
-    return IncePolynomial(mode, eps, value, vector)
+    return _fourier_polynomials(mode, [float(ellipticity)])[0]
 
 
 def eval_angular(poly: IncePolynomial, eta):

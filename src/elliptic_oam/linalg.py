@@ -4,10 +4,11 @@ No physics lives here.  ``eigen_tridiagonal`` is the package's one
 symmetric tridiagonal eigen kernel: a stack of matrices in one LAPACK
 ``eigh`` call, with the coupling-overflow guard, the residual check and the
 Sturm-sequence sign rule; the Ince route of ``ince`` and the LG -> HG
-transform of ``beams`` solve through it.  ``TridiagonalMatrix`` holds the
-three bands of one unsymmetric matrix, whose dense form the Fourier-vector
-refinement of ``ince.solve_ince`` iterates on.  A tensor-product
-Gauss-Legendre quadrature over a square window completes the module.
+transform of ``beams`` solve through it.  ``_tridiagonal_stack`` fills its
+stack and the T(eps) stack of the Fourier refinement in ``ince``;
+``TridiagonalMatrix``, kept for the benchmark and the tests only, holds
+one matrix's bands.  A tensor-product Gauss-Legendre quadrature over a
+square window completes the module.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ class TridiagonalMatrix:
     """Real tridiagonal matrix stored as its three bands.
 
     ``sub[i]`` couples row i+1 to column i, ``sup[i]`` row i to column i+1.
+    For the benchmark and the tests only; the library's dense stacks come from ``_tridiagonal_stack``.
     """
 
     diag: np.ndarray
@@ -80,6 +82,17 @@ def _sturm_flips(diag, products, values, first):
     return flips
 
 
+def _tridiagonal_stack(diag, sub, sup) -> np.ndarray:
+    """The dense (N, d, d) stack of the tridiagonal matrices with bands ``diag[i]``, ``sub[i]`` and ``sup[i]``."""
+    count, dimension = diag.shape
+    stack = np.zeros((count, dimension, dimension))
+    flat = stack.reshape(count, -1)  # a view, whose three bands are strided slices
+    flat[:, :: dimension + 1] = diag
+    flat[:, 1 :: dimension + 1] = sup
+    flat[:, dimension :: dimension + 1] = sub
+    return stack
+
+
 def eigen_tridiagonal(diag, coupling, ranks):
     """Eigenpairs of a stack of symmetric tridiagonal matrices, one ``eigh`` call for all.
 
@@ -95,14 +108,8 @@ def eigen_tridiagonal(diag, coupling, ranks):
     ranks = np.asarray(ranks)
     if coupling.max(initial=0.0) > _LARGEST_COUPLING:
         raise SolverError("a coupling product sub[i]*sup[i] overflows the double range")
-    count, dimension = diag.shape
-    stack = np.zeros((count, dimension, dimension))
-    flat = stack.reshape(count, -1)  # a view, whose three bands are strided slices
-    flat[:, :: dimension + 1] = diag
-    flat[:, 1 :: dimension + 1] = coupling
-    flat[:, dimension :: dimension + 1] = coupling
     try:
-        values, vectors = np.linalg.eigh(stack)
+        values, vectors = np.linalg.eigh(_tridiagonal_stack(diag, coupling, coupling))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
     chosen, vectors = values[:, ranks], vectors[:, :, ranks]
@@ -122,7 +129,7 @@ def eigen_tridiagonal(diag, coupling, ranks):
             "matrix badly scaled?"
         )
     first = np.argmax(np.abs(vectors) > 1e-8, axis=1)
-    flips = vectors[np.arange(count)[:, None], first, np.arange(ranks.size)] < 0.0
+    flips = vectors[np.arange(diag.shape[0])[:, None], first, np.arange(ranks.size)] < 0.0
     if first.any():  # with every first entry at 0 the Sturm sequence flips nothing
         flips ^= _sturm_flips(diag.T[:, :, None], (coupling * coupling).T[:, :, None], chosen, first)
     return values, np.where(flips[:, None, :], -vectors, vectors)

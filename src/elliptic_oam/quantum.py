@@ -172,25 +172,30 @@ def _check_helical(mode: ModeIndex, epsilons: np.ndarray) -> None:
         raise InvalidModeError(f"ellipticity must be positive, got {epsilons[bad][0]}")
 
 
+def _helical_ladders(mode: ModeIndex, sign, epsilons: np.ndarray):
+    """Sign, charges l (descending) and even and odd LG weights at each epsilons[i]; odd padded with 0 at l = 0."""
+    _check_helical(mode, epsilons)
+    sign = _as_sign(sign)
+    charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), epsilons)
+    _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), epsilons)
+    padded = np.zeros_like(even)
+    padded[:, : odd.shape[1]] = odd
+    return sign, charges, even, padded
+
+
 def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState:
     """One-photon helical IG state (|even> +- i |odd>)/sqrt(2) in LG amplitudes.
 
     The even and odd ladders are solved as ``decompose`` solves one, on a
     one-point eps grid, without building a ``Decomposition`` for either.
     """
-    eps = np.array([ellipticity], dtype=float)
-    _check_helical(mode, eps)
-    sign = _as_sign(sign)
-    charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), eps)
-    _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), eps)
-    # the odd ladder stops at l = 1 or 2; the even one may go on to l = 0
-    odd_weights = np.concatenate((odd[0], np.zeros(charges.size - odd.shape[1])))
+    sign, charges, even, odd = _helical_ladders(mode, sign, np.array([ellipticity], dtype=float))
     phase = 1j * sign.value_int / math.sqrt(2.0)
     return QuantumModeState(
         n=(mode.p - charges) // 2,
         l=charges,
         even=even[0] / math.sqrt(2.0),
-        odd=phase * odd_weights,
+        odd=phase * odd[0],
     )
 
 
@@ -230,14 +235,10 @@ def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
     both weight ladders solved for the whole grid at once in eigh stacks of
     at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
     """
-    sign = _as_sign(sign)
     eps = np.asarray(list(epsilons), dtype=float)
-    _check_helical(mode, eps)
-    charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), eps)
-    _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), eps)
-    # the odd ladder is the even one without its l = 0 row
+    sign, charges, even, odd = _helical_ladders(mode, sign, eps)
     values = np.zeros(eps.size)
-    for j in range(odd.shape[1]):
+    for j in range(charges.size):  # an l = 0 row adds 0.0, leaving every bit of the sum
         values += charges[j] * even[:, j] * odd[:, j]
     return OamCurve(mode=mode, sign=sign, epsilons=eps, oam=sign.value_int * values)
 

@@ -7,11 +7,15 @@ overlaps of the elliptic-series fields for the expansion weights, Gram
 matrices for the field normalizations, and limit anchors for the OAM
 algebra.
 
-The quadrature oracle computes nothing per mode that does not depend on
-the mode.  One elliptic frame per (eps, waist), the elliptic coordinates
-and Gaussian envelopes of the 128-node overlap grid and of the 160-node
-norm grid, serves every mode of that eps; one table of LG fields per waist
-serves every eps, and the LG Gram check reads its fields from it too.
+Each mode is solved once per section, all its eps in one call of the
+stacked route ``ince._fourier_polynomials``; no check builds the dense
+``TridiagonalMatrix`` of ``ince.build_recurrence_matrix``, both kept for
+the benchmark and the tests only.  The quadrature oracle computes nothing
+per mode that does not depend on the mode.  One elliptic frame per
+(eps, waist), the elliptic coordinates and Gaussian envelopes of the
+128-node overlap grid and of the 160-node norm grid, serves every mode of
+that eps; one table of LG fields per waist serves every eps, and the LG
+Gram check reads its fields from it too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import beams, quantum, vortex
+from . import beams, ince, quantum, vortex
 from .beams import BeamGeometry
 from .ince import (
     ModeIndex,
@@ -117,16 +121,15 @@ def elliptic_to_cartesian(point: EllipticPoint, semifocal: float):
     return x, y
 
 
-def _series_fields(modes, ellipticity: float, geometry: BeamGeometry, x, y):
-    """Yield the unit-norm series field of each mode at (x, y), one at a time.
+def _series_fields(polys, geometry: BeamGeometry, x, y):
+    """Yield the unit-norm series field of each Ince polynomial, all of one eps, at (x, y), one at a time.
 
-    The elliptic frame is built once for all the modes: the elliptic
+    The elliptic frame is built once for all the polynomials: the elliptic
     coordinates and Gaussian envelope of the points and of the 160-node
-    norm grid.  Each mode then pays only for its solve, its series values
-    and its norm.
+    norm grid.  Each polynomial then pays only for its series values and
+    its norm.
     """
-    polys = [solve_ince(mode, ellipticity) for mode in modes]
-    semifocal = geometry.semifocal(ellipticity)
+    semifocal = geometry.semifocal(polys[0].ellipticity)
     X, Y, W = plane_quadrature_grid(8.0 * geometry.width, 160)
     grid_point, grid_envelope = cartesian_to_elliptic(X, Y, semifocal), beams.eval_gaussian(geometry, X, Y)
     point, envelope = cartesian_to_elliptic(x, y, semifocal), beams.eval_gaussian(geometry, x, y)
@@ -152,7 +155,7 @@ def series_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y)
     one-mode case of the battery's route, which builds the elliptic frame
     and the 160-node norm grid once for all the modes of one eps and waist.
     """
-    return next(_series_fields([mode], ellipticity, geometry, x, y))
+    return next(_series_fields([solve_ince(mode, ellipticity)], geometry, x, y))
 
 
 class _QuadraturePlane:
@@ -176,10 +179,11 @@ class _QuadraturePlane:
         return self._lg[key]
 
 
-def _overlap_weights(modes, eps: float, plane: _QuadraturePlane):
-    """LG weights {l: D} of each mode by overlap quadrature, one elliptic frame for all."""
+def _overlap_weights(polys, plane: _QuadraturePlane):
+    """LG weights {l: D} of each polynomial's mode, all of one eps, by overlap quadrature in one frame."""
     out = []
-    for mode, ig in zip(modes, _series_fields(modes, eps, plane.geometry, plane.X, plane.Y)):
+    for poly, ig in zip(polys, _series_fields(polys, plane.geometry, plane.X, plane.Y)):
+        mode = poly.mode
         out.append(
             {
                 l: float(np.sum(plane.lg((mode.p - l) // 2, l, mode.parity.value) * ig * plane.W).real)
@@ -191,7 +195,7 @@ def _overlap_weights(modes, eps: float, plane: _QuadraturePlane):
 
 def quadrature_weights(mode: ModeIndex, eps: float, waist: float = 1.0):
     """Independent overlap-integral route to the LG weights."""
-    return _overlap_weights([mode], eps, _QuadraturePlane(waist))[0]
+    return _overlap_weights([solve_ince(mode, eps)], _QuadraturePlane(waist))[0]
 
 
 def ig22_closed_form(eps: float) -> dict:
@@ -199,6 +203,11 @@ def ig22_closed_form(eps: float) -> dict:
     root = math.sqrt(1.0 + eps**2)
     denom = math.sqrt(2.0) * math.sqrt(1.0 + eps**2 - root)
     return {2: eps / denom, 0: (1.0 - root) / denom}
+
+
+def _helical_oam(p: int, m: int, eps: float, sign: str = "plus") -> float:
+    """<Lz> of the helical state of the Ince-Gauss modes (p, m) at eps."""
+    return quantum.oam_expectation(quantum.helical_state(ModeIndex(p, m, Parity.EVEN), sign, eps))
 
 
 def _pseudo_states(count: int):
@@ -219,10 +228,11 @@ def _pseudo_states(count: int):
 def _quadrature_checks(full: bool):
     """The overlap-oracle and Gram checks on one waist-1 plane, and the waist-independence check.
 
-    The plane's LG table serves the three eps of the overlap check and the
-    LG Gram matrix, and is freed on return, before the vortex grids.  The
-    waist-independence check reuses the eps-2 weights of the overlap check
-    and solves its two modes at waist 1.6 in one frame.
+    Each mode is solved once, over the three eps of the overlap check.  The
+    plane's LG table serves those eps and the LG Gram matrix, and is freed
+    on return, before the vortex grids.  The waist-independence check reuses
+    the eps-2 polynomials and weights of the overlap check and evaluates its
+    two modes at waist 1.6 in one frame.
     """
     results = []
     plane = _QuadraturePlane(1.0)
@@ -230,10 +240,11 @@ def _quadrature_checks(full: bool):
 
     # expansion weights against the overlap-integral oracle
     p_max = 8 if full else 5
-    modes = valid_modes(p_max)
-    for eps in (0.5, 2.0, 5.0):
+    modes, epsilons = valid_modes(p_max), (0.5, 2.0, 5.0)
+    table = {mode: ince._fourier_polynomials(mode, epsilons) for mode in modes}
+    for column, eps in enumerate(epsilons):
         worst = 0.0
-        oracles = _overlap_weights(modes, eps, plane)
+        oracles = _overlap_weights([table[mode][column] for mode in modes], plane)
         for mode, oracle in zip(modes, oracles):
             weights = dict(quantum.decompose(mode, eps).terms)
             worst = max(worst, max(abs(weights[l] - oracle[l]) for l in oracle))
@@ -262,7 +273,8 @@ def _quadrature_checks(full: bool):
     # waist independence of the weights along the quadrature route
     worst = 0.0
     pair = (ModeIndex(3, 1, Parity.EVEN), ModeIndex(4, 2, Parity.ODD))
-    for mode, b in zip(pair, _overlap_weights(pair, 2.0, _QuadraturePlane(1.6))):
+    at_waist_16 = _overlap_weights([table[mode][epsilons.index(2.0)] for mode in pair], _QuadraturePlane(1.6))
+    for mode, b in zip(pair, at_waist_16):
         a = at_waist_1[mode]
         worst = max(worst, max(abs(a[i] - b[i]) for i in a))
     # the two routes agree to a few ulp; printing that noise would make the
@@ -278,15 +290,20 @@ def run_checks(level: str = "fast") -> Report:
     add = report.results.append
     geometry = _geometry()
 
+    # one solve per mode: eps 0 for the harmonic limit, and the residual eps up to order p_max
+    p_max, epsilons = (12 if full else 7), (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
+    table = {
+        mode: ince._fourier_polynomials(mode, (0.0,) + (epsilons if mode.p <= p_max else ()))
+        for mode in valid_modes(12)
+    }
+
     # Ince ODE residuals, one check per ellipticity
-    p_max = 12 if full else 7
-    modes = valid_modes(p_max)
-    for eps in (0.01, 0.5, 1.0, 2.0, 5.0, 10.0):
-        worst = max(ince_ode_residual(solve_ince(mode, eps)) for mode in modes)
+    for column, eps in enumerate(epsilons, 1):
+        worst = max(ince_ode_residual(table[mode][column]) for mode in valid_modes(p_max))
         add(CheckResult(f"ince-residual-p{p_max}-eps{eps:g}", worst, 1e-9, worst <= 1e-9))
 
     # harmonic decoupling at zero ellipticity
-    worst = max(abs(solve_ince(mode, 0.0).eigenvalue - mode.m**2) for mode in valid_modes(12))
+    worst = max(abs(polys[0].eigenvalue - mode.m**2) for mode, polys in table.items())
     add(CheckResult("eigenvalue-harmonic-limit", worst, 1e-10, worst <= 1e-10))
 
     # two-term closed form at eps = 0.5 under the confirmed sign variant
@@ -308,15 +325,9 @@ def run_checks(level: str = "fast") -> Report:
     add(CheckResult("elliptic-roundtrip", worst, 1e-12, worst <= 1e-12))
 
     # OAM limit anchors
-    worst = max(
-        abs(quantum.oam_expectation(quantum.helical_state(ModeIndex(p, 2, Parity.EVEN), "plus", 1e-6)) - 2.0)
-        for p in (2, 4, 6, 8)
-    )
+    worst = max(abs(_helical_oam(p, 2, 1e-6) - 2.0) for p in (2, 4, 6, 8))
     add(CheckResult("oam-limit-degree2", worst, 1e-5, worst <= 1e-5))
-    worst = max(
-        abs(quantum.oam_expectation(quantum.helical_state(ModeIndex(7, m, Parity.EVEN), "plus", 1e-6)) - m)
-        for m in (1, 3, 5, 7)
-    )
+    worst = max(abs(_helical_oam(7, m, 1e-6) - m) for m in (1, 3, 5, 7))
     add(CheckResult("oam-limit-order7", worst, 1e-5, worst <= 1e-5))
 
     # monotonicity of the extremal degree curves
@@ -344,45 +355,21 @@ def run_checks(level: str = "fast") -> Report:
     add(CheckResult("crossing-75x77", measured, 1e-3, measured <= 1e-3, f"golden eps {GOLDEN_CROSSING_75_77}"))
 
     # convergence toward the common helical-HG value; the gap decays ~ 1/eps
-    gap200 = abs(
-        quantum.oam_expectation(quantum.helical_state(ModeIndex(7, 7, Parity.EVEN), "plus", 200.0))
-        - quantum.oam_expectation(quantum.helical_state(ModeIndex(7, 1, Parity.EVEN), "plus", 200.0))
-    )
-    add(CheckResult("hhg-convergence-eps200", gap200, 0.1, gap200 <= 0.1))
-    gap1000 = abs(
-        quantum.oam_expectation(quantum.helical_state(ModeIndex(7, 7, Parity.EVEN), "plus", 1000.0))
-        - quantum.oam_expectation(quantum.helical_state(ModeIndex(7, 1, Parity.EVEN), "plus", 1000.0))
-    )
-    add(CheckResult("hhg-convergence-eps1000", gap1000, 0.02, gap1000 <= 0.02))
+    for eps, bound in ((200.0, 0.1), (1000.0, 0.02)):
+        gap = abs(_helical_oam(7, 7, eps) - _helical_oam(7, 1, eps))
+        add(CheckResult(f"hhg-convergence-eps{eps:g}", gap, bound, gap <= bound))
 
     # continuous, non-integer OAM at the frozen golden point
-    value = quantum.oam_expectation(quantum.helical_state(ModeIndex(2, 2, Parity.EVEN), "plus", 2.0))
-    measured = abs(value - GOLDEN_OAM_22_AT_2)
-    inside = 1.05 < value < 1.95
-    add(
-        CheckResult(
-            "oam-nonintegral-22",
-            measured,
-            1e-12,
-            measured <= 1e-12 and inside,
-            f"value {value!r}",
-        )
-    )
+    value = _helical_oam(2, 2, 2.0)
+    measured, inside = abs(value - GOLDEN_OAM_22_AT_2), 1.05 < value < 1.95
+    add(CheckResult("oam-nonintegral-22", measured, 1e-12, measured <= 1e-12 and inside, f"value {value!r}"))
 
     # exact algebraic identities
-    plus = quantum.oam_expectation(quantum.helical_state(ModeIndex(5, 3, Parity.EVEN), "plus", 1.7))
-    minus = quantum.oam_expectation(quantum.helical_state(ModeIndex(5, 3, Parity.EVEN), "minus", 1.7))
+    plus, minus = _helical_oam(5, 3, 1.7), _helical_oam(5, 3, 1.7, "minus")
     add(CheckResult("oam-sign-symmetry", abs(plus + minus), 0.0, plus + minus == 0.0))
 
-    even_only = quantum._parity_state(quantum.decompose(ModeIndex(5, 3, Parity.EVEN), 2.0))
-    add(
-        CheckResult(
-            "parity-state-zero-oam",
-            abs(quantum.oam_expectation(even_only)),
-            0.0,
-            quantum.oam_expectation(even_only) == 0.0,
-        )
-    )
+    value = quantum.oam_expectation(quantum._parity_state(quantum.decompose(ModeIndex(5, 3, Parity.EVEN), 2.0)))
+    add(CheckResult("parity-state-zero-oam", abs(value), 0.0, value == 0.0))
 
     count = 200
     worst = 0.0
@@ -394,34 +381,22 @@ def run_checks(level: str = "fast") -> Report:
     add(waist_result)
 
     # vortex structure of the reference helical mode
-    resolution = 512 if full else 384
-    geometry53 = _geometry()
     half_width = vortex.census_window(1.0, 2.0)
-    field53 = beams.sample_grid(
-        lambda x, y: beams.eval_hig(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0, geometry53, x, y),
-        half_width,
-        resolution,
-    )
-    spacing = field53.spacing
+
+    def helical53(x, y):
+        return beams.eval_hig(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0, geometry, x, y)
+
+    field53 = beams.sample_grid(helical53, half_width, 512 if full else 384)
     detections = vortex.find_vortices(field53)
-    on_axis_plus = [v for v in detections if abs(v.y) < spacing and v.charge == 1]
-    add(
-        CheckResult(
-            "vortex-onaxis-plus-count-53",
-            float(len(on_axis_plus)),
-            3.0,
-            len(on_axis_plus) == 3,
-            "charge-+1 singularities on the x axis",
-        )
-    )
+    on_axis_plus = [v for v in detections if abs(v.y) < field53.spacing and v.charge == 1]
+    note = "charge-+1 singularities on the x axis"
+    add(CheckResult("vortex-onaxis-plus-count-53", float(len(on_axis_plus)), 3.0, len(on_axis_plus) == 3, note))
     bad_charges = [v for v in detections if abs(v.charge) != 1]
     add(CheckResult("vortex-unit-charges-53", float(len(bad_charges)), 0.0, not bad_charges))
     real_modes = 0
     for parity in (Parity.EVEN, Parity.ODD):
         field = beams.sample_grid(
-            lambda x, y: beams.eval_ig(ModeIndex(5, 3, parity), 2.0, geometry53, x, y),
-            half_width,
-            256,
+            lambda x, y: beams.eval_ig(ModeIndex(5, 3, parity), 2.0, geometry, x, y), half_width, 256
         )
         real_modes += len(vortex.find_vortices(field))
     add(CheckResult("vortex-none-for-parity-modes", float(real_modes), 0.0, real_modes == 0))
@@ -443,18 +418,10 @@ def run_checks(level: str = "fast") -> Report:
         add(CheckResult("lg-limit-pointwise-31", worst, 1e-4, worst <= 1e-4))
 
         # vortex positions stable under grid refinement
-        coarse = vortex.find_vortices(
-            beams.sample_grid(
-                lambda x, y: beams.eval_hig(ModeIndex(5, 3, Parity.EVEN), "plus", 2.0, geometry53, x, y),
-                half_width,
-                256,
-            )
-        )
-        fine = detections
+        coarse = vortex.find_vortices(beams.sample_grid(helical53, half_width, 256))
         coarse_spacing = 2.0 * half_width / 255
         worst = max(
-            min(math.hypot(c.x - f.x, c.y - f.y) for f in fine if f.charge == c.charge)
-            for c in coarse
+            min(math.hypot(c.x - f.x, c.y - f.y) for f in detections if f.charge == c.charge) for c in coarse
         )
         add(CheckResult("vortex-resolution-stability", worst, coarse_spacing, worst <= coarse_spacing))
 

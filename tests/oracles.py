@@ -15,8 +15,11 @@ symmetrized recurrence, one eps at a time and up to sign, and
 ``fourier_lg_weights`` from the refined Fourier vector of ``solve_ince``.
 ``band_scale`` reads the symmetrizing diagonal off the bands, the route
 that ``ince.lg_scale`` replaces in the library, and ``refined_eigenpair``
-is the per-matrix eigen route that ``ince.solve_ince`` replaced: couplings
-symmetrized from the bands of one matrix, unscaled and refined on it.  ``random_states``
+is the per-matrix eigen route that the stacked refinement
+``ince._fourier_polynomials`` replaced: couplings symmetrized from the
+bands of one ``build_recurrence_matrix``, unscaled and refined on its
+dense form, where the library fills T(eps) from the pencil for a whole
+stack of eps and ``solve_ince`` is the one-point case.  ``random_states``
 supplies the random one-photon states of the OAM identity tests.
 ``lg_sum`` is the Laguerre-Gauss route to the fields of one Gouy order
 that the library evaluates as Hermite-Gauss sums: blocked, with the azimuth

@@ -64,7 +64,8 @@ def test_criterion_03_decomposition_quadrature_equivalence():
     modes = valid_modes(8)
     plane = verify._QuadraturePlane(1.0)  # one LG table for the three eps, as in the battery
     for eps in (0.5, 2.0, 5.0):
-        for mode, oracle in zip(modes, verify._overlap_weights(modes, eps, plane)):
+        polys = [solve_ince(mode, eps) for mode in modes]
+        for mode, oracle in zip(modes, verify._overlap_weights(polys, plane)):
             weights = dict(quantum.decompose(mode, eps).terms)
             worst = max(worst, max(abs(weights[i] - oracle[i]) for i in oracle))
     elapsed = time.perf_counter() - start

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from elliptic_oam import ince, quantum
-from elliptic_oam.errors import InvalidModeError
+from elliptic_oam.errors import InvalidModeError, SolverError
 from elliptic_oam.ince import (
     ModeIndex,
     Parity,
@@ -45,6 +45,21 @@ class TestModeIndex:
     def test_negative_rejected(self):
         with pytest.raises(InvalidModeError):
             ModeIndex(-2, 0, Parity.EVEN)
+
+    @pytest.mark.parametrize(
+        "p,m,parity",
+        [
+            (math.inf, 1, "even"),
+            (math.nan, 0, "even"),
+            (2, math.nan, "even"),
+            (2, math.inf, "odd"),
+            (3, 1, "sideways"),
+        ],
+    )
+    def test_non_finite_order_or_unknown_parity_is_an_invalid_mode(self, p, m, parity):
+        # int(inf) raised OverflowError, int(nan) and Parity("sideways") ValueError
+        with pytest.raises(InvalidModeError):
+            ModeIndex(p, m, parity)
 
     def test_string_parity_coerced(self):
         assert ModeIndex(2, 2, "odd").parity is Parity.ODD
@@ -177,16 +192,21 @@ class TestSolveInce:
         assert ince_ode_residual(poly) <= 1e-9
 
     def test_high_order_memory_stays_quadratic(self):
-        # the one-vector solve peaks near 1.6 MB here (a few dense 201 x 201
+        # the one-vector solve peaks near 1 MB here (a few dense 201 x 201
         # copies); one stack of shifted systems for all 201 eigenvectors
-        # would peak near 125 MB
-        tracemalloc.start()
-        try:
-            solve_ince(ModeIndex(400, 2, Parity.EVEN), 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        # would peak near 125 MB.  The 64-point route must chunk: one stack
+        # of its dense T(eps) and their shifted copies peaks near 60 MB,
+        # under the 64 MB bound but 60 times the one-point peak
+        mode, peaks = ModeIndex(400, 2, Parity.EVEN), []
+        for grid in ([1.0], np.linspace(0.25, 4.0, 64)):
+            tracemalloc.start()
+            try:
+                ince._fourier_polynomials(mode, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 64 * 2**20
+        assert peaks[1] < 4 * peaks[0]
 
 
 class TestMpmathOracle:
@@ -319,6 +339,29 @@ class TestOneRoute:
                 worst_vector = max(worst_vector, float(np.max(np.abs(poly.fourier - vector))))
         assert worst_value <= 1e-14
         assert worst_vector <= 2e-15
+
+    def test_stacked_route_equals_one_point_solves(self):
+        # one call per mode over the whole grid, bit for bit against a call per (mode, eps)
+        grid = (0.0, 1e-3, 0.5, 2.0, 10.0, 50.0, 1e3)
+        for mode in valid_modes(40):
+            for eps, poly in zip(grid, ince._fourier_polynomials(mode, grid), strict=True):
+                single = solve_ince(mode, eps)
+                assert (poly.mode, poly.ellipticity) == (mode, eps)
+                assert np.float64(poly.eigenvalue).view(np.int64) == np.float64(single.eigenvalue).view(np.int64)
+                assert poly.fourier.view(np.int64).tolist() == single.fourier.view(np.int64).tolist(), (mode, eps)
+
+    def test_refusal_names_the_eps(self, monkeypatch):
+        # a T(eps) off the pencil in the second row fails that row's residual check, and only that row's
+        fill = ince._tridiagonal_stack
+
+        def perturbed(diag, sub, sup):
+            stack = fill(diag, sub, sup)
+            stack[1] *= 1.5
+            return stack
+
+        monkeypatch.setattr(ince, "_tridiagonal_stack", perturbed)
+        with pytest.raises(SolverError, match=r"exceeds bound at eps=2\.5;"):
+            ince._fourier_polynomials(ModeIndex(4, 2, Parity.EVEN), [1.0, 2.5, 4.0])
 
     def test_quantum_does_not_know_the_pencil(self):
         private = {"_pencil", "_check_ellipticity", "_check_simple_spectrum", "eigen_tridiagonal"}

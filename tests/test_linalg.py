@@ -226,18 +226,18 @@ def unbuilt_lg_to_hg():
     beams._lg_to_hg.cache_clear()
 
 
-def _eigen_calls(path):
-    """(enclosing function, callee) of every call to eigh or _sturm_flips in a module, and of every import of eigh."""
+def _calls(path, names, imports=()):
+    """(enclosing function, callee) of each call to ``names``, and of each import of ``imports``, in a module."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 name = getattr(child.func, "attr", getattr(child.func, "id", None))
-                if name in ("eigh", "_sturm_flips"):
+                if name in names:
                     found.append((owner, name))
-            elif isinstance(child, ast.ImportFrom) and any(alias.name == "eigh" for alias in child.names):
-                found.append((owner, "import eigh"))
+            elif isinstance(child, ast.ImportFrom):
+                found.extend((owner, f"import {alias.name}") for alias in child.names if alias.name in imports)
             visit(child, getattr(child, "name", owner) if isinstance(child, ast.FunctionDef) else owner)
 
     visit(ast.parse(path.read_text()), "<module>")
@@ -247,9 +247,19 @@ def _eigen_calls(path):
 def test_one_eigen_kernel():
     # the symmetric eigensolve and its sign rule have one owner, which calls eigh once
     package = Path(elliptic_oam.__file__).parent
-    calls = {path.name: _eigen_calls(path) for path in sorted(package.glob("*.py"))}
+    calls = {path.name: _calls(path, ("eigh", "_sturm_flips"), ("eigh",)) for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == {
         "linalg.py": [("eigen_tridiagonal", "eigh"), ("eigen_tridiagonal", "_sturm_flips")]
+    }
+
+
+def test_dense_recurrence_matrix_serves_only_the_benchmark_and_tests():
+    # the library reads T(eps) from the pencil; only build_recurrence_matrix itself builds a TridiagonalMatrix
+    package = Path(elliptic_oam.__file__).parent
+    names = ("build_recurrence_matrix", "TridiagonalMatrix")
+    calls = {path.name: _calls(path, names) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {
+        "ince.py": [("build_recurrence_matrix", "TridiagonalMatrix")]
     }
 
 

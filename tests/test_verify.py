@@ -12,8 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from elliptic_oam import beams, quantum, verify
-from elliptic_oam.ince import ModeIndex, Parity, valid_modes
+from elliptic_oam import beams, ince, quantum, verify
+from elliptic_oam.ince import ModeIndex, Parity, solve_ince, valid_modes
 
 from oracles import geometry, per_mode_quadrature_weights, per_mode_series_ig
 
@@ -27,7 +27,7 @@ class TestSharedQuadratureRoute:
     @pytest.mark.parametrize("eps", [0.5, 2.0, 5.0])
     def test_batch_weights_equal_per_mode_reference(self, eps, waist):
         modes = valid_modes(5)
-        batch = verify._overlap_weights(modes, eps, verify._QuadraturePlane(waist))
+        batch = verify._overlap_weights([solve_ince(mode, eps) for mode in modes], verify._QuadraturePlane(waist))
         for mode, weights in zip(modes, batch):
             assert _bits(weights) == _bits(per_mode_quadrature_weights(mode, eps, waist)), mode
 
@@ -59,27 +59,44 @@ class TestSharedQuadratureRoute:
                     assert not np.any(field.imag), (p, l, parity)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """A counter of calls, and ``calls.watch(module, name)`` to count the calls of one function."""
+    counter = Counter()
+
+    def watch(module, name):
+        function = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counter[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counter.watch = watch
+    return counter
+
+
 class TestBatteryWork:
-    def test_fast_battery_shares_frames_and_lg_table(self, monkeypatch):
+    def test_fast_battery_shares_frames_and_lg_table(self, calls):
         # a frame and LG fields per mode would call cartesian_to_elliptic 135 times and eval_lg 164 times
-        calls = Counter()
-
-        def counted(module, name):
-            function = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return function(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(verify, "cartesian_to_elliptic")
-        counted(beams, "eval_lg")
+        calls.watch(verify, "cartesian_to_elliptic")
+        calls.watch(beams, "eval_lg")
+        calls.watch(ince, "_fourier_polynomials")
         assert verify.run_checks("fast").ok
         # two per (eps, waist) frame, four frames, and the round trip
         assert calls["cartesian_to_elliptic"] <= 9
         # 21 LG fields of order <= 5 at waist 1, and 4 at waist 1.6
         assert calls["eval_lg"] <= 25
+        # each mode solved once per section: the 91 modes of order <= 12 and the 21 of order <= 5,
+        # with room for the waist-independence pair (a solve per (mode, eps) made 372)
+        assert calls["_fourier_polynomials"] <= 91 + 21 + 2
+
+    def test_full_battery_solves_each_mode_once_per_section(self, calls):
+        # the 91 modes of order <= 12 and the 45 of order <= 8, with room for the waist-independence pair
+        calls.watch(ince, "_fourier_polynomials")
+        verify.run_checks("full")
+        assert calls["_fourier_polynomials"] <= 91 + 45 + 2
 
     def test_flipped_expansion_sign_fails_every_overlap_check(self, monkeypatch):
         # the oracle must not read the weights it checks, or a sign error would pass it
