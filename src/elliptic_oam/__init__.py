@@ -23,13 +23,9 @@ from .ince import (
     IncePolynomial,
     ModeIndex,
     Parity,
-    build_recurrence_matrix,
-    eval_angular,
-    eval_radial,
     ince_ode_residual,
     solve_ince,
 )
-from .linalg import TridiagonalMatrix, eigen_tridiagonal
 from .quantum import (
     Decomposition,
     OamCurve,
@@ -57,19 +53,14 @@ __all__ = [
     "Parity",
     "QuantumModeState",
     "SolverError",
-    "TridiagonalMatrix",
     "UnnormalizedStateError",
     "Vortex",
-    "build_recurrence_matrix",
     "decompose",
-    "eigen_tridiagonal",
-    "eval_angular",
     "eval_gaussian",
     "eval_hg",
     "eval_hig",
     "eval_ig",
     "eval_lg",
-    "eval_radial",
     "find_crossings",
     "find_turning_points",
     "find_vortices",

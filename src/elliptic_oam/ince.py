@@ -7,11 +7,11 @@ harmonics k and collecting terms yields the tridiagonal pencil
 T(eps) = T0 + eps*T1 with T0 = diag(k^2); the separation constant ``a`` is
 the eigenvalue and the Fourier coefficients are the eigenvector.  Mode m
 takes the eigenvalue of ascending rank (m - k[0]) / 2, the position of m
-among the harmonics, which is the eigenvalue m^2 at eps = 0.  Every
-eigenpair comes from ``rank_eigenpairs``, the pencil symmetrized by
-``lg_scale`` and solved over an eps grid in chunked stacks: its vector is
-the LG expansion ``quantum`` reads, and ``_fourier_polynomials`` refines
-each stack on T(eps) into Fourier vectors (``solve_ince`` at one eps).
+among the harmonics, which is the eigenvalue m^2 at eps = 0.  One loop,
+``_eigen_chunks``, solves the pencil symmetrized by ``lg_scale`` over an
+eps grid in chunked stacks: ``rank_eigenpairs`` collects its vectors, the
+LG expansion ``quantum`` reads, and ``_fourier_polynomials`` refines each
+chunk on T(eps) into Fourier vectors (``solve_ince`` at one eps).
 ``build_recurrence_matrix`` and its ``TridiagonalMatrix`` serve only the
 benchmark and the tests.  The ODE residual oracle below enforces the
 matrix entries; the frozen-band test in ``tests/test_ince.py`` only
@@ -132,24 +132,27 @@ def _pencil(mode: ModeIndex):
 
 
 def _check_ellipticity(epsilons: np.ndarray, p: int) -> None:
-    """Raise unless every eps is finite and non-negative and eps * (p + 1) is finite.
+    """Raise unless the eps grid is 1-D, every eps finite and non-negative, and eps * (p + 1) finite.
 
     eps * (p + 1) bounds every band entry of T(eps), which would otherwise
     overflow to inf silently.
     """
+    if epsilons.ndim != 1:
+        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {epsilons.shape}")
     bad = ~((epsilons >= 0.0) & (epsilons < np.inf))
     if bad.any():
         raise InvalidModeError(f"ellipticity must be finite and non-negative, got {epsilons[bad][0]}")
-    with np.errstate(over="ignore"):
-        bad = ~(epsilons * (p + 1) < np.inf)
-    if bad.any():
+    # the largest eps sets the largest entry; a Python float overflows to inf without a warning
+    if float(epsilons.max(initial=0.0)) * (p + 1) == np.inf:
+        with np.errstate(over="ignore"):
+            bad = epsilons * (p + 1) == np.inf
         raise SolverError(f"ellipticity {epsilons[bad][0]:g} overflows the recurrence bands for p={p}")
 
 
 def _check_simple_spectrum(mode: ModeIndex, epsilons, values: np.ndarray) -> None:
     """Raise where two ascending eigenvalues in a row of ``values`` (one row per eps) nearly coincide."""
     # at eps = 0 the spectrum is k^2, so only eps > 0 can trip this
-    tight = np.diff(values, axis=-1) < 1e-12 * (1.0 + np.abs(values[:, :-1]))
+    tight = values[:, 1:] - values[:, :-1] < 1e-12 * (1.0 + np.abs(values[:, :-1]))
     if tight.any():
         row, rank = np.argwhere(tight)[0]
         raise SolverError(
@@ -192,45 +195,50 @@ def _chunk_size(dimension: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
 
 
-def rank_eigenpairs(mode: ModeIndex, epsilons):
-    """Eigenvalue, spectral radius and unit eigenvector of rank ``eigenvalue_rank(mode)`` at each epsilons[i].
+def _eigen_chunks(mode: ModeIndex, epsilons: np.ndarray):
+    """The one loop over an eps grid, checked and its pencil built once, a chunk of ``_chunk_size`` eps a step.
 
-    S(eps) = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on both off-diagonals,
-    T(eps) under the similarity ``lg_scale``, is solved by
-    ``linalg.eigen_tridiagonal`` in stacks of at most ``_CHUNK_BYTES``, each
-    checked for eigenvalue collisions.  The vectors are in harmonic order,
-    entry 0 positive; the radius, max |eigenvalue|, is the scale of eigh's error.
+    Yields the chunk's rows, the bands (diag, sub, sup) of T(eps), and the eigenvalue, spectral radius
+    and unit eigenvector of rank ``eigenvalue_rank(mode)`` of each S(eps): one
+    ``linalg.eigen_tridiagonal`` stack, checked for eigenvalue collisions.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
     _check_ellipticity(epsilons, mode.p)
     square, shift, sub, sup = _pencil(mode)
     coupling, rank = np.sqrt(sub * sup), eigenvalue_rank(mode)
     step = _chunk_size(square.size)
-    values, radii = np.empty(epsilons.size), np.empty(epsilons.size)
-    vectors = np.empty((epsilons.size, square.size))
     for start in range(0, epsilons.size, step):
         eps = epsilons[start : start + step, None]
-        spectra, chunk = eigen_tridiagonal(square + eps * shift, eps * coupling, [rank])
+        diag = square + eps * shift
+        spectra, vectors = eigen_tridiagonal(diag, eps * coupling, [rank])
         _check_simple_spectrum(mode, eps[:, 0], spectra)
-        values[start : start + step] = spectra[:, rank]
         # the values ascend, so the largest |value| is at one end
-        radii[start : start + step] = np.maximum(-spectra[:, 0], spectra[:, -1])
-        vectors[start : start + step] = chunk[:, :, 0]
+        radii = np.maximum(-spectra[:, 0], spectra[:, -1])
+        yield slice(start, start + step), (diag, eps * sub, eps * sup), spectra[:, rank], radii, vectors[:, :, 0]
+
+
+def rank_eigenpairs(mode: ModeIndex, epsilons):
+    """Eigenvalue, spectral radius and unit eigenvector of rank ``eigenvalue_rank(mode)`` at each epsilons[i].
+
+    The ``_eigen_chunks`` eigenpairs of S(eps) = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on both
+    off-diagonals, T(eps) under the similarity ``lg_scale``.  The vectors are in harmonic order, entry 0
+    positive; the radius, max |eigenvalue|, is the scale of eigh's error.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    values, radii = np.empty(epsilons.size), np.empty(epsilons.size)
+    vectors = np.empty((epsilons.size, series_harmonics(mode).size))
+    for rows, _, *solved in _eigen_chunks(mode, epsilons):
+        values[rows], radii[rows], vectors[rows] = solved
     return values, radii, vectors
 
 
 def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
-    """Ince polynomials at each epsilons[i]: each ``rank_eigenpairs`` stack unscaled and refined on T(eps).
+    """Ince polynomials at each epsilons[i]: each ``_eigen_chunks`` eigenvector unscaled and refined on T(eps).
 
-    T(eps) is filled from the pencil's bands; each row's residual on it is checked.
+    T(eps) is filled from the chunk's bands; each row's residual on it is checked.
     """
-    epsilons, rank = np.asarray(epsilons, dtype=float), eigenvalue_rank(mode)
-    square, shift, sub, sup = _pencil(mode)
-    scale, step, polynomials = lg_scale(mode), _chunk_size(square.size), []
-    for start in range(0, epsilons.size, step):
-        eps = epsilons[start : start + step, None]
-        values, radii, symmetric = rank_eigenpairs(mode, eps[:, 0])
-        dense = _tridiagonal_stack(square + eps * shift, eps * sub, eps * sup)
+    epsilons, scale, polynomials = np.asarray(epsilons, dtype=float), lg_scale(mode), []
+    for rows, bands, values, radii, symmetric in _eigen_chunks(mode, epsilons):
+        eps, dense = epsilons[rows], _tridiagonal_stack(*bands)
         # unscaling amplifies the eigh error in small entries, and eigh misses
         # couplings whose product underflowed; one inverse-iteration step on
         # the original matrix restores them.  The shift offset scales with the
@@ -251,10 +259,10 @@ def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
         bad = ~(residuals <= 1e-10 * (1.0 + np.abs(values)))
         if bad.any():
             raise SolverError(
-                f"eigenpair {rank} residual {residuals[bad][0]:.3e} exceeds bound at eps={eps[bad, 0][0]:g}; "
-                "matrix badly scaled?"
+                f"eigenpair {eigenvalue_rank(mode)} residual {residuals[bad][0]:.3e} exceeds bound at "
+                f"eps={eps[bad][0]:g}; matrix badly scaled?"
             )
-        polynomials += [IncePolynomial(mode, *row) for row in zip(eps[:, 0].tolist(), values.tolist(), vectors)]
+        polynomials += [IncePolynomial(mode, *row) for row in zip(eps.tolist(), values.tolist(), vectors)]
     return polynomials
 
 

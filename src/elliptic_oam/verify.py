@@ -7,8 +7,9 @@ overlaps of the elliptic-series fields for the expansion weights, Gram
 matrices for the field normalizations, and limit anchors for the OAM
 algebra.
 
-Each mode is solved once per section, all its eps in one call of the
-stacked route ``ince._fourier_polynomials``; no check builds the dense
+One table serves the battery: each mode solved once over all its eps by
+``ince._fourier_polynomials``, its LG weights read off one
+``quantum._ladder_weights`` stack; no check builds the dense
 ``TridiagonalMatrix`` of ``ince.build_recurrence_matrix``, both kept for
 the benchmark and the tests only.  The quadrature oracle computes nothing
 per mode that does not depend on the mode.  One elliptic frame per
@@ -225,14 +226,14 @@ def _pseudo_states(count: int):
     return states
 
 
-def _quadrature_checks(full: bool):
+def _quadrature_checks(table: dict, grid: tuple, full: bool):
     """The overlap-oracle and Gram checks on one waist-1 plane, and the waist-independence check.
 
-    Each mode is solved once, over the three eps of the overlap check.  The
-    plane's LG table serves those eps and the LG Gram matrix, and is freed
-    on return, before the vortex grids.  The waist-independence check reuses
-    the eps-2 polynomials and weights of the overlap check and evaluates its
-    two modes at waist 1.6 in one frame.
+    The polynomials are column ``grid.index(eps)`` of ``run_checks``' table, and the weights they
+    check one ``quantum._ladder_weights`` stack per mode over the overlap eps.  The plane's LG table
+    serves those eps and the LG Gram matrix, and is freed on return, before the vortex grids.  The
+    waist-independence check reuses the eps-2 polynomials and weights of the overlap check and
+    evaluates its two modes at waist 1.6 in one frame.
     """
     results = []
     plane = _QuadraturePlane(1.0)
@@ -241,13 +242,12 @@ def _quadrature_checks(full: bool):
     # expansion weights against the overlap-integral oracle
     p_max = 8 if full else 5
     modes, epsilons = valid_modes(p_max), (0.5, 2.0, 5.0)
-    table = {mode: ince._fourier_polynomials(mode, epsilons) for mode in modes}
+    ladders = [quantum._ladder_weights(mode, epsilons)[1] for mode in modes]
     for column, eps in enumerate(epsilons):
-        worst = 0.0
-        oracles = _overlap_weights([table[mode][column] for mode in modes], plane)
-        for mode, oracle in zip(modes, oracles):
-            weights = dict(quantum.decompose(mode, eps).terms)
-            worst = max(worst, max(abs(weights[l] - oracle[l]) for l in oracle))
+        oracles = _overlap_weights([table[mode][grid.index(eps)] for mode in modes], plane)
+        worst = max(
+            abs(d - o) for weights, oracle in zip(ladders, oracles) for d, o in zip(weights[column], oracle.values())
+        )
         if eps == 2.0:
             at_waist_1 = dict(zip(modes, oracles))
         results.append(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
@@ -273,7 +273,7 @@ def _quadrature_checks(full: bool):
     # waist independence of the weights along the quadrature route
     worst = 0.0
     pair = (ModeIndex(3, 1, Parity.EVEN), ModeIndex(4, 2, Parity.ODD))
-    at_waist_16 = _overlap_weights([table[mode][epsilons.index(2.0)] for mode in pair], _QuadraturePlane(1.6))
+    at_waist_16 = _overlap_weights([table[mode][grid.index(2.0)] for mode in pair], _QuadraturePlane(1.6))
     for mode, b in zip(pair, at_waist_16):
         a = at_waist_1[mode]
         worst = max(worst, max(abs(a[i] - b[i]) for i in a))
@@ -290,15 +290,12 @@ def run_checks(level: str = "fast") -> Report:
     add = report.results.append
     geometry = _geometry()
 
-    # one solve per mode: eps 0 for the harmonic limit, and the residual eps up to order p_max
-    p_max, epsilons = (12 if full else 7), (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
-    table = {
-        mode: ince._fourier_polynomials(mode, (0.0,) + (epsilons if mode.p <= p_max else ()))
-        for mode in valid_modes(12)
-    }
+    # one solve per mode for the whole battery: eps 0 for the harmonic limit, the rest up to order p_max
+    p_max, grid = (12 if full else 7), (0.0, 0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
+    table = {mode: ince._fourier_polynomials(mode, grid if mode.p <= p_max else grid[:1]) for mode in valid_modes(12)}
 
     # Ince ODE residuals, one check per ellipticity
-    for column, eps in enumerate(epsilons, 1):
+    for column, eps in enumerate(grid[1:], 1):
         worst = max(ince_ode_residual(table[mode][column]) for mode in valid_modes(p_max))
         add(CheckResult(f"ince-residual-p{p_max}-eps{eps:g}", worst, 1e-9, worst <= 1e-9))
 
@@ -311,7 +308,7 @@ def run_checks(level: str = "fast") -> Report:
     worst = max(abs(computed[l] - d) for l, d in ig22_closed_form(0.5).items())
     add(CheckResult("ig22-closed-form", worst, 1e-10, worst <= 1e-10, IG22_NOTE))
 
-    overlap_results, waist_result = _quadrature_checks(full)
+    overlap_results, waist_result = _quadrature_checks(table, grid, full)
     report.results.extend(overlap_results)
 
     # elliptic coordinate round trip on a deterministic point cloud

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,20 @@ class TestRecurrenceMatrix:
         for build in (build_recurrence_matrix, solve_ince):
             with pytest.raises(InvalidModeError):
                 build(ModeIndex(5, 3, Parity.ODD), eps)
+
+    @pytest.mark.parametrize(
+        "call, shape",
+        [
+            (lambda mode: quantum.oam_curve(mode, "plus", [[0.1, 0.2], [0.3, 0.4]]), r"\(2, 2\)"),
+            (lambda mode: quantum.helical_state(mode, "plus", np.array([1.0, 2.0])), r"\(1, 2\)"),
+            (lambda mode: ince.rank_eigenpairs(mode, 2.0), r"\(\)"),
+            (lambda mode: ince._fourier_polynomials(mode, 2.0), r"\(\)"),
+        ],
+        ids=["oam_curve", "helical_state", "rank_eigenpairs", "_fourier_polynomials"],
+    )
+    def test_eps_grid_that_is_not_1d_is_an_invalid_mode(self, call, shape):
+        with pytest.raises(InvalidModeError, match=rf"must be 1-D, got shape {shape}$"):
+            call(ModeIndex(5, 3, Parity.EVEN))
 
 
 class TestSolveInce:
@@ -385,6 +400,26 @@ class TestOneRoute:
         monkeypatch.setattr(ince, "eigen_tridiagonal", counted)
         solve_ince(ModeIndex(7, 5, Parity.ODD), 2.0)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("route", [ince._fourier_polynomials, ince.rank_eigenpairs], ids=lambda f: f.__name__)
+    def test_one_grid_check_and_pencil_per_call(self, route, monkeypatch):
+        # three chunks share one ellipticity check and one pencil: the grid is walked by one loop
+        calls = Counter()
+
+        def watch(name):
+            original = getattr(ince, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(ince, name, counted)
+
+        for name in ("_pencil", "_check_ellipticity", "eigen_tridiagonal"):
+            watch(name)
+        mode = ModeIndex(9, 3, Parity.EVEN)
+        route(mode, np.geomspace(0.1, 10.0, 2 * ince._chunk_size(series_harmonics(mode).size) + 1))
+        assert calls == {"_pencil": 1, "_check_ellipticity": 1, "eigen_tridiagonal": 3}
 
     def test_route_keeps_no_spectrum(self):
         # the curves read only the vectors; one eigenvalue and one radius per eps come along

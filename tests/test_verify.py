@@ -83,20 +83,26 @@ class TestBatteryWork:
         calls.watch(verify, "cartesian_to_elliptic")
         calls.watch(beams, "eval_lg")
         calls.watch(ince, "_fourier_polynomials")
+        calls.watch(quantum, "decompose")
         assert verify.run_checks("fast").ok
         # two per (eps, waist) frame, four frames, and the round trip
         assert calls["cartesian_to_elliptic"] <= 9
         # 21 LG fields of order <= 5 at waist 1, and 4 at waist 1.6
         assert calls["eval_lg"] <= 25
-        # each mode solved once per section: the 91 modes of order <= 12 and the 21 of order <= 5,
-        # with room for the waist-independence pair (a solve per (mode, eps) made 372)
-        assert calls["_fourier_polynomials"] <= 91 + 21 + 2
+        # one table for the whole battery: the 91 modes of order <= 12, each solved once
+        # (a solve per (mode, eps) made 372, and one table per section 112)
+        assert calls["_fourier_polynomials"] <= 91
+        # the overlap check reads one weight stack per mode; decompose serves only the
+        # ig22 closed form and the parity state (a call per (mode, eps) made 65)
+        assert calls["decompose"] <= 2
 
     def test_full_battery_solves_each_mode_once_per_section(self, calls):
-        # the 91 modes of order <= 12 and the 45 of order <= 8, with room for the waist-independence pair
+        # the 91 modes of order <= 12 serve the residual and the overlap checks alike
         calls.watch(ince, "_fourier_polynomials")
+        calls.watch(quantum, "decompose")
         verify.run_checks("full")
-        assert calls["_fourier_polynomials"] <= 91 + 45 + 2
+        assert calls["_fourier_polynomials"] <= 91
+        assert calls["decompose"] <= 2
 
     def test_flipped_expansion_sign_fails_every_overlap_check(self, monkeypatch):
         # the oracle must not read the weights it checks, or a sign error would pass it
