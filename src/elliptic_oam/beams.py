@@ -8,13 +8,16 @@ profile with w(z), f(z) scaled together plus curvature and Gouy phases.
 
 Every LG, HG, IG and helical IG field has one Gouy order p, and every field
 of order p is a sum over the Hermite-Gauss modes HG_(k, p - k) of that order.
-The HG coefficients of a state are its even and odd LG amplitudes (the
-expansion of ``quantum.decompose`` for IG fields) times the LG -> HG
-transform of the order, which does not depend on the ellipticity: it is
-built once per order and kept as a read-only table, so a field pays only
-for its own LG amplitudes and its grid.  The HG sum separates in x and y:
+An IG mode's HG coefficients are the eigenvector of its parity's block of
+the HG pencil L_z^2 + eps*diag(2k - p) (``ince._hg_block_coefficients``),
+so its field pays for one small kernel stack and its grid, with no LG
+expansion on the way; a helical field's two blocks are one stack at odd
+order.  The LG fields take their coefficients from the LG -> HG transform
+of the order, which does not depend on the ellipticity: it is built once
+per order and kept as a read-only table.  The HG sum separates in x and y:
 on a grid it is one matrix product of 1-D Hermite-function rows, and its
-curvature phase is an outer product of two 1-D phases.  The Laguerre-Gauss sum and the elliptic-coordinate series
+curvature phase is an outer product of two 1-D phases.  The Laguerre-Gauss
+sum, the LG route to the IG coefficients and the elliptic-coordinate series
 are kept as independent oracles, in the test suite and in ``verify``.
 """
 
@@ -28,9 +31,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridError, InvalidModeError
-from .ince import ModeIndex
+from .ince import ModeIndex, Parity, _hg_block_coefficients, _scalar_ellipticity
 from .linalg import eigen_tridiagonal
-from .quantum import QuantumModeState, _parity_state, decompose, helical_state
+from .quantum import QuantumModeState, _as_sign, _check_helical
 
 # Entries in one block's table of Hermite rows at scattered points, (order
 # + 1) rows by the block's points: 256 kB, so a block's tables stay in cache.
@@ -75,10 +78,22 @@ class BeamGeometry:
 
     @property
     def inverse_curvature(self) -> float:
-        """1/R(z) with R = z + k^2 w(0)^4 / (4 z); zero at the waist."""
-        if self.z == 0.0:
+        """1/R(z) = z / (z^2 + z_R^2), with R = z + k^2 w(0)^4 / (4 z); zero at the waist.
+
+        Where z^2 + z_R^2 passes the double range, both are divided through by the larger of |z|
+        and z_R first, so no finite z overflows; 1/R is then below 1e-154 and may underflow to 0.
+        """
+        z, rayleigh = self.z, self.rayleigh_range
+        if z == 0.0:
             return 0.0
-        return self.z / (self.z**2 + self.rayleigh_range**2)
+        try:
+            denominator = z**2 + rayleigh**2
+        except OverflowError:  # a Python float's ** raises where a product would give inf
+            denominator = math.inf
+        if denominator < math.inf:
+            return z / denominator
+        scale = max(abs(z), rayleigh)
+        return z / scale / scale / ((z / scale) ** 2 + (rayleigh / scale) ** 2)
 
     def semifocal(self, ellipticity: float) -> float:
         """f(z) for the elliptic frame fixed by eps = 2 f(0)^2 / w(0)^2."""
@@ -200,7 +215,9 @@ def _hg_coefficients(state: QuantumModeState) -> np.ndarray:
     """HG coefficients C = T_p (even, odd amplitudes) of a state of one Gouy order p.
 
     The real and imaginary parts are transformed apart, so a real state
-    gives an imaginary part of exactly zero.
+    gives an imaginary part of exactly zero.  ``eval_lg`` reads its
+    coefficients here; for IG states it is the LG route, an oracle for the
+    HG blocks the IG fields read.
     """
     orders = 2 * state.n + state.l
     if orders.size == 0 or np.any(orders != orders[0]):
@@ -293,22 +310,48 @@ def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
     return _hg_sum(coefficients, geometry, x, y)
 
 
+def _ig_coefficients(mode: ModeIndex, ellipticity) -> np.ndarray:
+    """HG coefficients C of the even or odd IG mode at one eps > 0, read off its HG block: real."""
+    eps = _scalar_ellipticity(ellipticity)
+    if eps <= 0.0:
+        raise InvalidModeError(f"ellipticity must be positive, got {eps}")
+    return _hg_block_coefficients((mode,), [eps])[0, 0].astype(complex)
+
+
+def _hig_coefficients(mode: ModeIndex, sign, ellipticity) -> np.ndarray:
+    """HG coefficients C of the helical IG mode (even +- i odd)/sqrt(2) at one eps > 0; m >= 1.
+
+    The real part is the even mode's C over sqrt(2), the imaginary part +-1 times the odd mode's;
+    the two sit on disjoint rows.  The even and odd blocks of an odd order have (p + 1)/2 rows
+    each and one rank, so they are one kernel stack; an even order's take two.
+    """
+    eps = _scalar_ellipticity(ellipticity)
+    _check_helical(mode, np.array([eps]))
+    sign = _as_sign(sign).value_int
+    modes = (ModeIndex(mode.p, mode.m, Parity.EVEN), ModeIndex(mode.p, mode.m, Parity.ODD))
+    if mode.p % 2:
+        even, odd = _hg_block_coefficients(modes, [eps])[:, 0]
+    else:
+        even, odd = (_hg_block_coefficients((parity,), [eps])[0, 0] for parity in modes)
+    coefficients = np.empty(mode.p + 1, dtype=complex)
+    coefficients.real = even / math.sqrt(2.0)
+    coefficients.imag = sign * odd / math.sqrt(2.0)
+    return coefficients
+
+
 def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     """Unit-norm Ince-Gauss field at the given transverse points and z.
 
-    Evaluated as its Laguerre-Gauss expansion sum D_j LG_j (see
-    ``quantum.decompose``), taken to the HG modes of the Gouy order p; all
-    terms share p, so the field propagates exactly.  Even and odd fields
-    are both real at the waist, to the last bit.
+    Evaluated as its finite sum of the HG modes of its Gouy order p, with the coefficients of
+    its HG block; all terms share p, so the field propagates exactly.
+    Even and odd fields are both real at the waist, to the last bit.
     """
-    if ellipticity <= 0.0:
-        raise InvalidModeError(f"ellipticity must be positive, got {ellipticity}")
-    return _hg_sum(_hg_coefficients(_parity_state(decompose(mode, ellipticity))), geometry, x, y)
+    return _hg_sum(_ig_coefficients(mode, ellipticity), geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    return _hg_sum(_hg_coefficients(helical_state(mode, sign, ellipticity)), geometry, x, y)
+    return _hg_sum(_hig_coefficients(mode, sign, ellipticity), geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:

@@ -12,8 +12,12 @@ among the harmonics, which is the eigenvalue m^2 at eps = 0.  One loop,
 eps grid in chunked stacks: ``rank_eigenpairs`` collects its vectors, the
 LG expansion ``quantum`` reads, and ``_fourier_polynomials`` refines each
 chunk on T(eps) into Fourier vectors (``solve_ince`` at one eps).
-``build_recurrence_matrix`` and its ``TridiagonalMatrix`` serve only the
-benchmark and the tests.  The ODE residual oracle below enforces the
+Moved into the Hermite-Gauss basis, the same eigenproblem splits by parity
+into two blocks of L_z^2 + eps*diag(2k - p) with eps on the diagonal only
+(``_hg_pencil``); an IG mode's block eigenvector is its field's HG
+coefficients, which ``_hg_block_coefficients`` gives the field evaluators
+of ``beams``.  ``build_recurrence_matrix`` and its ``TridiagonalMatrix``
+serve only the benchmark and the tests.  The ODE residual oracle below enforces the
 matrix entries; the frozen-band test in ``tests/test_ince.py`` only
 guards them against unintended change.
 """
@@ -131,6 +135,38 @@ def _pencil(mode: ModeIndex):
     return k * k, shift, sub, sup
 
 
+def _hg_pencil(mode: ModeIndex):
+    """This mode's Hermite-Gauss block H(eps) = L_z^2 + eps*diag(2k - p): its rows and its eps-free parts.
+
+    The rows are the k of HG_(k, p - k) (k quanta along x) with p - k even for even modes and odd
+    for odd ones.  Returns them as a slice of 0 ... p, the diagonal k(p - k + 1) + (k + 1)(p - k) of L_z^2, its eps slope
+    2k - p, and the couplings sqrt((k + 1)(p - k)(k + 2)(p - k - 1)) of rows k and k + 2.  Those
+    are negative in the real HG basis; the similarity (-1)^j, j the position in the block, makes
+    them positive for the kernel.  No eps enters a coupling.
+    """
+    p = mode.p
+    rows = slice((p + (not mode.is_even)) % 2, p + 1, 2)
+    k = np.arange(rows.start, rows.stop, 2, dtype=float)
+    upper = k[:-1]
+    coupling = np.sqrt((upper + 1.0) * (p - upper) * (upper + 2.0) * (p - upper - 1.0))
+    return rows, k * (p - k + 1.0) + (k + 1.0) * (p - k), 2.0 * k - p, coupling
+
+
+def _scalar_ellipticity(ellipticity) -> float:
+    """One eps as a Python float, for the one-point entry points; anything but one number is an invalid mode.
+
+    The error names the caller's shape, so an eps array passed where one eps belongs is refused
+    before it becomes a grid of another shape.
+    """
+    try:
+        shape = np.shape(ellipticity)
+        if not shape:
+            return float(ellipticity)
+    except (TypeError, ValueError):
+        raise InvalidModeError(f"ellipticity must be one real number, got {ellipticity!r}") from None
+    raise InvalidModeError(f"ellipticity must be one number, got shape {shape}")
+
+
 def _check_ellipticity(epsilons: np.ndarray, p: int) -> None:
     """Raise unless the eps grid is 1-D, every eps finite and non-negative, and eps * (p + 1) finite.
 
@@ -231,6 +267,36 @@ def rank_eigenpairs(mode: ModeIndex, epsilons):
     return values, radii, vectors
 
 
+def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
+    """HG coefficients C of each IG mode at each epsilons[i]: shape (len(modes), N, p + 1).
+
+    An IG mode of order p is the finite sum sum_k C_k HG_(k, p - k), and C on the rows of the
+    mode's ``_hg_pencil`` block is that block's eigenvector v of rank ``eigenvalue_rank(mode)``;
+    the other rows are zero.  The modes share one block size and rank (one mode, or both parities
+    of one odd-order (p, m)), so all their blocks at all the eps are one
+    ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule, checked for
+    eigenvalue collisions.  C_j = s (-1)^j v_j, with s = (-1)^(n + floor((m - o)/2)), n = (p - m)/2
+    and o = 1 for odd modes: every coupling is nonzero, so v_0 is nonzero for eps > 0 and its sign,
+    positive by the kernel's rule, is that of the eps -> 0 limit, where v is the mode's column of
+    the LG -> HG transform and the sign of its first block row is s.
+    """
+    epsilons = np.asarray(epsilons, dtype=float)
+    _check_ellipticity(epsilons, modes[0].p)
+    blocks = [_hg_pencil(mode) for mode in modes]
+    diag = np.concatenate([base + epsilons[:, None] * slope for _, base, slope, _ in blocks])
+    coupling = np.concatenate([band[None].repeat(epsilons.size, axis=0) for *_, band in blocks])
+    spectra, vectors = eigen_tridiagonal(diag, coupling, [eigenvalue_rank(modes[0])])
+    spectra, vectors = (a.reshape(len(modes), epsilons.size, -1) for a in (spectra, vectors[:, :, 0]))
+    coefficients = np.zeros((len(modes), epsilons.size, modes[0].p + 1))
+    for mode, (rows, *_), spectrum, vector, out in zip(modes, blocks, spectra, vectors, coefficients):
+        _check_simple_spectrum(mode, epsilons, spectrum)
+        sign = -1.0 if ((mode.p - mode.m) // 2 + (mode.m - (not mode.is_even)) // 2) % 2 else 1.0
+        block = out[:, rows]  # a view of the block's rows
+        np.multiply(vector, sign, out=block)
+        block[:, 1::2] *= -1.0
+    return coefficients
+
+
 def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
     """Ince polynomials at each epsilons[i]: each ``_eigen_chunks`` eigenvector unscaled and refined on T(eps).
 
@@ -272,7 +338,7 @@ def solve_ince(mode: ModeIndex, ellipticity: float) -> IncePolynomial:
     Selects the eigenpair whose ascending-eigenvalue rank corresponds to m,
     so the eps -> 0 limit reduces to the pure m-th harmonic with a = m^2.
     """
-    return _fourier_polynomials(mode, [float(ellipticity)])[0]
+    return _fourier_polynomials(mode, [_scalar_ellipticity(ellipticity)])[0]
 
 
 def eval_angular(poly: IncePolynomial, eta):

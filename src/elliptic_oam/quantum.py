@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, InvalidModeError, UnnormalizedStateError
-from .ince import ModeIndex, Parity, rank_eigenpairs, series_harmonics
+from .ince import ModeIndex, Parity, _scalar_ellipticity, rank_eigenpairs, series_harmonics
 
 _NORM_TOL = 1e-12
 
@@ -152,8 +152,9 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     one-point grid, so its eigh stack is one matrix, far below the
     ``ince._CHUNK_BYTES`` = 128 KiB chunk bound.
     """
-    charges, weights = _ladder_weights(mode, [float(ellipticity)])
-    return Decomposition(mode=mode, ellipticity=float(ellipticity), charges=charges, weights=weights[0])
+    eps = _scalar_ellipticity(ellipticity)
+    charges, weights = _ladder_weights(mode, [eps])
+    return Decomposition(mode=mode, ellipticity=eps, charges=charges, weights=weights[0])
 
 
 def _parity_state(expansion: Decomposition) -> QuantumModeState:
@@ -189,7 +190,7 @@ def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState
     The even and odd ladders are solved as ``decompose`` solves one, on a
     one-point eps grid, without building a ``Decomposition`` for either.
     """
-    sign, charges, even, odd = _helical_ladders(mode, sign, np.array([ellipticity], dtype=float))
+    sign, charges, even, odd = _helical_ladders(mode, sign, np.array([_scalar_ellipticity(ellipticity)]))
     phase = 1j * sign.value_int / math.sqrt(2.0)
     return QuantumModeState(
         n=(mode.p - charges) // 2,
@@ -235,7 +236,11 @@ def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
     both weight ladders solved for the whole grid at once in eigh stacks of
     at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
     """
-    eps = np.asarray(list(epsilons), dtype=float)
+    try:
+        grid = list(epsilons)
+    except TypeError:  # one number, not a grid
+        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
+    eps = np.asarray(grid, dtype=float)
     sign, charges, even, odd = _helical_ladders(mode, sign, eps)
     values = np.zeros(eps.size)
     for j in range(charges.size):  # an l = 0 row adds 0.0, leaving every bit of the sum

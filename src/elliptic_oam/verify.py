@@ -3,7 +3,9 @@
 Each check compares a measured quantity against an explicit threshold and
 reports one line.  The battery crosses every analytic path in the package
 against an independent one: ODE residuals for the eigenproblem, quadrature
-overlaps of the elliptic-series fields for the expansion weights, Gram
+overlaps of the elliptic-series fields for the expansion weights, the LG
+pencil's weights through the LG -> HG table for the HG-block coefficients
+of the fields (order <= 12, or 40 at ``full``, eps from 1e-3 to 1e6), Gram
 matrices for the field normalizations, and limit anchors for the OAM
 algebra.
 
@@ -226,6 +228,20 @@ def _pseudo_states(count: int):
     return states
 
 
+def _pencil_gap(mode: ModeIndex, epsilons: np.ndarray) -> float:
+    """Largest |C| difference of one mode's two routes to its HG coefficients, over an eps grid.
+
+    One route takes the LG weights of the Ince pencil (one ``quantum._ladder_weights`` stack) to the
+    HG modes by the table ``beams._lg_to_hg``; the other reads them off the HG block
+    (``ince._hg_block_coefficients``), as the fields do.  The two pencils share only the kernel.
+    """
+    p = mode.p
+    charges, weights = quantum._ladder_weights(mode, epsilons)
+    columns = (p + charges) // 2 if mode.is_even else (p - charges) // 2
+    lg_route = weights @ beams._lg_to_hg(p)[:, columns].T
+    return float(np.max(np.abs(lg_route - ince._hg_block_coefficients((mode,), epsilons)[0])))
+
+
 def _quadrature_checks(table: dict, grid: tuple, full: bool):
     """The overlap-oracle and Gram checks on one waist-1 plane, and the waist-independence check.
 
@@ -307,6 +323,11 @@ def run_checks(level: str = "fast") -> Report:
     computed = dict(quantum.decompose(ModeIndex(2, 2, Parity.EVEN), 0.5).terms)
     worst = max(abs(computed[l] - d) for l, d in ig22_closed_form(0.5).items())
     add(CheckResult("ig22-closed-form", worst, 1e-10, worst <= 1e-10, IG22_NOTE))
+
+    # the LG pencil's weights through the LG -> HG table against the HG block, far past the quadrature oracle
+    p_max = 40 if full else 12
+    worst = max(_pencil_gap(mode, np.geomspace(1e-3, 1e6, 10)) for mode in valid_modes(p_max))
+    add(CheckResult(f"hg-block-vs-lg-pencil-p{p_max}", worst, 1e-13, worst <= 1e-13, floor=1e-14))
 
     overlap_results, waist_result = _quadrature_checks(table, grid, full)
     report.results.extend(overlap_results)

@@ -6,11 +6,13 @@ across nodal lines that must not be mistaken for vortices, so a plaquette
 only counts when both the real and the imaginary part change sign among its
 corners, i.e. when an isolated zero of the complex field can lie inside.
 That test runs first, as a few whole-array boolean passes over the field's
-interleaved float64 view: one comparison each way against zero, then ORs
-over the row pairs and column pairs of each plaquette's corners.  The
-winding is computed only on the few plaquettes that pass it, and each
-vortex is positioned by a Newton polish of the bilinear interpolant's zero,
-run on its corner values as Python complex numbers.
+interleaved float64 view: one comparison each way against zero, whose two
+flags per sample are one 16-bit word, then ORs of those words over the row
+pairs and column pairs of each plaquette's corners, on flat contiguous
+planes.  The winding is computed only on the few plaquettes that pass it,
+and each vortex is positioned by a Newton polish of the bilinear
+interpolant's zero, written out in real arithmetic on Python floats that
+rounds as the complex iteration does.
 """
 
 from __future__ import annotations
@@ -43,22 +45,29 @@ def _wrap(angles: np.ndarray) -> np.ndarray:
 
 
 def _bilinear_zero(f00: complex, f10: complex, f01: complex, f11: complex) -> tuple:
-    """Newton solve for the zero of the bilinear interpolant, in cell units."""
+    """Newton solve for the zero of the bilinear interpolant, in cell units.
+
+    The iteration of ``u, v`` on the complex interpolant, written out in real and imaginary
+    parts on Python floats, term for term in the same order, so it rounds as the complex
+    arithmetic does; the four corner differences are taken once, before the loop.
+    """
+    a_re, a_im, b_re, b_im = f00.real, f00.imag, f10.real, f10.imag
+    c_re, c_im, d_re, d_im = f01.real, f01.imag, f11.real, f11.imag
+    # along x at v = 0 and v = 1, along y at u = 0 and u = 1
+    bottom_re, bottom_im, top_re, top_im = b_re - a_re, b_im - a_im, d_re - c_re, d_im - c_im
+    left_re, left_im, right_re, right_im = c_re - a_re, c_im - a_im, d_re - b_re, d_im - b_im
     u, v = 0.5, 0.5
     for _ in range(30):
-        value = (
-            f00 * (1 - u) * (1 - v)
-            + f10 * u * (1 - v)
-            + f01 * (1 - u) * v
-            + f11 * u * v
-        )
-        du = (f10 - f00) * (1 - v) + (f11 - f01) * v
-        dv = (f01 - f00) * (1 - u) + (f11 - f10) * u
-        det = du.real * dv.imag - du.imag * dv.real
+        iu, iv = 1 - u, 1 - v
+        value_re = a_re * iu * iv + b_re * u * iv + c_re * iu * v + d_re * u * v
+        value_im = a_im * iu * iv + b_im * u * iv + c_im * iu * v + d_im * u * v
+        du_re, du_im = bottom_re * iv + top_re * v, bottom_im * iv + top_im * v
+        dv_re, dv_im = left_re * iu + right_re * u, left_im * iu + right_im * u
+        det = du_re * dv_im - du_im * dv_re
         if det == 0.0:
             break
-        step_u = (value.real * dv.imag - value.imag * dv.real) / det
-        step_v = (du.real * value.imag - du.imag * value.real) / det
+        step_u = (value_re * dv_im - value_im * dv_re) / det
+        step_v = (du_re * value_im - du_im * value_re) / det
         u -= step_u
         v -= step_v
         if abs(step_u) < 1e-14 and abs(step_v) < 1e-14:
@@ -71,22 +80,26 @@ def _candidate_mask(values: np.ndarray) -> np.ndarray:
 
     ``values`` must be C-ordered.  Its float64 view holds each sample's real
     and imaginary part side by side, so one comparison each way flags the
-    signs of both quadratures at once, and a sample's x-neighbour sits two
-    columns on.  The flags are OR-ed over row pairs, then over those column
-    pairs, which leaves "a corner above zero" and "a corner below zero" per
-    plaquette and quadrature; a candidate has both, in both quadratures.
-    Each step writes into a plane whose flags are spent, so the pass holds
-    three boolean planes of the float view's size.
+    signs of both quadratures at once, and a sample's two flags are one
+    ``uint16`` word of the boolean plane.  The words are OR-ed over row
+    pairs (``nx`` words apart), then over neighbouring words, all on flat
+    contiguous planes; a row's last word then pairs with the next row's
+    first, and that column is dropped.  This leaves "a corner above zero"
+    and "a corner below zero" per plaquette, one byte per quadrature; a
+    candidate has both, in both quadratures: the word 0x0101 of their AND,
+    on either byte order.  Each step writes into a plane whose flags are
+    spent, so the pass holds three boolean planes of the float view's size.
     """
+    nx = values.shape[1]
     parts = values.view(np.float64)
-    above = parts > 0.0
-    below = parts < 0.0
-    above_rows = above[:-1] | above[1:]
-    below_rows = np.bitwise_or(below[:-1], below[1:], out=above[:-1])
-    any_above = np.bitwise_or(above_rows[:, :-2], above_rows[:, 2:], out=below[:-1, :-2])
-    any_below = np.bitwise_or(below_rows[:, :-2], below_rows[:, 2:], out=above_rows[:, :-2])
-    change = np.bitwise_and(any_above, any_below, out=any_below)
-    return change[:, 0::2] & change[:, 1::2]
+    above = (parts > 0.0).view(np.uint16).reshape(-1)
+    below = (parts < 0.0).view(np.uint16).reshape(-1)
+    above_rows = above[:-nx] | above[nx:]
+    below_rows = np.bitwise_or(below[:-nx], below[nx:], out=above[:-nx])
+    any_above = np.bitwise_or(above_rows[:-1], above_rows[1:], out=below[: above_rows.size - 1])
+    any_below = np.bitwise_or(below_rows[:-1], below_rows[1:], out=above_rows[:-1])
+    np.bitwise_and(any_above, any_below, out=any_below)
+    return above_rows.reshape(-1, nx)[:, :-1] == 0x0101
 
 
 # Relative margin on the bracket of the noise floor, far above the few ulp
@@ -120,8 +133,8 @@ def find_vortices(field: ComplexField):
     it.  Only if one falls inside, or the bracket is below the normal
     double range, is max|field| itself taken, half by half; the survivors
     are the same either way.  Each survivor is positioned at the zero of the
-    bilinear interpolant by a Newton solve on its corner values as Python
-    complex numbers.  Result is sorted by the plaquette's column index,
+    bilinear interpolant by a Newton solve on its corner values, read with
+    its indices and charge by one ``tolist`` each.  Result is sorted by the plaquette's column index,
     then its row index: nearly x then y, but a field that moves by rounding
     keeps its order.  The search's temporaries stay under half of the
     field's bytes.
@@ -157,16 +170,11 @@ def find_vortices(field: ComplexField):
 
     x0, y0 = field.origin
     spacing = field.spacing
+    corners = np.stack((c00[keep], c10[keep], c01[keep], c11[keep]), axis=1).tolist()
     found = []
-    for k in keep.tolist():
-        u, v = _bilinear_zero(c00[k].item(), c10[k].item(), c01[k].item(), c11[k].item())
-        found.append(
-            Vortex(
-                x=x0 + (int(ix[k]) + u) * spacing,
-                y=y0 + (int(iy[k]) + v) * spacing,
-                charge=int(charge[k]),
-            )
-        )
+    for cell, column, row, turns in zip(corners, ix[keep].tolist(), iy[keep].tolist(), charge[keep].tolist()):
+        u, v = _bilinear_zero(*cell)
+        found.append(Vortex(x=x0 + (column + u) * spacing, y=y0 + (row + v) * spacing, charge=turns))
     return found
 
 

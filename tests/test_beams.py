@@ -3,6 +3,7 @@
 import math
 import weakref
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -79,6 +80,20 @@ class TestGaussian:
                     {"wavenumber": math.inf}, {"z": math.nan}, {"z": math.inf}, {"z": -math.inf}):
             with pytest.raises(InvalidModeError, match=next(iter(bad))):
                 BeamGeometry(**{"waist": 1.0, "wavenumber": 1.0, **bad})
+
+    def test_inverse_curvature_keeps_its_bits_where_z_squared_is_finite(self):
+        for z in np.concatenate([np.geomspace(1e-300, 1e150, 451), -np.geomspace(1e-3, 1e150, 154)]).tolist():
+            geo = geometry(z=z)
+            assert geo.inverse_curvature == z / (z**2 + geo.rayleigh_range**2), z
+
+    @pytest.mark.parametrize(
+        "waist, z",
+        [(1.0, 1.3e154), (1.0, 1e160), (1.0, -1e300), (1.0, 1.7976931348623157e308), (1e150, 1.0), (1e150, -3e300)],
+    )
+    def test_inverse_curvature_never_overflows(self, waist, z):
+        geo = geometry(waist=waist, z=z)
+        exact = mp.mpf(z) / (mp.mpf(z) ** 2 + mp.mpf(geo.rayleigh_range) ** 2)
+        assert geo.inverse_curvature == pytest.approx(float(exact), rel=1e-15, abs=1e-320)
 
 
 class TestLaguerreGauss:
@@ -319,6 +334,29 @@ class TestPolarReference:
         field = lg_sum(state, order, geo, X, Y)
         bound = 8 * (order + 1) * np.finfo(float).eps * np.max(np.abs(reference))
         assert np.max(np.abs(field - reference)) <= bound
+
+
+class TestHgBlockRoute:
+    """IG field coefficients from the HG blocks against the LG route, the LG weights taken through ``_lg_to_hg``."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 2.0, 10.0, 1e3, 1e6])
+    def test_matches_the_lg_route(self, monkeypatch, eps):
+        # the fields hand their coefficients to the HG sum; read them there
+        monkeypatch.setattr(beams, "_hg_sum", lambda coefficients, geometry, x, y: coefficients)
+        geo, worst = geometry(), 0.0
+        for mode in valid_modes(40):
+            lg_route = beams._hg_coefficients(_parity_state(decompose(mode, eps)))
+            worst = max(worst, np.max(np.abs(eval_ig(mode, eps, geo, 0.0, 0.0) - lg_route)))
+            if mode.is_even and mode.m >= 1:
+                for sign in ("plus", "minus"):
+                    lg_route = beams._hg_coefficients(helical_state(mode, sign, eps))
+                    worst = max(worst, np.max(np.abs(eval_hig(mode, sign, eps, geo, 0.0, 0.0) - lg_route)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0])
+    def test_parity_fields_need_positive_ellipticity(self, eps):
+        with pytest.raises(InvalidModeError, match="must be positive"):
+            eval_ig(ModeIndex(5, 3, Parity.EVEN), eps, geometry(), 0.1, 0.2)
 
 
 def gouy_order_parts(state):

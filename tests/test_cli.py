@@ -363,6 +363,23 @@ class TestHugeEllipticity:
         assert run_cli([*argv, "-o", str(out)]) == 0
 
 
+class TestFarPlane:
+    @pytest.mark.parametrize("z", ["1e160", "1e300"])
+    def test_sampled_or_named_never_internal(self, tmp_path, z):
+        # z^2 passes the double range here; 1/R must not overflow on the way
+        out = tmp_path / "far.csv"
+        argv = ["field", "-p", "1", "-m", "1", "--kind", "helical_plus", "-e", "2", "--resolution", "16", "--z", z]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv, "-o", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert "internal failure" not in proc.stderr
+        assert proc.returncode == 0 or (proc.returncode == 2 and proc.stderr.startswith("error: ")), proc.stderr
+        if proc.returncode == 0:
+            assert len(out.read_text().splitlines()) == 1 + 16 * 16
+
+
 FIELD_ARGS = ["field", "-p", "2", "-m", "2", "--kind", "even", "-e", "1.0", "--resolution", "16"]
 VORTEX_ARGS = ["vortices", "-p", "5", "-m", "3", "--resolution", "64"]
 DOMAIN_CASES = [

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_oam import ince, quantum
+from elliptic_oam import beams, ince, quantum
 from elliptic_oam.errors import InvalidModeError, SolverError
 from elliptic_oam.ince import (
     ModeIndex,
@@ -25,9 +25,10 @@ from elliptic_oam.ince import (
     solve_ince,
     valid_modes,
 )
-from oracles import band_scale, mp_eigenpairs, refined_eigenpair, series_sum
+from oracles import band_scale, geometry, mp_eigenpairs, refined_eigenpair, series_sum
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
+ONE_NUMBER = r"ellipticity must be one number, got shape \(2,\)$"
 
 
 class TestModeIndex:
@@ -144,15 +145,42 @@ class TestRecurrenceMatrix:
         "call, shape",
         [
             (lambda mode: quantum.oam_curve(mode, "plus", [[0.1, 0.2], [0.3, 0.4]]), r"\(2, 2\)"),
-            (lambda mode: quantum.helical_state(mode, "plus", np.array([1.0, 2.0])), r"\(1, 2\)"),
             (lambda mode: ince.rank_eigenpairs(mode, 2.0), r"\(\)"),
             (lambda mode: ince._fourier_polynomials(mode, 2.0), r"\(\)"),
         ],
-        ids=["oam_curve", "helical_state", "rank_eigenpairs", "_fourier_polynomials"],
+        ids=["oam_curve", "rank_eigenpairs", "_fourier_polynomials"],
     )
     def test_eps_grid_that_is_not_1d_is_an_invalid_mode(self, call, shape):
         with pytest.raises(InvalidModeError, match=rf"must be 1-D, got shape {shape}$"):
             call(ModeIndex(5, 3, Parity.EVEN))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda mode, eps: quantum.decompose(mode, eps), ONE_NUMBER),
+            (lambda mode, eps: solve_ince(mode, eps), ONE_NUMBER),
+            (lambda mode, eps: quantum.helical_state(mode, "plus", eps), ONE_NUMBER),
+            (lambda mode, eps: beams.eval_ig(mode, eps, geometry(), 0.1, 0.2), ONE_NUMBER),
+            (lambda mode, eps: beams.eval_hig(mode, "plus", eps, geometry(), 0.1, 0.2), ONE_NUMBER),
+            (lambda mode, eps: beams._ig_coefficients(mode, eps), ONE_NUMBER),
+            (lambda mode, eps: beams._hig_coefficients(mode, "minus", eps), ONE_NUMBER),
+            (lambda mode, eps: quantum.oam_curve(mode, "plus", 2.0), r"ellipticity grid must be 1-D, got shape \(\)$"),
+        ],
+        ids=[
+            "decompose",
+            "solve_ince",
+            "helical_state",
+            "eval_ig",
+            "eval_hig",
+            "_ig_coefficients",
+            "_hig_coefficients",
+            "oam_curve",
+        ],
+    )
+    def test_eps_that_is_not_one_number_is_an_invalid_mode(self, call, message):
+        # the error names the caller's shape (2,), not a one-point grid (1, 2) built from it
+        with pytest.raises(InvalidModeError, match=message):
+            call(ModeIndex(5, 3, Parity.EVEN), np.array([1.0, 2.0]))
 
 
 class TestSolveInce:

@@ -10,7 +10,7 @@ import pytest
 
 import elliptic_oam
 from elliptic_oam import beams
-from elliptic_oam.beams import eval_hig, eval_lg
+from elliptic_oam.beams import eval_hig, eval_ig, eval_lg
 from elliptic_oam.errors import SolverError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince
 from elliptic_oam.linalg import TridiagonalMatrix, eigen_tridiagonal, plane_quadrature_grid
@@ -286,7 +286,9 @@ def test_only_constant_tables_are_cached():
     }
 
 
-def test_a_built_transform_leaves_one_solve_per_ladder(monkeypatch, unbuilt_lg_to_hg):
+def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch, unbuilt_lg_to_hg):
+    # an IG field's HG coefficients are its HG block eigenvectors: the two blocks of an odd order
+    # are one kernel stack, an even order's are two, and no LG -> HG transform is solved
     calls = []
 
     def counted(function):
@@ -299,12 +301,17 @@ def test_a_built_transform_leaves_one_solve_per_ladder(monkeypatch, unbuilt_lg_t
     for name, module in list(sys.modules.items()):
         if name.startswith("elliptic_oam") and hasattr(module, "eigen_tridiagonal"):
             monkeypatch.setattr(module, "eigen_tridiagonal", counted(module.eigen_tridiagonal))
-    mode, geo = ModeIndex(7, 3, Parity.EVEN), geometry()
-    eval_hig(mode, "plus", 1.5, geo, 0.3, 0.2)
-    assert len(calls) == 3  # the even and odd ladders, and the order-7 transform
+    geo, misses = geometry(), beams._lg_to_hg.cache_info().misses
+    eval_hig(ModeIndex(7, 3, Parity.EVEN), "plus", 1.5, geo, 0.3, 0.2)
+    assert len(calls) == 1
     calls.clear()
-    eval_hig(mode, "minus", 2.5, geo, np.zeros((1, 16)), np.zeros((16, 1)))
+    eval_hig(ModeIndex(6, 2, Parity.EVEN), "minus", 2.5, geo, np.zeros((1, 16)), np.zeros((16, 1)))
+    assert len(calls) == 2  # blocks of 4 and 3 rows
+    calls.clear()
+    for parity in Parity:
+        eval_ig(ModeIndex(7, 3, parity), 2.5, geo, 0.3, 0.2)
     assert len(calls) == 2
+    assert beams._lg_to_hg.cache_info().misses == misses
 
 
 class TestIntegratePlane:

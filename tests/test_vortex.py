@@ -245,6 +245,19 @@ class TestDenseOracle:
         as_numpy = [np.complex128(c) for c in corners]
         assert _bilinear_zero(*corners) == scalar_bilinear_zero(*as_numpy)
 
+    @settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-12.0, 3.0), st.floats(0.0, 2.0 * math.pi)),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    def test_real_arithmetic_polish_matches_complex_polish_over_magnitudes(self, corners):
+        # corner magnitudes 1e-12 to 1e3 apart: the real and imaginary parts round as the complex products do
+        values = [10.0**t * complex(math.cos(a), math.sin(a)) for t, a in corners]
+        assert _bilinear_zero(*values) == scalar_bilinear_zero(*(np.complex128(c) for c in values))
+
 
 def band_field(amplitudes, peak=1.0 + 1.0j):
     """A 16 x 16 field, zero but for a +1 vortex plaquette of corner amplitude a for each a, and one sample ``peak``.
