@@ -32,10 +32,11 @@ import numpy as np
 from .errors import InvalidModeError, SolverError
 from .linalg import TridiagonalMatrix, _tridiagonal_stack, eigen_tridiagonal
 
-# Bytes of one stack of symmetric matrices handed to eigh: an eps grid of
-# any length is solved in chunks of at most this many, so the stack and
-# eigh's equal-sized eigenvector output stay cache-sized.  Unchunked stacks
-# of long grids raised the peak memory of whole curve sweeps measurably.
+# Bytes of one dense stack of symmetric matrices handed to the eigen kernel:
+# an eps grid of any length is solved in chunks of at most this many, so the
+# stack that eigvalsh reduces stays cache-sized; the kernel's twisted solves
+# then take O(d) per matrix and rank.  Unchunked stacks of long grids raised
+# the peak memory of whole curve sweeps measurably.
 _CHUNK_BYTES = 128 << 10
 
 
@@ -135,21 +136,22 @@ def _pencil(mode: ModeIndex):
     return k * k, shift, sub, sup
 
 
-def _hg_pencil(mode: ModeIndex):
-    """This mode's Hermite-Gauss block H(eps) = L_z^2 + eps*diag(2k - p): its rows and its eps-free parts.
+def _hg_pencil(p: int):
+    """The Hermite-Gauss pencil H(eps) = L_z^2 + eps*diag(2k - p) of order p: its eps-free parts.
 
-    The rows are the k of HG_(k, p - k) (k quanta along x) with p - k even for even modes and odd
-    for odd ones.  Returns them as a slice of 0 ... p, the diagonal k(p - k + 1) + (k + 1)(p - k) of L_z^2, its eps slope
-    2k - p, and the couplings sqrt((k + 1)(p - k)(k + 2)(p - k - 1)) of rows k and k + 2.  Those
-    are negative in the real HG basis; the similarity (-1)^j, j the position in the block, makes
-    them positive for the kernel.  No eps enters a coupling.
+    Row k is HG_(k, p - k), k quanta along x.  Returns the diagonal k(p - k + 1) + (k + 1)(p - k)
+    of L_z^2 and its eps slope 2k - p for k = 0 ... p, and the couplings
+    sqrt((k + 1)(p - k)(k + 2)(p - k - 1)) of rows k and k + 2 for k = 0 ... p - 2.  L_z^2 couples
+    only rows two apart, so the pencil splits by the parity of k into two blocks, even modes on
+    the k with p - k even and odd modes on the others.  The couplings are negative in the real HG
+    basis; the similarity (-1)^j, j the position in the block, makes them positive for the
+    kernel.  No eps enters a coupling.
     """
-    p = mode.p
-    rows = slice((p + (not mode.is_even)) % 2, p + 1, 2)
-    k = np.arange(rows.start, rows.stop, 2, dtype=float)
-    upper = k[:-1]
-    coupling = np.sqrt((upper + 1.0) * (p - upper) * (upper + 2.0) * (p - upper - 1.0))
-    return rows, k * (p - k + 1.0) + (k + 1.0) * (p - k), 2.0 * k - p, coupling
+    k = np.arange(p + 1.0)
+    # (k + 1)(p - k), k = 0 ... p - 1, is L_z's squared coupling of rows k and k + 1; L_z^2 couples
+    # k and k + 2 by the root of two neighbouring ones, and its diagonal is 2k(p - k) + p
+    squared = k[1:] * (p + 1.0 - k[1:])
+    return 2.0 * k * (p - k) + p, 2.0 * k - p, np.sqrt(squared[:-1] * squared[1:])
 
 
 def _scalar_ellipticity(ellipticity) -> float:
@@ -175,25 +177,30 @@ def _check_ellipticity(epsilons: np.ndarray, p: int) -> None:
     """
     if epsilons.ndim != 1:
         raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {epsilons.shape}")
-    bad = ~((epsilons >= 0.0) & (epsilons < np.inf))
-    if bad.any():
+    # a NaN makes the smallest and the largest NaN, and NaN fails both comparisons
+    low, high = float(epsilons.min(initial=0.0)), float(epsilons.max(initial=0.0))
+    if not (low >= 0.0 and high < np.inf):
+        bad = ~((epsilons >= 0.0) & (epsilons < np.inf))
         raise InvalidModeError(f"ellipticity must be finite and non-negative, got {epsilons[bad][0]}")
     # the largest eps sets the largest entry; a Python float overflows to inf without a warning
-    if float(epsilons.max(initial=0.0)) * (p + 1) == np.inf:
+    if high * (p + 1) == np.inf:
         with np.errstate(over="ignore"):
             bad = epsilons * (p + 1) == np.inf
         raise SolverError(f"ellipticity {epsilons[bad][0]:g} overflows the recurrence bands for p={p}")
 
 
-def _check_simple_spectrum(mode: ModeIndex, epsilons, values: np.ndarray) -> None:
-    """Raise where two ascending eigenvalues in a row of ``values`` (one row per eps) nearly coincide."""
+def _check_simple_spectrum(modes, epsilons, values: np.ndarray) -> None:
+    """Raise where two ascending eigenvalues in a row of ``values`` nearly coincide.
+
+    ``values[i, j]`` is the spectrum of ``modes[i]`` at ``epsilons[j]``.
+    """
     # at eps = 0 the spectrum is k^2, so only eps > 0 can trip this
-    tight = values[:, 1:] - values[:, :-1] < 1e-12 * (1.0 + np.abs(values[:, :-1]))
+    tight = values[..., 1:] - values[..., :-1] < 1e-12 * (1.0 + np.abs(values[..., :-1]))
     if tight.any():
-        row, rank = np.argwhere(tight)[0]
+        which, row, rank = np.argwhere(tight)[0]
         raise SolverError(
-            f"eigenvalue collision at rank {int(rank)} for p={mode.p}, "
-            f"parity={mode.parity.value}, eps={epsilons[row]:g}; ascending-rank labeling is ill-defined"
+            f"eigenvalue collision at rank {int(rank)} for p={modes[which].p}, "
+            f"parity={modes[which].parity.value}, eps={epsilons[row]:g}; ascending-rank labeling is ill-defined"
         )
 
 
@@ -227,7 +234,7 @@ def eigenvalue_rank(mode: ModeIndex) -> int:
 
 
 def _chunk_size(dimension: int) -> int:
-    """Matrices of this dimension per eigh stack: as many as fit in ``_CHUNK_BYTES``."""
+    """Matrices of this dimension per kernel stack: as many as fit in ``_CHUNK_BYTES``."""
     return max(1, _CHUNK_BYTES // (8 * dimension * dimension))
 
 
@@ -246,7 +253,7 @@ def _eigen_chunks(mode: ModeIndex, epsilons: np.ndarray):
         eps = epsilons[start : start + step, None]
         diag = square + eps * shift
         spectra, vectors = eigen_tridiagonal(diag, eps * coupling, [rank])
-        _check_simple_spectrum(mode, eps[:, 0], spectra)
+        _check_simple_spectrum((mode,), eps[:, 0], spectra[None])
         # the values ascend, so the largest |value| is at one end
         radii = np.maximum(-spectra[:, 0], spectra[:, -1])
         yield slice(start, start + step), (diag, eps * sub, eps * sup), spectra[:, rank], radii, vectors[:, :, 0]
@@ -257,7 +264,7 @@ def rank_eigenpairs(mode: ModeIndex, epsilons):
 
     The ``_eigen_chunks`` eigenpairs of S(eps) = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on both
     off-diagonals, T(eps) under the similarity ``lg_scale``.  The vectors are in harmonic order, entry 0
-    positive; the radius, max |eigenvalue|, is the scale of eigh's error.
+    positive; the radius, max |eigenvalue|, is the scale of the eigenvalues' error.
     """
     epsilons = np.asarray(epsilons, dtype=float)
     values, radii = np.empty(epsilons.size), np.empty(epsilons.size)
@@ -271,29 +278,32 @@ def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
     """HG coefficients C of each IG mode at each epsilons[i]: shape (len(modes), N, p + 1).
 
     An IG mode of order p is the finite sum sum_k C_k HG_(k, p - k), and C on the rows of the
-    mode's ``_hg_pencil`` block is that block's eigenvector v of rank ``eigenvalue_rank(mode)``;
-    the other rows are zero.  The modes share one block size and rank (one mode, or both parities
-    of one odd-order (p, m)), so all their blocks at all the eps are one
-    ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule, checked for
-    eigenvalue collisions.  C_j = s (-1)^j v_j, with s = (-1)^(n + floor((m - o)/2)), n = (p - m)/2
-    and o = 1 for odd modes: every coupling is nonzero, so v_0 is nonzero for eps > 0 and its sign,
-    positive by the kernel's rule, is that of the eps -> 0 limit, where v is the mode's column of
-    the LG -> HG transform and the sign of its first block row is s.
+    mode's block of the ``_hg_pencil`` is that block's eigenvector v of rank
+    ``eigenvalue_rank(mode)``; the other rows are zero.  The modes share one block size and rank
+    (one mode, or both parities of one odd-order (p, m)), so all their blocks at all the eps are
+    one ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule, checked for
+    eigenvalue collisions.  C_j = s (-1)^j v_j, with s = (-1)^(n + floor((m - o)/2)),
+    n = (p - m)/2 and o = 1 for odd modes: every coupling is nonzero, so v_0 is nonzero for
+    eps > 0 and its sign, positive by the kernel's rule, is that of the eps -> 0 limit, where v is
+    the mode's column of the LG -> HG transform and the sign of its first block row is s.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
-    _check_ellipticity(epsilons, modes[0].p)
-    blocks = [_hg_pencil(mode) for mode in modes]
-    diag = np.concatenate([base + epsilons[:, None] * slope for _, base, slope, _ in blocks])
-    coupling = np.concatenate([band[None].repeat(epsilons.size, axis=0) for *_, band in blocks])
+    epsilons, p = np.asarray(epsilons, dtype=float), modes[0].p
+    _check_ellipticity(epsilons, p)
+    # the blocks split one pencil of the order by the parity of k: p - k is even on an even mode's rows
+    starts = [(p + (not mode.is_even)) % 2 for mode in modes]
+    rows = np.add.outer(starts, np.arange(0, p + 1 - starts[0], 2))
+    diag, slope, coupling = _hg_pencil(p)
+    count, size = len(modes), rows.shape[1]
+    diag = (diag[rows][:, None] + epsilons[:, None] * slope[rows][:, None]).reshape(-1, size)
+    coupling = np.repeat(coupling[rows[:, :-1]], epsilons.size, axis=0)
     spectra, vectors = eigen_tridiagonal(diag, coupling, [eigenvalue_rank(modes[0])])
-    spectra, vectors = (a.reshape(len(modes), epsilons.size, -1) for a in (spectra, vectors[:, :, 0]))
-    coefficients = np.zeros((len(modes), epsilons.size, modes[0].p + 1))
-    for mode, (rows, *_), spectrum, vector, out in zip(modes, blocks, spectra, vectors, coefficients):
-        _check_simple_spectrum(mode, epsilons, spectrum)
-        sign = -1.0 if ((mode.p - mode.m) // 2 + (mode.m - (not mode.is_even)) // 2) % 2 else 1.0
-        block = out[:, rows]  # a view of the block's rows
-        np.multiply(vector, sign, out=block)
-        block[:, 1::2] *= -1.0
+    _check_simple_spectrum(modes, epsilons, spectra.reshape(count, epsilons.size, size))
+    vectors = vectors[:, :, 0].reshape(count, epsilons.size, size)
+    vectors[..., 1::2] *= -1.0
+    coefficients = np.zeros((count, epsilons.size, p + 1))
+    for mode, start, vector, out in zip(modes, starts, vectors, coefficients):
+        sign = -1.0 if ((p - mode.m) // 2 + (mode.m - (not mode.is_even)) // 2) % 2 else 1.0
+        np.multiply(vector, sign, out=out[:, start::2])
     return coefficients
 
 
@@ -305,10 +315,10 @@ def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
     epsilons, scale, polynomials = np.asarray(epsilons, dtype=float), lg_scale(mode), []
     for rows, bands, values, radii, symmetric in _eigen_chunks(mode, epsilons):
         eps, dense = epsilons[rows], _tridiagonal_stack(*bands)
-        # unscaling amplifies the eigh error in small entries, and eigh misses
-        # couplings whose product underflowed; one inverse-iteration step on
-        # the original matrix restores them.  The shift offset scales with the
-        # largest eigenvalue, as the eigh error does, so it is never singular.
+        # unscaling amplifies the kernel's error in small entries; one
+        # inverse-iteration step on the original matrix restores them.  The
+        # shift offset scales with the largest eigenvalue, as the eigenvalue's
+        # error does, so it is never singular.
         shifted = dense - (values + 1e-13 * (1.0 + radii))[:, None, None] * np.eye(scale.size)
         try:
             vectors = np.linalg.solve(shifted, (symmetric / scale)[..., None])[..., 0]

@@ -149,7 +149,7 @@ def decompose(mode: ModeIndex, ellipticity: float) -> Decomposition:
     l = 0), reversed and given the sign (-1)^(n + l + (p + m)/2).  Their
     overall sign is that of the Fourier vector, whose first entry is
     positive (see ``IncePolynomial``).  This is ``oam_curve``'s solver on a
-    one-point grid, so its eigh stack is one matrix, far below the
+    one-point grid, so its kernel stack is one matrix, far below the
     ``ince._CHUNK_BYTES`` = 128 KiB chunk bound.
     """
     eps = _scalar_ellipticity(ellipticity)
@@ -233,14 +233,17 @@ def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
     """<Lz>(eps) of the helical state over a strictly increasing eps grid.
 
     <Lz> = s * sum_l l * D_even(l) * D_odd(l), summed in ladder order, with
-    both weight ladders solved for the whole grid at once in eigh stacks of
-    at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
+    both weight ladders solved for the whole grid at once in kernel stacks
+    of at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
     """
     try:
         grid = list(epsilons)
     except TypeError:  # one number, not a grid
         raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
-    eps = np.asarray(grid, dtype=float)
+    try:
+        eps = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError):  # entries that are not real numbers
+        raise InvalidModeError(f"ellipticity grid must hold real numbers, got {epsilons!r}") from None
     sign, charges, even, odd = _helical_ladders(mode, sign, eps)
     values = np.zeros(eps.size)
     for j in range(charges.size):  # an l = 0 row adds 0.0, leaving every bit of the sum

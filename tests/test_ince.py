@@ -25,6 +25,8 @@ from elliptic_oam.ince import (
     solve_ince,
     valid_modes,
 )
+from elliptic_oam.linalg import TridiagonalMatrix
+
 from oracles import band_scale, geometry, mp_eigenpairs, refined_eigenpair, series_sum
 
 EPS_GRID = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -228,9 +230,9 @@ class TestSolveInce:
         assert np.argmax(np.abs(poly.fourier)) == 2
 
     def test_shift_offset_clears_eigh_error(self):
-        # an offset of 1e-13 (1 + |a|) from eigh's eigenvalue -2.586 left the
-        # shifted system exactly singular here; eigh errs by about one ulp of
-        # the largest eigenvalue, 643
+        # an offset of 1e-13 (1 + |a|) from the eigenvalue -2.586, then eigh's,
+        # left the shifted system exactly singular here; LAPACK's eigenvalue
+        # errs by about one ulp of the largest eigenvalue, 643
         poly = solve_ince(ModeIndex(20, 4, Parity.ODD), 30.366025352309492)
         assert ince_ode_residual(poly) <= 1e-9
 
@@ -269,6 +271,27 @@ class TestMpmathOracle:
                 poly = solve_ince(mode, eps)
                 assert abs(poly.eigenvalue - values[rank]) <= bound
                 assert np.max(np.abs(poly.fourier - vectors[:, rank])) <= 1e-13
+
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.5, 2.0, 10.0, 1e3, 1e7, 1e100])
+    def test_rank_eigenpairs_match_extended_precision(self, eps):
+        # the symmetric pencil S(eps) of each (p, parity) class at p <= 20, in mp.eigsy with digits to
+        # spare past the 10^log10(eps) that separates its smallest eigenvalues from its largest; the
+        # worst error of the former eigh kernel over this table was 1.67e-15, at eps = 1e100
+        worst = 0.0
+        for p in range(21):
+            for parity in Parity:
+                modes = [mode for mode in valid_modes(20) if mode.p == p and mode.parity is parity]
+                if not modes:
+                    continue
+                square, shift, sub, sup = ince._pencil(modes[0])
+                coupling = eps * np.sqrt(sub * sup)
+                symmetric = TridiagonalMatrix(diag=square + eps * shift, sub=coupling, sup=coupling)
+                _, oracle = mp_eigenpairs(symmetric, digits=30 + int(math.log10(max(eps, 1.0))))
+                for mode in modes:
+                    vector = ince.rank_eigenpairs(mode, [eps])[2][0]
+                    worst = max(worst, float(np.max(np.abs(vector - oracle[:, eigenvalue_rank(mode)]))))
+        assert worst <= 1.67e-15
 
 
 class TestSeriesEvaluation:

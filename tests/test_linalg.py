@@ -100,11 +100,12 @@ class TestEigenTridiagonal:
         assert vector[1] == pytest.approx(-1e-200, rel=1e-12)
 
     def test_sign_from_sturm_sequence_past_a_zero_pivot(self):
-        # eigh returns lambda = diag[0] = 0 exactly, so q_0 = 0; the exact
+        # the exact lambda is diag[0] = 0, so q_0 = 0; eigvalsh returns it to
+        # within rounding and the pivot is raised to the guard.  The exact
         # vector is (1e-13, 0, -1) up to its norm, entry 0 below 1e-8
         m = TridiagonalMatrix(diag=[0.0, 0.0, 0.0], sub=[1.0, 1e-13], sup=[1.0, 1e-13])
         values, vector = solve(m, 1)
-        assert values[1] == 0.0
+        assert abs(values[1]) <= np.finfo(float).eps
         assert vector[0] == pytest.approx(1e-13, rel=1e-12)
         assert vector[2] == pytest.approx(-1.0, rel=1e-15)
 
@@ -158,17 +159,19 @@ class TestSymmetricEigenpairs:
         assert vectors[0].tolist() == [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
 
     def test_underflowing_coupling_product(self):
-        # 1e-170 squared underflows to 0, so the Sturm sequence reads a split
-        # matrix; eigh drops the coupling too, and the pairs are the blocks'
+        # 1e-170 squared underflows to 0, so the pivots read a split matrix, but
+        # the vectors take the coupling itself: each keeps its exact entry
+        # -+1e-170 / (2 - 1) off the block
         values, vectors = eigen_tridiagonal(np.array([[1.0, 2.0]]), np.array([[1e-170]]), [0, 1])
         assert values.tolist() == [[1.0, 2.0]]
-        assert vectors[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        np.testing.assert_allclose(vectors[0], [[1.0, 1e-170], [-1e-170, 1.0]], rtol=1e-14, atol=0.0)
 
     def test_sign_from_sturm_sequence_past_a_zero_pivot(self):
-        # eigh returns lambda = diag[0] = 0 exactly, so q_0 = 0; the exact
+        # the exact lambda is diag[0] = 0, so q_0 = 0; eigvalsh returns it to
+        # within rounding and the pivot is raised to the guard.  The exact
         # vector is (1e-13, 0, -1) up to its norm, entry 0 below 1e-8
         values, vectors = eigen_tridiagonal(np.zeros((1, 3)), np.array([[1.0, 1e-13]]), [1])
-        assert values[0, 1] == 0.0
+        assert abs(values[0, 1]) <= np.finfo(float).eps
         assert vectors[0, 0, 0] == pytest.approx(1e-13, rel=1e-12)
         assert vectors[0, 2, 0] == pytest.approx(-1.0, rel=1e-15)
 
@@ -177,7 +180,7 @@ class TestSymmetricEigenpairs:
             eigen_tridiagonal(np.zeros((2, 2)), np.array([[1.0], [1e160]]), [0])
 
     def test_residual_is_bounded_by_the_largest_eigenvalue(self):
-        # the middle eigenvalue is 0 and the largest 1e12: eigh's residual of
+        # the middle eigenvalue is 0 and the largest 1e12: a residual of
         # about 1e-4 on the middle pair is rounding at the matrix's scale
         diag, coupling = np.array([[0.0, 0.0, 0.0]]), np.array([[1e12 / math.sqrt(2.0)] * 2])
         values, vectors = eigen_tridiagonal(diag, coupling, [1])
@@ -197,19 +200,19 @@ class TestSymmetricEigenpairs:
         def failing(stack):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
         with pytest.raises(SolverError, match="did not converge"):
             solve()
 
     def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch, unbuilt_lg_to_hg):
-        eigh = np.linalg.eigh
+        eigvalsh = np.linalg.eigvalsh
 
         def perturbed(stack):
-            values, vectors = eigh(stack)
-            vectors[0] = vectors[0][:, [0, 1, 3, 2, 4]]  # the transform reads ranks 2 to 4
-            return values, vectors
+            values = eigvalsh(stack)
+            values[0, 3] += 0.5  # the transform reads ranks 2 to 4; 2.5 lies between two eigenvalues
+            return values
 
-        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(SolverError, match="residual"):
             beams._lg_to_hg(4)
 
@@ -245,11 +248,13 @@ def _calls(path, names, imports=()):
 
 
 def test_one_eigen_kernel():
-    # the symmetric eigensolve and its sign rule have one owner, which calls eigh once
+    # the symmetric eigensolve and its sign rule have one owner, which calls eigvalsh once;
+    # nothing in the package builds eigh's full set of eigenvectors
     package = Path(elliptic_oam.__file__).parent
-    calls = {path.name: _calls(path, ("eigh", "_sturm_flips"), ("eigh",)) for path in sorted(package.glob("*.py"))}
+    names = ("eigh", "eigvalsh", "_sturm_flips")
+    calls = {path.name: _calls(path, names, names) for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in calls.items() if found} == {
-        "linalg.py": [("eigen_tridiagonal", "eigh"), ("eigen_tridiagonal", "_sturm_flips")]
+        "linalg.py": [("eigen_tridiagonal", "eigvalsh"), ("eigen_tridiagonal", "_sturm_flips")]
     }
 
 
