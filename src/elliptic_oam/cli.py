@@ -106,11 +106,7 @@ def cmd_oam_curve(args) -> int:
     if args.steps < 3:
         raise InvalidModeError("need at least 3 steps")
     mode = ModeIndex(args.p, args.m, Parity.EVEN)
-    if mode.m < 1:
-        raise InvalidModeError("OAM curves need m >= 1")
     other = ModeIndex(args.cross[0], args.cross[1], Parity.EVEN) if args.cross else None
-    if other is not None and other.m < 1:
-        raise InvalidModeError("crossing partner needs m >= 1")
     if args.log_spacing:
         grid = np.geomspace(args.eps_min, args.eps_max, args.steps)
     else:

@@ -10,8 +10,8 @@ takes the eigenvalue of ascending rank (m - k[0]) / 2, the position of m
 among the harmonics, which is the eigenvalue m^2 at eps = 0.  One loop,
 ``_eigen_chunks``, solves the pencil symmetrized by ``lg_scale`` over an
 eps grid in chunked stacks: ``rank_eigenpairs`` collects its vectors, the
-LG expansion ``quantum`` reads, and ``_fourier_polynomials`` refines each
-chunk on T(eps) into Fourier vectors (``solve_ince`` at one eps).
+LG expansion ``quantum`` reads, and ``_fourier_polynomials`` divides them
+by ``lg_scale`` into Fourier vectors (``solve_ince`` at one eps).
 Moved into the Hermite-Gauss basis, the same eigenproblem splits by parity
 into two blocks of L_z^2 + eps*diag(2k - p) with eps on the diagonal only
 (``_hg_pencil``); an IG mode's block eigenvector is its field's HG
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModeError, SolverError
-from .linalg import TridiagonalMatrix, _tridiagonal_stack, eigen_tridiagonal
+from .linalg import TridiagonalMatrix, eigen_tridiagonal
 
 # Bytes of one dense stack of symmetric matrices handed to the eigen kernel:
 # an eps grid of any length is solved in chunks of at most this many, so the
@@ -89,7 +89,8 @@ class IncePolynomial:
     sin(harmonics[j]*eta) for odd parity.  The coefficient vector has unit
     Euclidean norm; its first entry (nonzero for eps > 0) is positive, by the
     Sturm-sequence rule of ``linalg.eigen_tridiagonal`` where it is
-    rounding noise.
+    rounding noise.  It is the kernel's twisted eigenvector of the
+    symmetrized recurrence divided by ``lg_scale``, with no further solve.
     """
 
     mode: ModeIndex
@@ -241,9 +242,9 @@ def _chunk_size(dimension: int) -> int:
 def _eigen_chunks(mode: ModeIndex, epsilons: np.ndarray):
     """The one loop over an eps grid, checked and its pencil built once, a chunk of ``_chunk_size`` eps a step.
 
-    Yields the chunk's rows, the bands (diag, sub, sup) of T(eps), and the eigenvalue, spectral radius
-    and unit eigenvector of rank ``eigenvalue_rank(mode)`` of each S(eps): one
-    ``linalg.eigen_tridiagonal`` stack, checked for eigenvalue collisions.
+    Yields the chunk's rows, the bands (diag, sub, sup) of T(eps), and the eigenvalue and unit
+    eigenvector of rank ``eigenvalue_rank(mode)`` of each S(eps): one ``linalg.eigen_tridiagonal``
+    stack, checked for eigenvalue collisions.
     """
     _check_ellipticity(epsilons, mode.p)
     square, shift, sub, sup = _pencil(mode)
@@ -254,24 +255,21 @@ def _eigen_chunks(mode: ModeIndex, epsilons: np.ndarray):
         diag = square + eps * shift
         spectra, vectors = eigen_tridiagonal(diag, eps * coupling, [rank])
         _check_simple_spectrum((mode,), eps[:, 0], spectra[None])
-        # the values ascend, so the largest |value| is at one end
-        radii = np.maximum(-spectra[:, 0], spectra[:, -1])
-        yield slice(start, start + step), (diag, eps * sub, eps * sup), spectra[:, rank], radii, vectors[:, :, 0]
+        yield slice(start, start + step), (diag, eps * sub, eps * sup), spectra[:, rank], vectors[:, :, 0]
 
 
 def rank_eigenpairs(mode: ModeIndex, epsilons):
-    """Eigenvalue, spectral radius and unit eigenvector of rank ``eigenvalue_rank(mode)`` at each epsilons[i].
+    """Eigenvalue and unit eigenvector of rank ``eigenvalue_rank(mode)`` at each epsilons[i].
 
     The ``_eigen_chunks`` eigenpairs of S(eps) = diag(k^2 + eps*shift) + eps*sqrt(sub*sup) on both
     off-diagonals, T(eps) under the similarity ``lg_scale``.  The vectors are in harmonic order, entry 0
-    positive; the radius, max |eigenvalue|, is the scale of the eigenvalues' error.
+    positive.
     """
     epsilons = np.asarray(epsilons, dtype=float)
-    values, radii = np.empty(epsilons.size), np.empty(epsilons.size)
-    vectors = np.empty((epsilons.size, series_harmonics(mode).size))
+    values, vectors = np.empty(epsilons.size), np.empty((epsilons.size, series_harmonics(mode).size))
     for rows, _, *solved in _eigen_chunks(mode, epsilons):
-        values[rows], radii[rows], vectors[rows] = solved
-    return values, radii, vectors
+        values[rows], vectors[rows] = solved
+    return values, vectors
 
 
 def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
@@ -308,30 +306,26 @@ def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
 
 
 def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
-    """Ince polynomials at each epsilons[i]: each ``_eigen_chunks`` eigenvector unscaled and refined on T(eps).
+    """Ince polynomials at each epsilons[i]: each ``_eigen_chunks`` eigenvector divided by ``lg_scale``, normalized.
 
-    T(eps) is filled from the chunk's bands; each row's residual on it is checked.
+    The kernel's twisted vectors are accurate entry by entry, so unscaling them needs no repair.
+    Each row's residual on T(eps) is checked, from the chunk's bands.
     """
     epsilons, scale, polynomials = np.asarray(epsilons, dtype=float), lg_scale(mode), []
-    for rows, bands, values, radii, symmetric in _eigen_chunks(mode, epsilons):
-        eps, dense = epsilons[rows], _tridiagonal_stack(*bands)
-        # unscaling amplifies the kernel's error in small entries; one
-        # inverse-iteration step on the original matrix restores them.  The
-        # shift offset scales with the largest eigenvalue, as the eigenvalue's
-        # error does, so it is never singular.
-        shifted = dense - (values + 1e-13 * (1.0 + radii))[:, None, None] * np.eye(scale.size)
-        try:
-            vectors = np.linalg.solve(shifted, (symmetric / scale)[..., None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
-        # entries near 1 / (1e-13 max|a|) square to 0 at large eps: scale the largest into [0.5, 1), exactly
+    for rows, (diag, sub, sup), values, symmetric in _eigen_chunks(mode, epsilons):
+        eps, vectors = epsilons[rows], symmetric / scale
+        # 1 / lg_scale reaches 4e119 at p = 800, and its square overflows from about p = 1000:
+        # scale the largest entry into [0.5, 1), exactly
         vectors = np.ldexp(vectors, -np.frexp(np.max(np.abs(vectors), axis=1, keepdims=True))[1])
         norms = np.zeros(values.size)
         for column in vectors.T:  # one term at a time, in index order
             norms += column * column
-        # the shift lies above the eigenvalue, so the step reverses the sign
-        vectors /= -np.sqrt(norms)[:, None]
-        residuals = np.linalg.norm((dense @ vectors[..., None])[..., 0] - values[:, None] * vectors, axis=1)
+        vectors /= np.sqrt(norms)[:, None]
+        # T v - a v from the bands, as the kernel checks its own residual
+        error = (diag - values[:, None]) * vectors
+        error[:, :-1] += sup * vectors[:, 1:]
+        error[:, 1:] += sub * vectors[:, :-1]
+        residuals = np.sqrt(np.sum(np.square(error, out=error), axis=1))
         bad = ~(residuals <= 1e-10 * (1.0 + np.abs(values)))
         if bad.any():
             raise SolverError(

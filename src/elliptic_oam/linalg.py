@@ -9,10 +9,10 @@ from twisted factorizations at its eigenvalue (``_pivots`` and
 coupling-overflow guard, the residual check and the Sturm-sequence sign
 rule (``_sturm_flips``).  The Ince route of ``ince``, its Hermite-Gauss
 blocks and the LG -> HG transform of ``beams`` solve through it.
-``_tridiagonal_stack`` fills its stack and the T(eps) stack of the Fourier
-refinement in ``ince``; ``TridiagonalMatrix``, kept for the benchmark and
-the tests only, holds one matrix's bands.  A tensor-product Gauss-Legendre
-quadrature over a square window completes the module.
+``_tridiagonal_stack`` fills the dense stack that ``eigvalsh`` reduces;
+``TridiagonalMatrix``, kept for the benchmark and the tests only, holds one
+matrix's bands.  A tensor-product Gauss-Legendre quadrature over a square
+window completes the module.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class TridiagonalMatrix:
     """Real tridiagonal matrix stored as its three bands.
 
     ``sub[i]`` couples row i+1 to column i, ``sup[i]`` row i to column i+1.
-    For the benchmark and the tests only; the library's dense stacks come from ``_tridiagonal_stack``.
+    For the benchmark and the tests only; the kernel's dense stack comes from ``_tridiagonal_stack``.
     """
 
     diag: np.ndarray

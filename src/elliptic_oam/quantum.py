@@ -133,7 +133,7 @@ def _ladder_weights(mode: ModeIndex, epsilons):
     unscaling is needed.  The overall sign is that of the Fourier vector,
     whose entry 0 is positive.
     """
-    vectors = rank_eigenpairs(mode, epsilons)[2]
+    vectors = rank_eigenpairs(mode, epsilons)[1]
     charges = series_harmonics(mode)[::-1]
     n = (mode.p - charges) // 2
     return charges, _expansion_sign(n, charges, mode.p, mode.m) * vectors[:, ::-1]

@@ -150,9 +150,10 @@ def series_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y)
 
     radial(xi) * angular(eta) * Gaussian envelope * order-p Gouy phase,
     normalized by a 160-node quadrature over 8 beam widths.  It shares no
-    code with the LG expansion behind ``beams.eval_ig``, so it is the oracle
-    for that expansion.  The radial cosh/sinh series cancels badly at high
-    order and ellipticity; the battery uses it for p <= 8 and eps <= 5.
+    code with the LG expansion of ``quantum.decompose`` or the HG block
+    coefficients behind ``beams.eval_ig``, so it is the oracle for both.
+    The radial cosh/sinh series cancels badly at high order and
+    ellipticity; the battery uses it for p <= 8 and eps <= 5.
     Odd fields come out real because the factor i of the sine series at
     imaginary argument is dropped (it is a global phase).  This is the
     one-mode case of the battery's route, which builds the elliptic frame

@@ -12,14 +12,14 @@ table among the modes of an eps and waist; ``per_mode_series_ig`` and
 shared route must reproduce them bit for bit.  ``symmetric_lg_weights``
 reads the weights, at any order, straight off LAPACK's eigenvector of the
 symmetrized recurrence, one eps at a time and up to sign, and
-``fourier_lg_weights`` from the refined Fourier vector of ``solve_ince``.
+``fourier_lg_weights`` from the Fourier vector of ``solve_ince``.
 ``band_scale`` reads the symmetrizing diagonal off the bands, the route
 that ``ince.lg_scale`` replaces in the library, and ``refined_eigenpair``
-is the per-matrix eigen route that the stacked refinement
-``ince._fourier_polynomials`` replaced: couplings symmetrized from the
-bands of one ``build_recurrence_matrix``, unscaled and refined on its
-dense form, where the library fills T(eps) from the pencil for a whole
-stack of eps and ``solve_ince`` is the one-point case.  ``random_states``
+is a per-matrix eigen route beside the stacked ``ince._fourier_polynomials``:
+couplings symmetrized from the bands of one ``build_recurrence_matrix``,
+unscaled and refined by one inverse-iteration step on its dense form, where
+the library unscales the kernel's vector for a whole stack of eps with no
+further solve and ``solve_ince`` is the one-point case.  ``random_states``
 supplies the random one-photon states of the OAM identity tests.
 ``lg_sum`` is the Laguerre-Gauss route to the fields of one Gouy order
 that the library evaluates as Hermite-Gauss sums: blocked, with the azimuth
@@ -216,12 +216,12 @@ def mp_lg_weights(mode, eps, digits=250):
 
 
 def fourier_lg_weights(mode, eps):
-    """LG weights of an IG mode by way of its refined Fourier vector.
+    """LG weights of an IG mode by way of its Fourier vector.
 
-    ``solve_ince``'s Fourier vector (inverse-iterated on the unsymmetrized
-    recurrence) times ``lg_scale``, reversed, given the alternating sign
-    (-1)^(n + l + (p + m)/2) and normalized one term at a time: the same D
-    as the library's, overall sign included, by another eigenvector route.
+    ``solve_ince``'s Fourier vector times ``lg_scale``, reversed, given the
+    alternating sign (-1)^(n + l + (p + m)/2) and normalized one term at a
+    time: the same D as the library's, overall sign included, back through
+    the Fourier route's unscaling, exact rescale and residual check.
     """
     poly = solve_ince(mode, eps)
     charges = poly.harmonics[::-1]

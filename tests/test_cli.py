@@ -117,6 +117,10 @@ class TestOamCurve:
                         "-o", str(tmp_path / "x.csv")]) == 2
         assert run_cli(["oam-curve", "-p", "2", "-m", "0", "--eps-min", "0.1", "--eps-max", "1",
                         "-o", str(tmp_path / "y.csv")]) == 2
+        # the helical-state check refuses an m = 0 crossing partner as it does an m = 0 curve
+        assert run_cli(["oam-curve", "-p", "2", "-m", "2", "--eps-min", "0.1", "--eps-max", "1",
+                        "--cross", "2", "0", "-o", str(tmp_path / "f")]) == 2
+        assert list(tmp_path.iterdir()) == []
         capsys.readouterr()
         # too few steps is refused before any curve is computed
         monkeypatch.setattr(quantum, "oam_curve", None)
@@ -333,7 +337,8 @@ class TestHugeEllipticity:
         assert json.loads(out.read_text())["harmonics"] == [1, 3, 5, 7]
 
     def test_tiny_refined_vector_is_normalized_without_warnings(self):
-        # the inverse-iteration step gives about 1e-187 at 1e200, whose square underflows
+        # at 1e200 the one-harmonic vector must come out exactly 1, with no over- or underflow
+        # warning from the exact rescale or the norm, nor from the decomposition's weights
         argv = ["-p", "1", "-m", "1", "--parity", "even", "-e", "1e200"]
         documents = {}
         for command in ("solve-ince", "decompose"):

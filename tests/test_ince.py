@@ -230,18 +230,17 @@ class TestSolveInce:
         assert np.argmax(np.abs(poly.fourier)) == 2
 
     def test_shift_offset_clears_eigh_error(self):
-        # an offset of 1e-13 (1 + |a|) from the eigenvalue -2.586, then eigh's,
-        # left the shifted system exactly singular here; LAPACK's eigenvalue
-        # errs by about one ulp of the largest eigenvalue, 643
+        # LAPACK's eigenvalue -2.586 errs here by about one ulp of the largest, 643 (a dense
+        # shifted solve offset 1e-13 (1 + |a|) from it is exactly singular); the unscaled
+        # twisted vector must still solve the ODE at it
         poly = solve_ince(ModeIndex(20, 4, Parity.ODD), 30.366025352309492)
         assert ince_ode_residual(poly) <= 1e-9
 
     def test_high_order_memory_stays_quadratic(self):
-        # the one-vector solve peaks near 1 MB here (a few dense 201 x 201
-        # copies); one stack of shifted systems for all 201 eigenvectors
-        # would peak near 125 MB.  The 64-point route must chunk: one stack
-        # of its dense T(eps) and their shifted copies peaks near 60 MB,
-        # under the 64 MB bound but 60 times the one-point peak
+        # the one-point solve peaks near 0.3 MB here, mostly the dense
+        # 201 x 201 matrix that the kernel's eigvalsh reduces.  The 64-point
+        # route must chunk: one stack of those matrices for the whole grid
+        # holds about 20 MB, under the 64 MB bound but 60 times the one-point peak
         mode, peaks = ModeIndex(400, 2, Parity.EVEN), []
         for grid in ([1.0], np.linspace(0.25, 4.0, 64)):
             tracemalloc.start()
@@ -259,7 +258,7 @@ class TestMpmathOracle:
     @pytest.mark.parametrize("p", [20, 41, 60])
     def test_matches_extended_precision_eigenpairs(self, p, parity):
         m0 = 1 if p % 2 else (2 if parity is Parity.ODD else 0)
-        for eps in (1e-3, 0.35, 3.0, 30.0, 300.0):
+        for eps in (1e-3, 0.35, 3.0, 30.0, 300.0, 1e4):
             values, vectors = mp_eigenpairs(build_recurrence_matrix(ModeIndex(p, m0, parity), eps))
             # double-precision symmetrization perturbs the spectrum by about
             # one ulp of its largest eigenvalue, so interior eigenvalues are
@@ -289,7 +288,7 @@ class TestMpmathOracle:
                 symmetric = TridiagonalMatrix(diag=square + eps * shift, sub=coupling, sup=coupling)
                 _, oracle = mp_eigenpairs(symmetric, digits=30 + int(math.log10(max(eps, 1.0))))
                 for mode in modes:
-                    vector = ince.rank_eigenpairs(mode, [eps])[2][0]
+                    vector = ince.rank_eigenpairs(mode, [eps])[1][0]
                     worst = max(worst, float(np.max(np.abs(vector - oracle[:, eigenvalue_rank(mode)]))))
         assert worst <= 1.67e-15
 
@@ -417,15 +416,15 @@ class TestOneRoute:
                 assert poly.fourier.view(np.int64).tolist() == single.fourier.view(np.int64).tolist(), (mode, eps)
 
     def test_refusal_names_the_eps(self, monkeypatch):
-        # a T(eps) off the pencil in the second row fails that row's residual check, and only that row's
-        fill = ince._tridiagonal_stack
+        # a kernel vector reversed in the second row fails that row's residual check, and only that row's
+        kernel = ince.eigen_tridiagonal
 
-        def perturbed(diag, sub, sup):
-            stack = fill(diag, sub, sup)
-            stack[1] *= 1.5
-            return stack
+        def reversed_row(*args):
+            values, vectors = kernel(*args)
+            vectors[1] = vectors[1, ::-1].copy()
+            return values, vectors
 
-        monkeypatch.setattr(ince, "_tridiagonal_stack", perturbed)
+        monkeypatch.setattr(ince, "eigen_tridiagonal", reversed_row)
         with pytest.raises(SolverError, match=r"exceeds bound at eps=2\.5;"):
             ince._fourier_polynomials(ModeIndex(4, 2, Parity.EVEN), [1.0, 2.5, 4.0])
 
@@ -473,13 +472,20 @@ class TestOneRoute:
         assert calls == {"_pencil": 1, "_check_ellipticity": 1, "eigen_tridiagonal": 3}
 
     def test_route_keeps_no_spectrum(self):
-        # the curves read only the vectors; one eigenvalue and one radius per eps come along
+        # the curves read only the vectors; one eigenvalue per eps comes along
         mode, grid = ModeIndex(9, 3, Parity.EVEN), np.geomspace(0.1, 10.0, 7)
-        values, radii, vectors = ince.rank_eigenpairs(mode, grid)
-        assert values.shape == radii.shape == (7,) and vectors.shape == (7, 5)
-        for eps, value, radius, vector in zip(grid, values, radii, vectors):
+        values, vectors = ince.rank_eigenpairs(mode, grid)
+        assert values.shape == (7,) and vectors.shape == (7, 5)
+        for eps, value, vector in zip(grid, values, vectors):
             poly = solve_ince(mode, eps)
-            assert value == poly.eigenvalue and radius >= abs(value)
+            assert value == poly.eigenvalue
             fourier = vector / lg_scale(mode)
             assert np.max(np.abs(fourier / np.linalg.norm(fourier) - poly.fourier)) < 1e-13
+            # bit for bit, the Fourier vector is that quotient with no further solve: its largest
+            # entry scaled into [0.5, 1) by a power of two, then divided by its norm summed in index order
+            fourier = np.ldexp(fourier, -np.frexp(np.max(np.abs(fourier)))[1])
+            squared = 0.0
+            for entry in fourier:
+                squared += entry * entry
+            assert (fourier / math.sqrt(squared)).view(np.int64).tolist() == poly.fourier.view(np.int64).tolist()
 

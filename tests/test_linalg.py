@@ -258,6 +258,15 @@ def test_one_eigen_kernel():
     }
 
 
+def test_no_dense_linear_solve():
+    # every eigenvector comes from the kernel's twisted factorizations; no module refines one by a
+    # dense solve, nor inverts or least-squares fits a matrix
+    package = Path(elliptic_oam.__file__).parent
+    names = ("solve", "lstsq", "inv", "pinv", "tensorsolve")
+    calls = {path.name: _calls(path, names, names) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
 def test_dense_recurrence_matrix_serves_only_the_benchmark_and_tests():
     # the library reads T(eps) from the pencil; only build_recurrence_matrix itself builds a TridiagonalMatrix
     package = Path(elliptic_oam.__file__).parent
