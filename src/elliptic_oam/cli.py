@@ -5,6 +5,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
 by a ``<file>.manifest.json`` recording the subcommand, parameters, tool
 version and a sha256 checksum of the payload bytes.  All output is deterministic:
 numbers are formatted with 17 significant digits and no RNG runs anywhere.
+
+Every payload streams through ``_emit`` as byte blocks (a field's text row by
+row), hashed as it is written, and the manifest follows the complete payload;
+so a subcommand's memory scales with its field, not with the field's text.
+Everything that can refuse a run (sampling, finiteness, the domain checks)
+runs before ``_emit``, which only formats and writes: a refused run leaves
+neither a payload nor a manifest.
 """
 
 from __future__ import annotations
@@ -32,24 +39,33 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(payload: bytes, args, parameters: dict) -> None:
-    """Write payload (or print it) plus the run manifest."""
+def _emit(blocks, args, parameters: dict) -> None:
+    """Write the payload's byte blocks in order to ``-o`` (or stdout), then the run manifest.
+
+    Each block is written and fed to one sha256 as it comes, so no block
+    outlives its write; the manifest is written once the payload is
+    complete.
+    """
     output = getattr(args, "output", None)
     if output:
+        digest = hashlib.sha256()
         with open(output, "wb") as handle:
-            handle.write(payload)
+            for block in blocks:
+                handle.write(block)
+                digest.update(block)
         manifest = {
             "subcommand": args.command,
             "parameters": parameters,
             "tool_version": __version__,
-            "checksum": hashlib.sha256(payload).hexdigest(),
+            "checksum": digest.hexdigest(),
         }
         with open(f"{output}.manifest.json", "w", encoding="utf-8") as handle:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
     else:
         sys.stdout.flush()  # raw bytes (a PGM is not text), in order with the text around them
-        sys.stdout.buffer.write(payload)
+        for block in blocks:
+            sys.stdout.buffer.write(block)
         sys.stdout.buffer.flush()
 
 
@@ -78,7 +94,7 @@ def cmd_solve_ince(args) -> int:
         "harmonics": poly.harmonics.tolist(),
         "residual": ince_ode_residual(poly),
     }
-    _emit(_json_bytes(document), args, _params(args))
+    _emit([_json_bytes(document)], args, _params(args))
     return EXIT_OK
 
 
@@ -94,7 +110,7 @@ def cmd_decompose(args) -> int:
         "terms": terms,
         "sum_sq": float(sum(t["D"] ** 2 for t in terms)),
     }
-    _emit(_json_bytes(document), args, _params(args))
+    _emit([_json_bytes(document)], args, _params(args))
     return EXIT_OK
 
 
@@ -123,7 +139,7 @@ def cmd_oam_curve(args) -> int:
             "partner": {"p": other.p, "m": other.m},
             "epsilons": quantum.find_crossings(curve, partner),
         }
-    _emit(payload, args, _params(args))
+    _emit([payload], args, _params(args))
     if args.output:
         with open(f"{args.output}.analysis.json", "w", encoding="utf-8") as handle:
             json.dump(sidecar, handle, indent=2, sort_keys=True)
@@ -133,20 +149,42 @@ def cmd_oam_curve(args) -> int:
     return EXIT_OK
 
 
-def _field_csv(field) -> bytes:
-    """One ``x,y,re,im`` line per sample, row by row, every number as ``_fmt`` writes it.
+def _field_csv(field):
+    """Yield the ``x,y,re,im`` header, then one block per grid row: a line per sample, as ``_fmt`` writes it.
 
     The axis values are formatted once, into one row template whose y
     placeholder (a letter no formatted float contains) each row replaces;
     the row's real and imaginary parts, interleaved in the field's float64
     view, fill it, and '%.17g' formats a float exactly as
-    format(value, '.17g') does.
+    format(value, '.17g') does.  Only one row's text is alive at a time.
     """
     template = "".join(f"{_fmt(x)},y,%.17g,%.17g\n" for x in field.x_coords())
-    rows = ["x,y,re,im\n"]
+    yield b"x,y,re,im\n"
     for y, parts in zip(field.y_coords(), field.values.view(np.float64)):
-        rows.append(template.replace("y", _fmt(y)) % tuple(parts.tolist()))
-    return "".join(rows).encode("utf-8")
+        yield (template.replace("y", _fmt(y)) % tuple(parts.tolist())).encode("utf-8")
+
+
+def _field_pgm(field):
+    """Yield the 16-bit PGM header, then one big-endian row of intensity levels per grid row.
+
+    The levels are rint(65535 |u|^2 / max |u|^2), built in place in one
+    float64 plane.  The moduli are first scaled by the power of two that
+    brings the largest |Re| or |Im| into [0.5, 1), so the peak square stays
+    in range at any field scale (a waist of 1e-155 gives amplitudes near
+    1e155); a power of two commutes with rounding, so wherever the unscaled
+    squares were in range the levels are the same.
+    """
+    plane = np.abs(field.values)
+    if field.max_part > 0.0:
+        np.ldexp(plane, -math.frexp(field.max_part)[1], out=plane)
+        np.square(plane, out=plane)
+        peak = plane.max()
+        np.multiply(plane, 65535.0, out=plane)
+        np.divide(plane, peak, out=plane)
+        np.rint(plane, out=plane)
+    yield f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
+    for row in plane:
+        yield row.astype(">u2").tobytes()
 
 
 def _field_callable(args, geometry):
@@ -162,17 +200,7 @@ def _field_callable(args, geometry):
 def cmd_field(args) -> int:
     geometry = _geometry_from(args, z=args.z)
     field = beams.sample_grid(_field_callable(args, geometry), args.window, args.resolution)
-    if args.format == "csv":
-        payload = _field_csv(field)
-    else:
-        intensity = np.abs(field.values) ** 2
-        peak = intensity.max()
-        levels = np.zeros_like(intensity, dtype=np.uint16)
-        if peak > 0.0:
-            levels = np.rint(65535.0 * intensity / peak).astype(np.uint16)
-        header = f"P5\n{field.nx} {field.ny}\n65535\n".encode("ascii")
-        payload = header + levels.astype(">u2").tobytes()
-    _emit(payload, args, _params(args))
+    _emit(_field_csv(field) if args.format == "csv" else _field_pgm(field), args, _params(args))
     return EXIT_OK
 
 
@@ -197,7 +225,7 @@ def cmd_vortices(args) -> int:
         "foci": [[semifocal, 0.0], [-semifocal, 0.0]],
         "vortices": [{"x": v.x, "y": v.y, "charge": v.charge} for v in detections],
     }
-    _emit(_json_bytes(document), args, _params(args))
+    _emit([_json_bytes(document)], args, _params(args))
     return EXIT_OK
 
 
@@ -208,8 +236,7 @@ def cmd_verify(args) -> int:
     from . import verify
 
     report = verify.run_checks(args.level)
-    payload = report.render().encode("utf-8")
-    _emit(payload, args, _params(args))
+    _emit([report.render().encode("utf-8")], args, _params(args))
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 

@@ -18,7 +18,9 @@ per mode that does not depend on the mode.  One elliptic frame per
 (eps, waist), the elliptic coordinates and Gaussian envelopes of the
 128-node overlap grid and of the 160-node norm grid, serves every mode of
 that eps; one table of LG fields per waist serves every eps, and the LG
-Gram check reads its fields from it too.
+Gram check reads its fields from it too.  That table is released before
+the IG Gram fields are built, so the battery holds one full-size table of
+fields at a time, and its memory is set by the overlap frames.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def cartesian_to_elliptic(x, y, semifocal: float) -> EllipticPoint:
     """
     if semifocal <= 0.0:
         raise ValueError(f"semifocal separation must be positive, got {semifocal}")
-    w = (np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)) / semifocal
-    zeta = np.arccosh(w.astype(complex))
+    w = np.asarray(np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float))
+    w /= semifocal
+    zeta = np.arccosh(w, out=w)
     xi = np.abs(zeta.real)
     eta = np.mod(zeta.imag, 2.0 * np.pi)
     if np.ndim(xi) == 0:
@@ -247,10 +250,12 @@ def _quadrature_checks(table: dict, grid: tuple, full: bool):
     """The overlap-oracle and Gram checks on one waist-1 plane, and the waist-independence check.
 
     The polynomials are column ``grid.index(eps)`` of ``run_checks``' table, and the weights they
-    check one ``quantum._ladder_weights`` stack per mode over the overlap eps.  The plane's LG table
-    serves those eps and the LG Gram matrix, and is freed on return, before the vortex grids.  The
-    waist-independence check reuses the eps-2 polynomials and weights of the overlap check and
-    evaluates its two modes at waist 1.6 in one frame.
+    check one ``quantum._ladder_weights`` stack per mode over the overlap eps.  One full-size table
+    is alive at a time: the plane's LG table serves those eps and then the LG Gram matrix, and is
+    released before the IG Gram fields are built, which are kept as their real parts.  The report
+    keeps its order, the IG Gram line before the LG one.  The waist-independence check reuses the
+    eps-2 polynomials and weights of the overlap check and evaluates its two modes at waist 1.6 in
+    one frame.
     """
     results = []
     plane = _QuadraturePlane(1.0)
@@ -269,14 +274,8 @@ def _quadrature_checks(table: dict, grid: tuple, full: bool):
             at_waist_1 = dict(zip(modes, oracles))
         results.append(CheckResult(f"decomposition-overlap-p{p_max}-eps{eps:g}", worst, 1e-7, worst <= 1e-7))
 
-    # IG orthonormality
-    p_max = 6 if full else 4
-    fields = [beams.eval_ig(mode, 2.0, plane.geometry, X, Y) for mode in valid_modes(p_max)]
-    gram = np.array([[np.sum(np.conj(a) * b * W).real for b in fields] for a in fields])
-    worst = float(np.max(np.abs(gram - np.eye(len(fields)))))
-    results.append(CheckResult(f"ig-gram-identity-p{p_max}", worst, 1e-6, worst <= 1e-6))
-
-    # LG orthonormality (oracle for the quadrature side itself)
+    # LG orthonormality (oracle for the quadrature side itself), read off the table the overlaps filled,
+    # which is then released: the IG fields below are not built beside it
     lg_fields = [
         plane.lg((p - l) // 2, l, parity)
         for p in range(5)
@@ -285,7 +284,17 @@ def _quadrature_checks(table: dict, grid: tuple, full: bool):
     ]
     gram = np.array([[np.sum(a * b * W) for b in lg_fields] for a in lg_fields])
     worst = float(np.max(np.abs(gram - np.eye(len(lg_fields)))))
-    results.append(CheckResult("lg-gram-identity", worst, 1e-8, worst <= 1e-8))
+    lg_gram = CheckResult("lg-gram-identity", worst, 1e-8, worst <= 1e-8)
+    geometry = plane.geometry
+    del plane, lg_fields
+
+    # IG orthonormality; at the waist every IG field is real, as every LG field is, so only its real part is kept
+    p_max = 6 if full else 4
+    fields = [beams.eval_ig(mode, 2.0, geometry, X, Y).real.copy() for mode in valid_modes(p_max)]
+    gram = np.array([[np.sum(a * b * W) for b in fields] for a in fields])
+    worst = float(np.max(np.abs(gram - np.eye(len(fields)))))
+    results.append(CheckResult(f"ig-gram-identity-p{p_max}", worst, 1e-6, worst <= 1e-6))
+    results.append(lg_gram)
 
     # waist independence of the weights along the quadrature route
     worst = 0.0

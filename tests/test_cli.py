@@ -5,15 +5,27 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from elliptic_oam import cli, quantum, verify
-from elliptic_oam.beams import ComplexField, eval_ig, sample_grid
+from elliptic_oam.beams import ComplexField, eval_hig, eval_ig, sample_grid
 from elliptic_oam.ince import ModeIndex, Parity
 
 from oracles import field_csv, geometry
+
+
+# the benchmark's field-csv payload (tests/test_bench_contract.py)
+HELICAL_CSV = ["field", "-p", "5", "-m", "3", "-e", "3.1", "--kind", "helical_minus", "--z", "0.4",
+               "--resolution", "256", "--format", "csv"]
+
+CHECKSUM_CASES = [
+    ["field", "-p", "4", "-m", "2", "--kind", "helical_plus", "-e", "1.3", "--resolution", "24"],
+    ["field", "-p", "4", "-m", "2", "--kind", "helical_plus", "-e", "1.3", "--resolution", "24", "--format", "pgm"],
+    ["oam-curve", "-p", "5", "-m", "3", "--eps-min", "0.2", "--eps-max", "9", "--steps", "33", "--cross", "5", "5"],
+]
 
 
 def run_cli(args):
@@ -173,7 +185,34 @@ class TestField:
         values.real[0, :4] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
         values.imag[1, :3] = [-0.0, 1.7976931348623157e308, -4e-320]
         field = ComplexField(256, 256, (-3.7, -1e-17), 0.029, values)
-        assert cli._field_csv(field) == field_csv(field)
+        assert b"".join(cli._field_csv(field)) == field_csv(field)
+
+    def test_csv_file_is_the_per_sample_writer_bytes(self, tmp_path):
+        out = tmp_path / "field.csv"
+        assert run_cli([*HELICAL_CSV[:-4], "--resolution", "48", "--format", "csv", "-o", str(out)]) == 0
+        mode, geo = ModeIndex(5, 3, Parity.EVEN), geometry(z=0.4)
+        field = sample_grid(lambda x, y: eval_hig(mode, "minus", 3.1, geo, x, y), 6.0, 48)
+        assert out.read_bytes() == field_csv(field)
+
+    def test_csv_to_stdout_is_the_file_bytes(self, tmp_path, capsysbinary):
+        argv = ["field", "-p", "3", "-m", "1", "--kind", "odd", "-e", "0.8", "--resolution", "20"]
+        out = tmp_path / "field.csv"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        assert run_cli(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("argv", CHECKSUM_CASES, ids=lambda argv: " ".join(argv[:2] + argv[-1:]))
+    def test_manifest_checksum_is_the_file_sha256(self, tmp_path, argv):
+        out = tmp_path / "payload"
+        assert run_cli([*argv, "-o", str(out)]) == 0
+        assert read_manifest(out)["checksum"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_refused_field_leaves_no_file(self, tmp_path):
+        out = tmp_path / "field.csv"
+        argv = ["field", "-p", "5", "-m", "3", "--kind", "helical_plus", "-e", "2", "--window", "1e308",
+                "--resolution", "32", "-o", str(out)]
+        assert run_cli(argv) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_center_value_is_normalization_constant(self, tmp_path):
         out = tmp_path / "gauss.csv"
@@ -202,9 +241,57 @@ class TestField:
         assert run_cli(argv) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
+    def test_pgm_levels_of_a_tiny_waist_do_not_overflow(self, tmp_path):
+        # amplitudes near 1e155 square past the double range unless they are scaled first
+        base = ["field", "-p", "0", "-m", "0", "--kind", "even", "-e", "1", "--resolution", "16", "--format", "pgm"]
+        tiny, unit = tmp_path / "tiny.pgm", tmp_path / "unit.pgm"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *base,
+             "--waist", "1e-155", "--window", "3e-155", "-o", str(tiny)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli([*base, "--waist", "1", "--window", "3", "-o", str(unit)]) == 0
+        header = b"P5\n16 16\n65535\n"
+        levels = np.frombuffer(tiny.read_bytes()[len(header):], dtype=">u2")
+        assert levels.max() == 65535
+        assert tiny.read_bytes() == unit.read_bytes()
+
     def test_bad_kind_combination_exits_2(self, tmp_path):
         assert run_cli(["field", "-p", "2", "-m", "0", "--kind", "helical_plus", "-e", "1.0",
                         "-o", str(tmp_path / "x.csv")]) == 2
+
+
+class TestMemory:
+    """A subcommand's traced peak is bounded by its field's bytes, not by the size of its text."""
+
+    @staticmethod
+    def traced_peak(argv, tmp_path):
+        argv = [*argv, "-o", str(tmp_path / "payload")]
+        assert run_cli(argv) == 0  # the warm-up fills the kernels' constant tables
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def field_bytes(resolution):
+        return resolution**2 * np.dtype(complex).itemsize
+
+    def test_csv_field_streams_its_text(self, tmp_path):
+        # the text (5.6 MB) is over five times the field's bytes; one row of it at a time fits
+        assert self.traced_peak(HELICAL_CSV, tmp_path) <= 2 * self.field_bytes(256)
+
+    def test_pgm_levels_take_one_float_plane(self, tmp_path):
+        argv = ["field", "-p", "5", "-m", "3", "-e", "3.1", "--kind", "helical_plus", "--resolution", "512",
+                "--format", "pgm"]
+        assert self.traced_peak(argv, tmp_path) <= 1.75 * self.field_bytes(512)
+
+    def test_verify_holds_one_table_at_a_time(self, tmp_path):
+        assert self.traced_peak(["verify", "--level", "fast"], tmp_path) <= 8 * 2**20
 
 
 class TestVortices:

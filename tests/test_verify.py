@@ -58,6 +58,24 @@ class TestSharedQuadratureRoute:
                     field = beams.eval_lg((p - l) // 2, l, parity, plane.geometry, plane.X, plane.Y)
                     assert not np.any(field.imag), (p, l, parity)
 
+    def test_waist_ig_fields_are_real(self):
+        # the IG Gram check keeps only the real part of each field, at both levels' orders
+        plane = verify._QuadraturePlane(1.0)
+        for mode in valid_modes(6):
+            assert not np.any(beams.eval_ig(mode, 2.0, plane.geometry, plane.X, plane.Y).imag), mode
+
+    def test_gram_lines_follow_the_overlap_lines(self):
+        # the LG Gram matrix is taken first, to release the LG table, but the report keeps its order
+        names = [r.name for r in verify.run_checks("fast").results]
+        start = names.index("decomposition-overlap-p5-eps0.5")
+        assert names[start : start + 5] == [
+            "decomposition-overlap-p5-eps0.5",
+            "decomposition-overlap-p5-eps2",
+            "decomposition-overlap-p5-eps5",
+            "ig-gram-identity-p4",
+            "lg-gram-identity",
+        ]
+
 
 @pytest.fixture
 def calls(monkeypatch):
