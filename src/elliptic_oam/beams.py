@@ -12,13 +12,15 @@ An IG mode's HG coefficients are the eigenvector of its parity's block of
 the HG pencil L_z^2 + eps*diag(2k - p) (``ince._hg_block_coefficients``),
 so its field pays for one small kernel stack and its grid, with no LG
 expansion on the way; a helical field's two blocks are one stack at odd
-order.  The LG fields take their coefficients from the LG -> HG transform
-of the order, which does not depend on the ellipticity: it is built once
-per order and kept as a read-only table.  The HG sum separates in x and y:
-on a grid it is one matrix product of 1-D Hermite-function rows, and its
-curvature phase is an outer product of two 1-D phases.  The Laguerre-Gauss
-sum, the LG route to the IG coefficients and the elliptic-coordinate series
-are kept as independent oracles, in the test suite and in ``verify``.
+order.  An IG mode at eps = 0 is the LG mode of radial number (p - m)/2 and
+charge m, sign included, so the LG fields read the same blocks at eps = 0
+through the same even/odd/helical assembly, ``_mode_coefficients``.  The HG
+sum separates in x and y: on a grid it is one matrix product of 1-D
+Hermite-function rows, and its curvature phase is an outer product of two
+1-D phases.  The Laguerre-Gauss sum, the LG -> HG transform
+(``verify._lg_to_hg``), the LG route to the field coefficients and the
+elliptic-coordinate series are kept as independent oracles, in the test
+suite and in ``verify``.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import GridError, InvalidModeError
 from .ince import ModeIndex, Parity, _hg_block_coefficients, _scalar_ellipticity
-from .linalg import eigen_tridiagonal
-from .quantum import QuantumModeState, _as_sign, _check_helical
+from .quantum import _as_sign, _check_helical
 
 # Entries in one block's table of Hermite rows at scattered points, (order
 # + 1) rows by the block's points: 256 kB, so a block's tables stay in cache.
@@ -129,12 +129,13 @@ class ComplexField:
         values = self.values if _fresh else np.array(self.values, dtype=complex, order="C")
         if values.shape != (self.ny, self.nx):
             raise GridError(f"values shape {values.shape} != (ny={self.ny}, nx={self.nx})")
-        if self.spacing <= 0.0:
-            raise GridError(f"spacing must be positive, got {self.spacing}")
         parts = values.view(np.float64)
         top, bottom = parts.max(initial=0.0), parts.min(initial=0.0)
         if not (np.isfinite(top) and np.isfinite(bottom)):
             raise GridError("field contains non-finite samples")
+        # after the samples: a window past the double range spans inf, and its samples name the fault
+        if not 0.0 < self.spacing < math.inf:  # a NaN fails it too
+            raise GridError(f"spacing must be positive and finite, got {self.spacing}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values.view())
         object.__setattr__(self, "max_part", max(float(top), -float(bottom)))
@@ -174,63 +175,6 @@ def _hermite_rows(order: int, u) -> np.ndarray:
         rows[k + 1] = math.sqrt(2.0 / (k + 1)) * u * rows[k] - math.sqrt(k / (k + 1)) * previous
         previous = rows[k]
     return rows
-
-
-@lru_cache(maxsize=32)
-def _lg_to_hg(order: int) -> np.ndarray:
-    """Real orthogonal T with LG_j = sum_k T[k, j] HG_(k, order - k).
-
-    Column (order + l) / 2 is the even (cos) LG mode of charge l >= 0 and
-    column (order - l) / 2 the odd (sin) one, of radial number
-    n = (order - l) / 2; HG_(k, order - k) has k quanta along x.  In the
-    basis (-i)^k HG_(k, order - k), L_z is the real symmetric tridiagonal
-    matrix with zero diagonal and couplings sqrt((k + 1)(order - k)).  Its
-    eigenvalues are -order, -order + 2, ..., order, all 2 apart, so the
-    package's eigen kernel, ``linalg.eigen_tridiagonal``, gives the
-    eigenvectors u to about ``order`` ulp, each signed so that entry 0 is
-    positive by the Sturm sequence (every coupling is positive).  The
-    helical LG mode of charge +-l is then (-1)^n sum_k u_k i^(+-(l - k))
-    HG_k, from the ladder operators, the (-1)^n being the sign of the
-    leading coefficient of L_n^l.  So the cos and sin modes are
-    (-1)^n sqrt(2) cos((l - k) pi / 2) u_k and (-1)^n sqrt(2) sin((l - k) pi / 2) u_k,
-    real, each on the k of one parity; at l = 0 the sqrt(2) drops out.
-    The transform does not depend on the ellipticity, so it is a constant
-    table of the order, like ``linalg._gauss_legendre``'s nodes: each order
-    is solved once and kept, read-only, in a bounded cache.
-    """
-    k = np.arange(order + 1)
-    charge = np.abs(2 * k - order)
-    coupling = np.sqrt(k[1:] * (order + 1.0 - k[1:]))
-    # the eigenvalues ascend, -order + 2 j at rank j: rank (order + l) / 2 is u of eigenvalue l
-    u = eigen_tridiagonal(np.zeros((1, order + 1)), coupling[None], (order + charge) // 2)[1][0]
-    # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
-    pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
-    scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)
-    table = u * pattern * scale
-    table.setflags(write=False)
-    return table
-
-
-def _hg_coefficients(state: QuantumModeState) -> np.ndarray:
-    """HG coefficients C = T_p (even, odd amplitudes) of a state of one Gouy order p.
-
-    The real and imaginary parts are transformed apart, so a real state
-    gives an imaginary part of exactly zero.  ``eval_lg`` reads its
-    coefficients here; for IG states it is the LG route, an oracle for the
-    HG blocks the IG fields read.
-    """
-    orders = 2 * state.n + state.l
-    if orders.size == 0 or np.any(orders != orders[0]):
-        raise InvalidModeError(f"the LG rows of a field must share one Gouy order, got {orders.tolist()}")
-    order = int(orders[0])
-    amplitudes = np.zeros(order + 1, dtype=complex)
-    amplitudes[(order - state.l) // 2] = state.odd
-    amplitudes[(order + state.l) // 2] = state.even  # at l = 0 this replaces the zero odd amplitude
-    transform = _lg_to_hg(order)
-    coefficients = np.empty(order + 1, dtype=complex)
-    coefficients.real = transform @ amplitudes.real
-    coefficients.imag = transform @ amplitudes.imag
-    return coefficients
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -284,50 +228,28 @@ def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
     return out[()]
 
 
-def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
-    """Normalized Laguerre-Gauss mode of radial number n and charge l >= 0.
+def _integer_indices(family: str, **indices) -> tuple:
+    """The mode indices as Python ints; any that is not a non-negative integer is an invalid mode, all named."""
+    # inf and nan fail the range test before int() can raise on them
+    if not all(0 <= index < math.inf and index == int(index) for index in indices.values()):
+        named = ", ".join(f"{name}={index}" for name, index in indices.items())
+        raise InvalidModeError(f"{family} indices must be non-negative integers, got {named}")
+    return tuple(int(index) for index in indices.values())
 
-    ``kind`` selects the azimuthal factor: "even" (cos), "odd" (sin),
-    "helical_plus"/"helical_minus" (exp(+-i l phi)).  Even/odd pairs are
-    orthonormal; helical combinations are (even +- i odd)/sqrt(2).
+
+def _mode_coefficients(mode: ModeIndex, sign, eps: float) -> np.ndarray:
+    """HG coefficients C of an IG mode at one eps >= 0, read off its HG blocks.
+
+    With ``sign`` None it is the even or odd mode of ``mode``'s parity, and C is real.  With
+    ``sign`` +1 or -1 it is the helical mode (even +- i odd)/sqrt(2), m >= 1: the real part is the
+    even mode's C over sqrt(2), the imaginary part ``sign`` times the odd mode's; the two sit on
+    disjoint rows.  The even and odd blocks of an odd order have (p + 1)/2 rows each and one rank,
+    so they are one kernel stack; an even order's take two.  At eps = 0 the IG mode (p, m) is the
+    LG mode of radial number (p - m)/2 and charge m, sign included, which is how ``eval_lg`` reads
+    its coefficients.
     """
-    if kind not in ("even", "odd", "helical_plus", "helical_minus"):
-        raise InvalidModeError(f"unknown LG kind {kind!r}")
-    if kind in ("even", "odd"):
-        even, odd = (1.0, 0.0) if kind == "even" else (0.0, 1.0)
-    else:
-        s = 1.0 if kind == "helical_plus" else -1.0
-        even, odd = 1.0 / math.sqrt(2.0), s * 1j / math.sqrt(2.0)
-    return _hg_sum(_hg_coefficients(QuantumModeState([n], [l], [even], [odd])), geometry, x, y)
-
-
-def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
-    """Normalized Hermite-Gauss mode; used for the large-ellipticity limit."""
-    if nx_index < 0 or ny_index < 0:
-        raise InvalidModeError("HG indices must be non-negative")
-    coefficients = np.zeros(nx_index + ny_index + 1, dtype=complex)
-    coefficients[nx_index] = 1.0
-    return _hg_sum(coefficients, geometry, x, y)
-
-
-def _ig_coefficients(mode: ModeIndex, ellipticity) -> np.ndarray:
-    """HG coefficients C of the even or odd IG mode at one eps > 0, read off its HG block: real."""
-    eps = _scalar_ellipticity(ellipticity)
-    if eps <= 0.0:
-        raise InvalidModeError(f"ellipticity must be positive, got {eps}")
-    return _hg_block_coefficients((mode,), [eps])[0, 0].astype(complex)
-
-
-def _hig_coefficients(mode: ModeIndex, sign, ellipticity) -> np.ndarray:
-    """HG coefficients C of the helical IG mode (even +- i odd)/sqrt(2) at one eps > 0; m >= 1.
-
-    The real part is the even mode's C over sqrt(2), the imaginary part +-1 times the odd mode's;
-    the two sit on disjoint rows.  The even and odd blocks of an odd order have (p + 1)/2 rows
-    each and one rank, so they are one kernel stack; an even order's take two.
-    """
-    eps = _scalar_ellipticity(ellipticity)
-    _check_helical(mode, np.array([eps]))
-    sign = _as_sign(sign).value_int
+    if sign is None:
+        return _hg_block_coefficients((mode,), [eps])[0, 0].astype(complex)
     modes = (ModeIndex(mode.p, mode.m, Parity.EVEN), ModeIndex(mode.p, mode.m, Parity.ODD))
     if mode.p % 2:
         even, odd = _hg_block_coefficients(modes, [eps])[:, 0]
@@ -339,19 +261,50 @@ def _hig_coefficients(mode: ModeIndex, sign, ellipticity) -> np.ndarray:
     return coefficients
 
 
+def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
+    """Normalized Laguerre-Gauss mode of radial number n and charge l >= 0.
+
+    ``kind`` selects the azimuthal factor: "even" (cos), "odd" (sin),
+    "helical_plus"/"helical_minus" (exp(+-i l phi)).  Even/odd pairs are
+    orthonormal; helical combinations are (even +- i odd)/sqrt(2).  The
+    field is the IG mode (2n + l, l) of its parity at eps = 0, its HG
+    coefficients read off the same blocks as ``eval_ig`` and ``eval_hig``.
+    """
+    if kind not in ("even", "odd", "helical_plus", "helical_minus"):
+        raise InvalidModeError(f"unknown LG kind {kind!r}")
+    n, l = _integer_indices("LG", n=n, l=l)
+    if l == 0 and kind != "even":
+        raise InvalidModeError(f"odd and helical LG modes require l >= 1, got n={n}, l=0")
+    mode = ModeIndex(2 * n + l, l, Parity.ODD if kind == "odd" else Parity.EVEN)
+    return _hg_sum(_mode_coefficients(mode, {"helical_plus": 1, "helical_minus": -1}.get(kind), 0.0), geometry, x, y)
+
+
+def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
+    """Normalized Hermite-Gauss mode; used for the large-ellipticity limit."""
+    nx_index, ny_index = _integer_indices("HG", nx_index=nx_index, ny_index=ny_index)
+    coefficients = np.zeros(nx_index + ny_index + 1, dtype=complex)
+    coefficients[nx_index] = 1.0
+    return _hg_sum(coefficients, geometry, x, y)
+
+
 def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
-    """Unit-norm Ince-Gauss field at the given transverse points and z.
+    """Unit-norm Ince-Gauss field at the given transverse points and z; eps > 0.
 
     Evaluated as its finite sum of the HG modes of its Gouy order p, with the coefficients of
     its HG block; all terms share p, so the field propagates exactly.
     Even and odd fields are both real at the waist, to the last bit.
     """
-    return _hg_sum(_ig_coefficients(mode, ellipticity), geometry, x, y)
+    eps = _scalar_ellipticity(ellipticity)
+    if eps <= 0.0:
+        raise InvalidModeError(f"ellipticity must be positive, got {eps}")
+    return _hg_sum(_mode_coefficients(mode, None, eps), geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
-    """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1."""
-    return _hg_sum(_hig_coefficients(mode, sign, ellipticity), geometry, x, y)
+    """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1 and eps > 0."""
+    eps = _scalar_ellipticity(ellipticity)
+    _check_helical(mode, np.array([eps]))
+    return _hg_sum(_mode_coefficients(mode, _as_sign(sign).value_int, eps), geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:
@@ -367,8 +320,9 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
     any other result is copied, so an array the callable keeps stays
     writeable.
     """
-    if resolution < 16:
-        raise GridError(f"resolution must be at least 16, got {resolution}")
+    if not (16 <= resolution < math.inf and resolution == int(resolution)):
+        raise GridError(f"resolution must be an integer of at least 16, got {resolution}")
+    resolution = int(resolution)
     if not 0.0 < window_half_width < np.inf:
         raise GridError(f"window_half_width must be positive and finite, got {window_half_width}")
     with np.errstate(over="ignore", invalid="ignore"):  # a window near the double range spans inf

@@ -16,8 +16,8 @@ Moved into the Hermite-Gauss basis, the same eigenproblem splits by parity
 into two blocks of L_z^2 + eps*diag(2k - p) with eps on the diagonal only
 (``_hg_pencil``); an IG mode's block eigenvector is its field's HG
 coefficients, which ``_hg_block_coefficients`` gives the field evaluators
-of ``beams``.  ``build_recurrence_matrix`` and its ``TridiagonalMatrix``
-serve only the benchmark and the tests.  The ODE residual oracle below enforces the
+of ``beams``, LG fields at eps = 0.  ``build_recurrence_matrix`` and its
+``TridiagonalMatrix`` serve only the benchmark and the tests.  The ODE residual oracle below enforces the
 matrix entries; the frozen-band test in ``tests/test_ince.py`` only
 guards them against unintended change.
 """
@@ -281,9 +281,11 @@ def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
     (one mode, or both parities of one odd-order (p, m)), so all their blocks at all the eps are
     one ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule, checked for
     eigenvalue collisions.  C_j = s (-1)^j v_j, with s = (-1)^(n + floor((m - o)/2)),
-    n = (p - m)/2 and o = 1 for odd modes: every coupling is nonzero, so v_0 is nonzero for
-    eps > 0 and its sign, positive by the kernel's rule, is that of the eps -> 0 limit, where v is
-    the mode's column of the LG -> HG transform and the sign of its first block row is s.
+    n = (p - m)/2 and o = 1 for odd modes: every coupling is nonzero and free of eps, so v_0 is
+    nonzero at every eps >= 0 and its sign, positive by the kernel's rule, is that of the eps -> 0
+    limit.  At eps = 0 the block's eigenvalues are the squared charges of its rows, distinct, and v
+    is the LG mode of radial number n and charge m: C is its column of the LG -> HG transform
+    (``verify._lg_to_hg``), the sign of its first block row s.  ``beams.eval_lg`` reads it there.
     """
     epsilons, p = np.asarray(epsilons, dtype=float), modes[0].p
     _check_ellipticity(epsilons, p)

@@ -7,8 +7,9 @@ from twisted factorizations at its eigenvalue (``_pivots`` and
 ``_twisted_vectors``; Fernando, SIAM J. Matrix Anal. Appl. 18, 1013
 (1997); Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)), with the
 coupling-overflow guard, the residual check and the Sturm-sequence sign
-rule (``_sturm_flips``).  The Ince route of ``ince``, its Hermite-Gauss
-blocks and the LG -> HG transform of ``beams`` solve through it.
+rule (``_sturm_flips``).  The Ince route of ``ince`` and its Hermite-Gauss
+blocks, which give every field of ``beams`` its coefficients, solve through
+it, and so does the LG -> HG transform of ``verify``, their oracle.
 ``_tridiagonal_stack`` fills the dense stack that ``eigvalsh`` reduces;
 ``TridiagonalMatrix``, kept for the benchmark and the tests only, holds one
 matrix's bands.  A tensor-product Gauss-Legendre quadrature over a square
@@ -213,8 +214,8 @@ def plane_quadrature_grid(half_width: float, nodes_per_axis: int):
     Returns (X, Y, W) meshgrids; ``sum(f(X, Y) * W)`` approximates the plane
     integral of f over the square.
     """
-    if half_width <= 0.0:
-        raise ValueError("half_width must be positive")
+    if not 0.0 < half_width < np.inf:  # a NaN fails it too
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     if nodes_per_axis < 2:
         raise ValueError("nodes_per_axis must be at least 2")
     x, w = _gauss_legendre(nodes_per_axis)

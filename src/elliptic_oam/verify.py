@@ -4,10 +4,10 @@ Each check compares a measured quantity against an explicit threshold and
 reports one line.  The battery crosses every analytic path in the package
 against an independent one: ODE residuals for the eigenproblem, quadrature
 overlaps of the elliptic-series fields for the expansion weights, the LG
-pencil's weights through the LG -> HG table for the HG-block coefficients
-of the fields (order <= 12, or 40 at ``full``, eps from 1e-3 to 1e6), Gram
-matrices for the field normalizations, and limit anchors for the OAM
-algebra.
+pencil's weights through the LG -> HG table ``_lg_to_hg``, which no field
+reads, for the HG-block coefficients of the fields (order <= 12, or 40 at
+``full``, eps from 1e-3 to 1e6), Gram matrices for the field
+normalizations, and limit anchors for the OAM algebra.
 
 One table serves the battery: each mode solved once over all its eps by
 ``ince._fourier_polynomials``, its LG weights read off one
@@ -42,7 +42,7 @@ from .ince import (
     solve_ince,
     valid_modes,
 )
-from .linalg import plane_quadrature_grid
+from .linalg import eigen_tridiagonal, plane_quadrature_grid
 from .quantum import QuantumModeState
 
 GOLDEN_TURNING_POINT_73 = 1.933672
@@ -232,18 +232,49 @@ def _pseudo_states(count: int):
     return states
 
 
-def _pencil_gap(mode: ModeIndex, epsilons: np.ndarray) -> float:
-    """Largest |C| difference of one mode's two routes to its HG coefficients, over an eps grid.
+def _lg_to_hg(order: int) -> np.ndarray:
+    """Real orthogonal T with LG_j = sum_k T[k, j] HG_(k, order - k), from the eigenvectors of L_z.
 
-    One route takes the LG weights of the Ince pencil (one ``quantum._ladder_weights`` stack) to the
-    HG modes by the table ``beams._lg_to_hg``; the other reads them off the HG block
+    Column (order + l) / 2 is the even (cos) LG mode of charge l >= 0 and
+    column (order - l) / 2 the odd (sin) one, of radial number
+    n = (order - l) / 2; HG_(k, order - k) has k quanta along x.  In the
+    basis (-i)^k HG_(k, order - k), L_z is the real symmetric tridiagonal
+    matrix with zero diagonal and couplings sqrt((k + 1)(order - k))
+    (Beijersbergen et al., Opt. Commun. 96, 123 (1993)).  Its eigenvalues
+    are -order, -order + 2, ..., order, all 2 apart, so the eigen kernel
+    gives the eigenvectors u to about ``order`` ulp, each signed so that
+    entry 0 is positive by the Sturm sequence (every coupling is positive).  The helical LG mode of charge
+    +-l is then (-1)^n sum_k u_k i^(+-(l - k)) HG_k, from the ladder
+    operators, the (-1)^n being the sign of the leading coefficient of
+    L_n^l.  So the cos and sin modes are (-1)^n sqrt(2) cos((l - k) pi / 2) u_k
+    and (-1)^n sqrt(2) sin((l - k) pi / 2) u_k, real, each on the k of one
+    parity; at l = 0 the sqrt(2) drops out.
+    """
+    k = np.arange(order + 1)
+    charge = np.abs(2 * k - order)
+    coupling = np.sqrt(k[1:] * (order + 1.0 - k[1:]))
+    # the eigenvalues ascend, -order + 2 j at rank j: rank (order + l) / 2 is u of eigenvalue l
+    u = eigen_tridiagonal(np.zeros((1, order + 1)), coupling[None], (order + charge) // 2)[1][0]
+    # cos(d pi / 2) for d = (l - k) mod 4; in the odd columns sin(d pi / 2) = cos((d - 1) pi / 2)
+    pattern = np.array([1.0, 0.0, -1.0, 0.0])[(charge - k[:, None] - (2 * k < order)) % 4]
+    scale = np.where((order - charge) // 2 % 2, -1.0, 1.0) * np.where(charge, math.sqrt(2.0), 1.0)
+    return u * pattern * scale
+
+
+def _pencil_gap(order: int, epsilons: np.ndarray) -> float:
+    """Largest |C| difference of two routes to the HG coefficients of the modes of one order, over an eps grid.
+
+    One route takes each mode's LG weights of the Ince pencil (one ``quantum._ladder_weights`` stack) to the
+    HG modes by the order's ``_lg_to_hg`` table, built once; the other reads them off the HG block
     (``ince._hg_block_coefficients``), as the fields do.  The two pencils share only the kernel.
     """
-    p = mode.p
-    charges, weights = quantum._ladder_weights(mode, epsilons)
-    columns = (p + charges) // 2 if mode.is_even else (p - charges) // 2
-    lg_route = weights @ beams._lg_to_hg(p)[:, columns].T
-    return float(np.max(np.abs(lg_route - ince._hg_block_coefficients((mode,), epsilons)[0])))
+    transform, worst = _lg_to_hg(order), 0.0
+    for mode in (mode for mode in valid_modes(order) if mode.p == order):
+        charges, weights = quantum._ladder_weights(mode, epsilons)
+        columns = (order + charges) // 2 if mode.is_even else (order - charges) // 2
+        lg_route = weights @ transform[:, columns].T
+        worst = max(worst, float(np.max(np.abs(lg_route - ince._hg_block_coefficients((mode,), epsilons)[0]))))
+    return worst
 
 
 def _quadrature_checks(table: dict, grid: tuple, full: bool):
@@ -336,7 +367,7 @@ def run_checks(level: str = "fast") -> Report:
 
     # the LG pencil's weights through the LG -> HG table against the HG block, far past the quadrature oracle
     p_max = 40 if full else 12
-    worst = max(_pencil_gap(mode, np.geomspace(1e-3, 1e6, 10)) for mode in valid_modes(p_max))
+    worst = max(_pencil_gap(order, np.geomspace(1e-3, 1e6, 10)) for order in range(p_max + 1))
     add(CheckResult(f"hg-block-vs-lg-pencil-p{p_max}", worst, 1e-13, worst <= 1e-13, floor=1e-14))
 
     overlap_results, waist_result = _quadrature_checks(table, grid, full)

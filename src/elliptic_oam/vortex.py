@@ -203,9 +203,13 @@ def vortex_census(
     waists, or three semifocal separations if larger) and runs
     find_vortices.  Returns [(eps, [Vortex, ...]), ...] in input order.
     """
+    try:
+        grid = list(epsilons)
+    except TypeError:  # one number, not a grid
+        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
     geometry = BeamGeometry(waist=waist, wavenumber=wavenumber)
     results = []
-    for eps in epsilons:
+    for eps in grid:
         half_width = census_window(waist, eps)
         field = sample_grid(lambda x, y: eval_hig(mode, sign, eps, geometry, x, y), half_width, resolution)
         results.append((float(eps), find_vortices(field)))

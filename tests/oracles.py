@@ -26,7 +26,10 @@ that the library evaluates as Hermite-Gauss sums: blocked, with the azimuth
 as powers of the unit phasor.  ``polar_lg_sum`` evaluates the same LG sum
 with the azimuth from arctan2 and one cos and sin per row, over the whole
 array at once, and ``hg_projection`` projects it onto the HG modes of its
-order by Gauss-Hermite quadrature.  ``dense_vortices`` is the whole-grid
+order by Gauss-Hermite quadrature.  ``hg_coefficients`` takes a state of
+one Gouy order to its HG coefficients through the LG -> HG table of
+``verify``, the LG route beside the HG blocks that every library field
+reads.  ``dense_vortices`` is the whole-grid
 winding detector that ``vortex.find_vortices`` must match exactly, with its
 own Newton polish on numpy scalars, ``scalar_bilinear_zero``;
 ``sign_change`` is the per-quadrature corner test that the packed candidate
@@ -43,7 +46,7 @@ import mpmath as mp
 import numpy as np
 
 from elliptic_oam.beams import BeamGeometry, eval_gaussian, eval_lg
-from elliptic_oam.errors import SolverError
+from elliptic_oam.errors import InvalidModeError, SolverError
 from elliptic_oam.ince import (
     _pencil,
     build_recurrence_matrix,
@@ -56,7 +59,7 @@ from elliptic_oam.ince import (
 )
 from elliptic_oam.linalg import eigen_tridiagonal, plane_quadrature_grid
 from elliptic_oam.quantum import QuantumModeState, decompose
-from elliptic_oam.verify import cartesian_to_elliptic
+from elliptic_oam.verify import _lg_to_hg, cartesian_to_elliptic
 from elliptic_oam.vortex import Vortex
 
 
@@ -410,7 +413,7 @@ def hg_projection(order):
 
     Column (order + l) / 2 holds <HG_(k, order - k) | LG> for the even LG
     mode of charge l, column (order - l) / 2 for the odd one, as
-    ``beams._lg_to_hg`` lays them out.  At the waist, with w = 1, the
+    ``verify._lg_to_hg`` lays them out.  At the waist, with w = 1, the
     overlap integrand is a polynomial of degree 2 order times
     exp(-u^2 - v^2) in u = sqrt(2) x, v = sqrt(2) y, so order + 1
     Gauss-Hermite nodes per axis give it exactly.  The unit-norm Hermite
@@ -435,6 +438,29 @@ def hg_projection(order):
         integrand = (weights[:, None] * weights[None, :]) * np.exp(0.5 * (U**2 + V**2)) * lg / math.sqrt(2.0)
         out[:, column] = np.einsum("kuv,uv->k", hermite[:, :, None] * hermite[::-1][:, None, :], integrand)
     return out
+
+
+def hg_coefficients(state, transform=None):
+    """HG coefficients C = T_p (even, odd amplitudes) of a state of one Gouy order p.
+
+    The LG route to the fields' HG coefficients, beside the HG blocks that
+    the library reads for every field.  T_p is ``transform``, the order's
+    ``verify._lg_to_hg(p)``, built here if not given.  The real and
+    imaginary parts are transformed apart, so a real state gives an
+    imaginary part of exactly zero.
+    """
+    orders = 2 * state.n + state.l
+    if orders.size == 0 or np.any(orders != orders[0]):
+        raise InvalidModeError(f"the LG rows of a field must share one Gouy order, got {orders.tolist()}")
+    order = int(orders[0])
+    amplitudes = np.zeros(order + 1, dtype=complex)
+    amplitudes[(order - state.l) // 2] = state.odd
+    amplitudes[(order + state.l) // 2] = state.even  # at l = 0 this replaces the zero odd amplitude
+    transform = _lg_to_hg(order) if transform is None else transform
+    coefficients = np.empty(order + 1, dtype=complex)
+    coefficients.real = transform @ amplitudes.real
+    coefficients.imag = transform @ amplitudes.imag
+    return coefficients
 
 
 def plane_sum(values, weights):

@@ -1,13 +1,14 @@
 """Tests for field evaluation: coordinates, envelopes, LG/HG/IG/HIG modes."""
 
 import math
+import re
 import weakref
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from elliptic_oam import beams
+from elliptic_oam import beams, verify
 from elliptic_oam.beams import (
     BeamGeometry,
     ComplexField,
@@ -131,6 +132,14 @@ class TestLaguerreGauss:
             eval_lg(-1, 2, "even", geo, 0.1, 0.1)
         with pytest.raises(InvalidModeError):
             eval_lg(0, 1, "twisty", geo, 0.1, 0.1)
+        with pytest.raises(InvalidModeError, match="require l >= 1"):
+            eval_lg(2, 0, "helical_plus", geo, 0.1, 0.1)
+        # a non-integer index used to pick a column of the wrong mode, and inf to overflow
+        for n, l in [(1.5, 1), (1, 1.5), (math.inf, 1), (1, math.inf), (math.nan, 1), (1, math.nan), (0, -2)]:
+            message = f"LG indices must be non-negative integers, got n={n}, l={l}"
+            with pytest.raises(InvalidModeError, match=re.escape(message)):
+                eval_lg(n, l, "even", geo, 0.1, 0.1)
+        assert eval_lg(1.0, np.int64(2), "odd", geo, 0.3, 0.1) == eval_lg(1, 2, "odd", geo, 0.3, 0.1)
 
 
 def closed_form_errors(evaluate, oracle, order, z):
@@ -250,7 +259,7 @@ class TestBlockedEvaluation:
 class TestGouyKernel:
     """Shape contract of the HG-sum kernel: blocks, broadcasting and the grid path."""
 
-    COEFFICIENTS = beams._hg_coefficients(helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 2.0))
+    COEFFICIENTS = oracles.hg_coefficients(helical_state(ModeIndex(7, 5, Parity.EVEN), "plus", 2.0))
 
     def evaluate(self, x, y, z=0.3):
         return beams._hg_sum(self.COEFFICIENTS, geometry(z=z), x, y)
@@ -337,21 +346,53 @@ class TestPolarReference:
 
 
 class TestHgBlockRoute:
-    """IG field coefficients from the HG blocks against the LG route, the LG weights taken through ``_lg_to_hg``."""
+    """Field coefficients from the HG blocks against the LG route through ``verify._lg_to_hg``."""
 
     @pytest.mark.parametrize("eps", [1e-3, 0.5, 2.0, 10.0, 1e3, 1e6])
     def test_matches_the_lg_route(self, monkeypatch, eps):
         # the fields hand their coefficients to the HG sum; read them there
         monkeypatch.setattr(beams, "_hg_sum", lambda coefficients, geometry, x, y: coefficients)
-        geo, worst = geometry(), 0.0
-        for mode in valid_modes(40):
-            lg_route = beams._hg_coefficients(_parity_state(decompose(mode, eps)))
+        geo, worst, order = geometry(), 0.0, None
+        for mode in valid_modes(40):  # in ascending order p: one LG -> HG table per order
+            if mode.p != order:
+                order, transform = mode.p, verify._lg_to_hg(mode.p)
+            lg_route = oracles.hg_coefficients(_parity_state(decompose(mode, eps)), transform)
             worst = max(worst, np.max(np.abs(eval_ig(mode, eps, geo, 0.0, 0.0) - lg_route)))
             if mode.is_even and mode.m >= 1:
                 for sign in ("plus", "minus"):
-                    lg_route = beams._hg_coefficients(helical_state(mode, sign, eps))
+                    lg_route = oracles.hg_coefficients(helical_state(mode, sign, eps), transform)
                     worst = max(worst, np.max(np.abs(eval_hig(mode, sign, eps, geo, 0.0, 0.0) - lg_route)))
         assert worst <= 1e-13
+
+    # the helical kinds add no solve of their own: the even and odd blocks, stacked at odd order, are
+    # bit for bit those of the even and odd kinds, so past order 105 those two carry the check
+    @pytest.mark.parametrize(
+        "orders, kinds, bound",
+        [
+            (range(41), ("even", "odd", "helical_plus", "helical_minus"), 1e-14),
+            ((60, 105), ("even", "odd", "helical_plus", "helical_minus"), 1e-13),
+            ((200, 400), ("even", "odd"), 1e-13),
+        ],
+        ids=["p0-40", "p60-105", "p200-400"],
+    )
+    def test_lg_fields_match_the_lg_to_hg_route(self, monkeypatch, orders, kinds, bound):
+        # the LG fields read the HG blocks at eps = 0; the table's columns must match them, sign included
+        monkeypatch.setattr(beams, "_hg_sum", lambda coefficients, geometry, x, y: coefficients)
+        geo, worst = geometry(), 0.0
+        for order in orders:
+            transform = verify._lg_to_hg(order)
+            for l in range(order % 2, order + 1, 2):
+                even, odd = transform[:, (order + l) // 2], transform[:, (order - l) // 2]
+                table = {
+                    "even": even,
+                    "odd": odd,
+                    "helical_plus": (even + 1j * odd) / math.sqrt(2.0),
+                    "helical_minus": (even - 1j * odd) / math.sqrt(2.0),
+                }
+                for kind in kinds if l else ("even",):
+                    gap = np.max(np.abs(eval_lg((order - l) // 2, l, kind, geo, 0.0, 0.0) - table[kind]))
+                    worst = max(worst, gap)
+        assert worst <= bound
 
     @pytest.mark.parametrize("eps", [0.0, -1.0])
     def test_parity_fields_need_positive_ellipticity(self, eps):
@@ -389,7 +430,7 @@ class TestHermiteGaussRoute:
     def test_matches_lg_oracle(self, state, half_width, z):
         geo = geometry(z=z)
         order = int(2 * state.n[0] + state.l[0])
-        coefficients = beams._hg_coefficients(state)
+        coefficients = oracles.hg_coefficients(state)
         coords = np.linspace(-half_width, half_width, 129)
         X, Y = np.meshgrid(coords, coords)
         reference = lg_sum(state, order, geo, X, Y)
@@ -405,17 +446,12 @@ class TestHermiteGaussRoute:
     # larger entry at an odd index, so their sign rests on the Sturm rule
     @pytest.mark.parametrize("order", [0, 1, 2, 5, 12, 31, 47, 60, 61, 100])
     def test_transform_matches_gauss_hermite_projection(self, order):
-        transform = beams._lg_to_hg(order)
+        transform = verify._lg_to_hg(order)
         assert np.max(np.abs(transform - hg_projection(order))) <= 1e-13
         np.testing.assert_allclose(transform.T @ transform, np.eye(order + 1), rtol=0.0, atol=1e-13)
 
-    def test_transform_is_one_read_only_table_per_order(self):
-        transform = beams._lg_to_hg(9)
-        assert beams._lg_to_hg(9) is transform and not transform.flags.writeable
-        assert np.array_equal(transform, beams._lg_to_hg.__wrapped__(9))
-
     def test_high_order_transform_stays_orthogonal(self):
-        transform = beams._lg_to_hg(400)
+        transform = verify._lg_to_hg(400)
         assert np.max(np.abs(transform.T @ transform - np.eye(401))) <= 1e-12
 
     def test_order_400_lg_matches_mpmath(self):
@@ -432,12 +468,12 @@ class TestHermiteGaussRoute:
     def test_state_rows_must_share_one_order(self):
         state = next(random_states(1))
         with pytest.raises(InvalidModeError, match="Gouy order"):
-            beams._hg_coefficients(state)
+            oracles.hg_coefficients(state)
 
     @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
     def test_real_states_have_real_coefficients(self, parity):
         state = _parity_state(decompose(ModeIndex(5, 3, parity), 2.0))
-        assert np.all(beams._hg_coefficients(state).imag == 0.0)
+        assert np.all(oracles.hg_coefficients(state).imag == 0.0)
 
     @pytest.mark.parametrize(
         "evaluate",
@@ -471,6 +507,14 @@ class TestHermiteGauss:
         geo = geometry()
         ys = np.linspace(-3.0, 3.0, 17)
         assert np.max(np.abs(eval_hg(1, 0, geo, np.zeros_like(ys), ys))) == 0.0
+
+    @pytest.mark.parametrize("nx, ny", [(1.5, 1), (1, 2.5), (math.inf, 0), (0, math.nan), (-1, 2), (2, -1)])
+    def test_index_validation(self, nx, ny):
+        with pytest.raises(InvalidModeError, match=re.escape(f"got nx_index={nx}, ny_index={ny}")):
+            eval_hg(nx, ny, geometry(), 0.1, 0.1)
+
+    def test_integral_float_indices_are_the_integers(self):
+        assert eval_hg(2.0, np.int64(1), geometry(), 0.3, 0.1) == eval_hg(2, 1, geometry(), 0.3, 0.1)
 
     def test_large_ellipticity_ig_approaches_hg(self):
         geo = geometry()
@@ -666,6 +710,15 @@ class TestSampleGrid:
         with pytest.raises(GridError):
             sample_grid(lambda x, y: x, 1.0, 8)
 
+    @pytest.mark.parametrize("resolution", [16.5, math.nan, math.inf])
+    def test_resolution_must_be_an_integer(self, resolution):
+        with pytest.raises(GridError, match="resolution must be an integer"):
+            sample_grid(lambda x, y: x, 1.0, resolution)
+
+    def test_integral_float_resolution_is_the_integer(self):
+        field = sample_grid(lambda x, y: x + 0j * y, 1.0, 16.0)
+        assert type(field.nx) is int and field.values.shape == (16, 16)
+
     # 1e308 overflows the grid's span itself; at 1e200 the Hermite rows overflow
     @pytest.mark.parametrize("window", [1e308, 1e200])
     def test_overflowing_window_is_a_grid_error_without_warnings(self, window):
@@ -688,6 +741,11 @@ class TestComplexField:
         assert not field.values.flags.writeable
         values[3, 4] = 2.0 + 1.0j
         assert field.values[3, 4] == 0.0
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, 0.0, -0.1])
+    def test_spacing_must_be_positive_and_finite(self, spacing):
+        with pytest.raises(GridError, match="spacing must be positive and finite"):
+            ComplexField(16, 16, (0.0, 0.0), spacing, np.zeros((16, 16), dtype=complex))
 
     def test_sample_grid_takes_over_a_fresh_grid(self):
         made = []

@@ -164,8 +164,6 @@ class TestRecurrenceMatrix:
             (lambda mode, eps: quantum.helical_state(mode, "plus", eps), ONE_NUMBER),
             (lambda mode, eps: beams.eval_ig(mode, eps, geometry(), 0.1, 0.2), ONE_NUMBER),
             (lambda mode, eps: beams.eval_hig(mode, "plus", eps, geometry(), 0.1, 0.2), ONE_NUMBER),
-            (lambda mode, eps: beams._ig_coefficients(mode, eps), ONE_NUMBER),
-            (lambda mode, eps: beams._hig_coefficients(mode, "minus", eps), ONE_NUMBER),
             (lambda mode, eps: quantum.oam_curve(mode, "plus", 2.0), r"ellipticity grid must be 1-D, got shape \(\)$"),
         ],
         ids=[
@@ -174,8 +172,6 @@ class TestRecurrenceMatrix:
             "helical_state",
             "eval_ig",
             "eval_hig",
-            "_ig_coefficients",
-            "_hig_coefficients",
             "oam_curve",
         ],
     )

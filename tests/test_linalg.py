@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import elliptic_oam
-from elliptic_oam import beams
+from elliptic_oam import verify
 from elliptic_oam.beams import eval_hig, eval_ig, eval_lg
 from elliptic_oam.errors import SolverError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince
@@ -196,7 +196,7 @@ class TestSymmetricEigenpairs:
         ],
         ids=["solve_ince", "decompose", "eval_lg"],
     )
-    def test_lapack_failure_is_a_solver_error(self, solve, monkeypatch, unbuilt_lg_to_hg):
+    def test_lapack_failure_is_a_solver_error(self, solve, monkeypatch):
         def failing(stack):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -204,7 +204,7 @@ class TestSymmetricEigenpairs:
         with pytest.raises(SolverError, match="did not converge"):
             solve()
 
-    def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch, unbuilt_lg_to_hg):
+    def test_residual_failure_raised_through_the_lg_to_hg_transform(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
 
         def perturbed(stack):
@@ -214,19 +214,7 @@ class TestSymmetricEigenpairs:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
         with pytest.raises(SolverError, match="residual"):
-            beams._lg_to_hg(4)
-
-
-@pytest.fixture
-def unbuilt_lg_to_hg():
-    """No LG -> HG table is kept, so the next field of any order solves its transform again.
-
-    The tables are built once per order; one built earlier in the session
-    would hide an eigensolve failure patched in by the test.
-    """
-    beams._lg_to_hg.cache_clear()
-    yield
-    beams._lg_to_hg.cache_clear()
+            verify._lg_to_hg(4)
 
 
 def _calls(path, names, imports=()):
@@ -295,12 +283,11 @@ def test_only_constant_tables_are_cached():
     package = Path(elliptic_oam.__file__).parent
     cached = {path.name: _cached_functions(path) for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in cached.items() if found} == {
-        "beams.py": [("_lg_to_hg", "lru_cache")],
         "linalg.py": [("_gauss_legendre", "lru_cache")],
     }
 
 
-def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch, unbuilt_lg_to_hg):
+def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch):
     # an IG field's HG coefficients are its HG block eigenvectors: the two blocks of an odd order
     # are one kernel stack, an even order's are two, and no LG -> HG transform is solved
     calls = []
@@ -315,7 +302,7 @@ def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch
     for name, module in list(sys.modules.items()):
         if name.startswith("elliptic_oam") and hasattr(module, "eigen_tridiagonal"):
             monkeypatch.setattr(module, "eigen_tridiagonal", counted(module.eigen_tridiagonal))
-    geo, misses = geometry(), beams._lg_to_hg.cache_info().misses
+    geo = geometry()
     eval_hig(ModeIndex(7, 3, Parity.EVEN), "plus", 1.5, geo, 0.3, 0.2)
     assert len(calls) == 1
     calls.clear()
@@ -325,7 +312,13 @@ def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch
     for parity in Parity:
         eval_ig(ModeIndex(7, 3, parity), 2.5, geo, 0.3, 0.2)
     assert len(calls) == 2
-    assert beams._lg_to_hg.cache_info().misses == misses
+
+
+def test_fields_make_no_eigen_kernel_call_of_their_own():
+    # every field, LG at eps = 0 included, takes its coefficients from ince's HG blocks; the LG -> HG
+    # table is an oracle in verify
+    path = Path(elliptic_oam.__file__).parent / "beams.py"
+    assert _calls(path, ("eigen_tridiagonal",), ("eigen_tridiagonal",)) == []
 
 
 class TestIntegratePlane:
@@ -358,3 +351,9 @@ class TestIntegratePlane:
             plane_quadrature_grid(-1.0, 8)
         with pytest.raises(ValueError):
             plane_quadrature_grid(1.0, 1)
+
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf])
+    def test_non_finite_half_width_is_refused(self, half_width):
+        # a NaN half-width used to give an all-NaN grid
+        with pytest.raises(ValueError, match="half_width must be positive and finite"):
+            plane_quadrature_grid(half_width, 4)

@@ -390,6 +390,10 @@ class TestCensus:
         with pytest.raises(InvalidModeError):
             vortex_census(ModeIndex(2, 0, Parity.EVEN), "plus", [1.0], 128)
 
+    def test_one_number_is_not_an_eps_grid(self):
+        with pytest.raises(InvalidModeError, match=r"ellipticity grid must be 1-D, got shape \(\)$"):
+            vortex_census(M53, "plus", 2.0, 64)
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_ellipticity_outside_the_window_domain(self, eps):
         with pytest.raises(InvalidModeError, match="ellipticity"):
