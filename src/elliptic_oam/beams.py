@@ -32,7 +32,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import GridError, InvalidModeError
-from .ince import ModeIndex, Parity, _hg_block_coefficients, _scalar_ellipticity
+from .ince import ModeIndex, Parity, _hg_block_coefficients, _integer_indices, _scalar_ellipticity
 from .quantum import _as_sign, _check_helical
 
 # Entries in one block's table of Hermite rows at scattered points, (order
@@ -97,7 +97,7 @@ class BeamGeometry:
 
     def semifocal(self, ellipticity: float) -> float:
         """f(z) for the elliptic frame fixed by eps = 2 f(0)^2 / w(0)^2."""
-        return self.width * math.sqrt(ellipticity / 2.0)
+        return self.width * math.sqrt(_scalar_ellipticity(ellipticity) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -228,15 +228,6 @@ def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
     return out[()]
 
 
-def _integer_indices(family: str, **indices) -> tuple:
-    """The mode indices as Python ints; any that is not a non-negative integer is an invalid mode, all named."""
-    # inf and nan fail the range test before int() can raise on them
-    if not all(0 <= index < math.inf and index == int(index) for index in indices.values()):
-        named = ", ".join(f"{name}={index}" for name, index in indices.items())
-        raise InvalidModeError(f"{family} indices must be non-negative integers, got {named}")
-    return tuple(int(index) for index in indices.values())
-
-
 def _mode_coefficients(mode: ModeIndex, sign, eps: float) -> np.ndarray:
     """HG coefficients C of an IG mode at one eps >= 0, read off its HG blocks.
 
@@ -269,6 +260,7 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     orthonormal; helical combinations are (even +- i odd)/sqrt(2).  The
     field is the IG mode (2n + l, l) of its parity at eps = 0, its HG
     coefficients read off the same blocks as ``eval_ig`` and ``eval_hig``.
+    n and l must be real numbers equal to non-negative integers, or it is an invalid mode.
     """
     if kind not in ("even", "odd", "helical_plus", "helical_minus"):
         raise InvalidModeError(f"unknown LG kind {kind!r}")
@@ -280,7 +272,7 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
 
 
 def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
-    """Normalized Hermite-Gauss mode; used for the large-ellipticity limit."""
+    """Normalized Hermite-Gauss mode, indices as for ``eval_lg``; used for the large-ellipticity limit."""
     nx_index, ny_index = _integer_indices("HG", nx_index=nx_index, ny_index=ny_index)
     coefficients = np.zeros(nx_index + ny_index + 1, dtype=complex)
     coefficients[nx_index] = 1.0
@@ -294,16 +286,14 @@ def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     its HG block; all terms share p, so the field propagates exactly.
     Even and odd fields are both real at the waist, to the last bit.
     """
-    eps = _scalar_ellipticity(ellipticity)
-    if eps <= 0.0:
-        raise InvalidModeError(f"ellipticity must be positive, got {eps}")
+    eps = _scalar_ellipticity(ellipticity, positive=True)
     return _hg_sum(_mode_coefficients(mode, None, eps), geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1 and eps > 0."""
-    eps = _scalar_ellipticity(ellipticity)
-    _check_helical(mode, np.array([eps]))
+    eps = _scalar_ellipticity(ellipticity, positive=True)
+    _check_helical(mode)
     return _hg_sum(_mode_coefficients(mode, _as_sign(sign).value_int, eps), geometry, x, y)
 
 

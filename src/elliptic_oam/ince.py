@@ -19,12 +19,14 @@ coefficients, which ``_hg_block_coefficients`` gives the field evaluators
 of ``beams``, LG fields at eps = 0.  ``build_recurrence_matrix`` and its
 ``TridiagonalMatrix`` serve only the benchmark and the tests.  The ODE residual oracle below enforces the
 matrix entries; the frozen-band test in ``tests/test_ince.py`` only
-guards them against unintended change.
+guards them against unintended change.  Every eps argument of the package, one number or a grid, and
+every mode index is converted and checked here: ``_ellipticity_grid`` and ``_integer_indices``.
 """
 
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,15 @@ from .linalg import TridiagonalMatrix, eigen_tridiagonal
 # then take O(d) per matrix and rank.  Unchunked stacks of long grids raised
 # the peak memory of whole curve sweeps measurably.
 _CHUNK_BYTES = 128 << 10
+
+
+def _integer_indices(family: str, **indices) -> tuple:
+    """The mode indices as Python ints; any that is not a real number equal to a non-negative integer is an invalid mode, all named."""
+    # the type first, so a string is never compared; inf and nan fail the range test before int() can raise on them
+    if not all(isinstance(i, numbers.Real) and 0 <= i < np.inf and i == int(i) for i in indices.values()):
+        named = ", ".join(f"{name}={index!r}" for name, index in indices.items())
+        raise InvalidModeError(f"{family} indices must be non-negative integers, got {named}")
+    return tuple(int(index) for index in indices.values())
 
 
 class Parity(enum.Enum):
@@ -63,18 +74,15 @@ class ModeIndex:
                 object.__setattr__(self, "parity", Parity(self.parity))
             except ValueError:
                 raise InvalidModeError(f"parity must be 'even' or 'odd', got {self.parity!r}") from None
-        p, m = self.p, self.m
-        # inf and nan fail the range test before int() can raise on them
-        if not (0 <= p < np.inf and 0 <= m < np.inf) or p != int(p) or m != int(m):
-            raise InvalidModeError(f"order/degree must be non-negative integers, got p={p}, m={m}")
+        p, m = _integer_indices("IG", p=self.p, m=self.m)
         if (p - m) % 2 != 0:
             raise InvalidModeError(f"p={p} and m={m} must have the same parity")
         if m > p:
             raise InvalidModeError(f"degree m={m} exceeds order p={p}")
         if self.parity is Parity.ODD and m < 1:
             raise InvalidModeError("odd modes require m >= 1 (sine series has no constant term)")
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
 
     @property
     def is_even(self) -> bool:
@@ -155,34 +163,52 @@ def _hg_pencil(p: int):
     return 2.0 * k * (p - k) + p, 2.0 * k - p, np.sqrt(squared[:-1] * squared[1:])
 
 
-def _scalar_ellipticity(ellipticity) -> float:
-    """One eps as a Python float, for the one-point entry points; anything but one number is an invalid mode.
-
-    The error names the caller's shape, so an eps array passed where one eps belongs is refused
-    before it becomes a grid of another shape.
-    """
+def _real_array(values, refusal: str, shown) -> np.ndarray:
+    """``values`` as float64 if every entry is a ``numbers.Real``, else the invalid mode "{refusal}, got {shown!r}": no string is parsed, no imaginary part dropped."""
     try:
-        shape = np.shape(ellipticity)
-        if not shape:
-            return float(ellipticity)
-    except (TypeError, ValueError):
-        raise InvalidModeError(f"ellipticity must be one real number, got {ellipticity!r}") from None
-    raise InvalidModeError(f"ellipticity must be one number, got shape {shape}")
+        array = np.asarray(values)
+        if array.dtype.kind in "biuf" or array.dtype.kind == "O" and all(isinstance(v, numbers.Real) for v in array.flat):
+            return array.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # a ragged nest, or an int past the double range
+        pass
+    raise InvalidModeError(f"{refusal}, got {shown!r}")
 
 
-def _check_ellipticity(epsilons: np.ndarray, p: int) -> None:
+def _ellipticity_grid(epsilons, p: int = 0, positive: bool = False) -> np.ndarray:
+    """Any iterable of reals, read once unless an ndarray, as a 1-D float64 eps grid checked by ``_check_ellipticity``; a string is no grid."""
+    try:
+        grid = epsilons if isinstance(epsilons, (np.ndarray, str, bytes)) else list(epsilons)
+    except TypeError:  # one number, not a grid
+        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
+    grid = _real_array(grid, "ellipticity grid must hold real numbers", epsilons)
+    _check_ellipticity(grid, p, positive)
+    return grid
+
+
+def _scalar_ellipticity(ellipticity, p: int = 0, positive: bool = False) -> float:
+    """One eps as a Python float, checked as ``_ellipticity_grid`` checks a grid; else an invalid mode, named by its shape."""
+    eps = _real_array(ellipticity, "ellipticity must be one real number", ellipticity)
+    if eps.shape:
+        raise InvalidModeError(f"ellipticity must be one number, got shape {eps.shape}")
+    _check_ellipticity(eps.reshape(1), p, positive)
+    return eps.item()
+
+
+def _check_ellipticity(epsilons: np.ndarray, p: int, positive: bool = False) -> None:
     """Raise unless the eps grid is 1-D, every eps finite and non-negative, and eps * (p + 1) finite.
 
+    ``positive`` is the eps > 0 rule of helical states, IG fields and the census window.
     eps * (p + 1) bounds every band entry of T(eps), which would otherwise
     overflow to inf silently.
     """
     if epsilons.ndim != 1:
         raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {epsilons.shape}")
     # a NaN makes the smallest and the largest NaN, and NaN fails both comparisons
-    low, high = float(epsilons.min(initial=0.0)), float(epsilons.max(initial=0.0))
-    if not (low >= 0.0 and high < np.inf):
-        bad = ~((epsilons >= 0.0) & (epsilons < np.inf))
-        raise InvalidModeError(f"ellipticity must be finite and non-negative, got {epsilons[bad][0]}")
+    low, high = float(epsilons.min(initial=np.inf)), float(epsilons.max(initial=0.0))
+    if not ((low > 0.0 if positive else low >= 0.0) and high < np.inf):
+        bad = ~((epsilons > 0.0 if positive else epsilons >= 0.0) & (epsilons < np.inf))
+        domain = "positive and finite" if positive else "finite and non-negative"
+        raise InvalidModeError(f"ellipticity must be {domain}, got {epsilons[bad][0]}")
     # the largest eps sets the largest entry; a Python float overflows to inf without a warning
     if high * (p + 1) == np.inf:
         with np.errstate(over="ignore"):
@@ -207,8 +233,7 @@ def _check_simple_spectrum(modes, epsilons, values: np.ndarray) -> None:
 
 def build_recurrence_matrix(mode: ModeIndex, ellipticity: float) -> TridiagonalMatrix:
     """Recurrence matrix T0 + eps*T1, eigenpairs (a, Fourier coefficients); for the benchmark and tests only."""
-    eps = float(ellipticity)
-    _check_ellipticity(np.array([eps]), mode.p)
+    eps = _scalar_ellipticity(ellipticity, mode.p)
     square, shift, sub, sup = _pencil(mode)
     return TridiagonalMatrix(diag=square + eps * shift, sub=eps * sub, sup=eps * sup)
 
@@ -240,13 +265,12 @@ def _chunk_size(dimension: int) -> int:
 
 
 def _eigen_chunks(mode: ModeIndex, epsilons: np.ndarray):
-    """The one loop over an eps grid, checked and its pencil built once, a chunk of ``_chunk_size`` eps a step.
+    """The one loop over a checked eps grid, its pencil built once, a chunk of ``_chunk_size`` eps a step.
 
     Yields the chunk's rows, the bands (diag, sub, sup) of T(eps), and the eigenvalue and unit
     eigenvector of rank ``eigenvalue_rank(mode)`` of each S(eps): one ``linalg.eigen_tridiagonal``
     stack, checked for eigenvalue collisions.
     """
-    _check_ellipticity(epsilons, mode.p)
     square, shift, sub, sup = _pencil(mode)
     coupling, rank = np.sqrt(sub * sup), eigenvalue_rank(mode)
     step = _chunk_size(square.size)
@@ -265,7 +289,7 @@ def rank_eigenpairs(mode: ModeIndex, epsilons):
     off-diagonals, T(eps) under the similarity ``lg_scale``.  The vectors are in harmonic order, entry 0
     positive.
     """
-    epsilons = np.asarray(epsilons, dtype=float)
+    epsilons = _ellipticity_grid(epsilons, mode.p)
     values, vectors = np.empty(epsilons.size), np.empty((epsilons.size, series_harmonics(mode).size))
     for rows, _, *solved in _eigen_chunks(mode, epsilons):
         values[rows], vectors[rows] = solved
@@ -287,8 +311,7 @@ def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
     is the LG mode of radial number n and charge m: C is its column of the LG -> HG transform
     (``verify._lg_to_hg``), the sign of its first block row s.  ``beams.eval_lg`` reads it there.
     """
-    epsilons, p = np.asarray(epsilons, dtype=float), modes[0].p
-    _check_ellipticity(epsilons, p)
+    epsilons, p = _ellipticity_grid(epsilons, modes[0].p), modes[0].p
     # the blocks split one pencil of the order by the parity of k: p - k is even on an even mode's rows
     starts = [(p + (not mode.is_even)) % 2 for mode in modes]
     rows = np.add.outer(starts, np.arange(0, p + 1 - starts[0], 2))
@@ -313,7 +336,7 @@ def _fourier_polynomials(mode: ModeIndex, epsilons) -> list:
     The kernel's twisted vectors are accurate entry by entry, so unscaling them needs no repair.
     Each row's residual on T(eps) is checked, from the chunk's bands.
     """
-    epsilons, scale, polynomials = np.asarray(epsilons, dtype=float), lg_scale(mode), []
+    epsilons, scale, polynomials = _ellipticity_grid(epsilons, mode.p), lg_scale(mode), []
     for rows, (diag, sub, sup), values, symmetric in _eigen_chunks(mode, epsilons):
         eps, vectors = epsilons[rows], symmetric / scale
         # 1 / lg_scale reaches 4e119 at p = 800, and its square overflows from about p = 1000:

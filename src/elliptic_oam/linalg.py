@@ -190,11 +190,12 @@ def eigen_tridiagonal(diag, coupling, ranks):
     error = (diag - chosen) * vectors
     error[:-1] += band * vectors[1:]
     error[1:] += band * vectors[:-1]
-    residual = np.sqrt(np.sum(np.square(error, out=error), axis=0))
-    bad = ~(residual <= 1e-10 * scale)
+    # in units of the scale, so no square overflows where the eigenvalues near the double range
+    residual = np.sqrt(np.sum(np.square(np.divide(error, scale, out=error), out=error), axis=0))
+    bad = ~(residual <= 1e-10)
     if bad.any():
         raise SolverError(
-            f"eigenpair {ranks[np.nonzero(bad)[1][0]]} residual {residual[bad][0]:.3e} exceeds bound; "
+            f"eigenpair {ranks[np.nonzero(bad)[1][0]]} residual {(residual * scale)[bad][0]:.3e} exceeds bound; "
             "matrix badly scaled?"
         )
     return values, vectors.transpose(1, 0, 2)

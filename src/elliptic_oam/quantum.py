@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, InvalidModeError, UnnormalizedStateError
-from .ince import ModeIndex, Parity, _scalar_ellipticity, rank_eigenpairs, series_harmonics
+from .ince import ModeIndex, Parity, _ellipticity_grid, _scalar_ellipticity, rank_eigenpairs, series_harmonics
 
 _NORM_TOL = 1e-12
 
@@ -104,8 +104,8 @@ class OamCurve:
     oam: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        oam = np.asarray(self.oam, dtype=float)
+        eps = np.array(self.epsilons, dtype=float)  # copies: the caller's arrays stay writeable and apart
+        oam = np.array(self.oam, dtype=float)
         if eps.ndim != 1 or eps.shape != oam.shape:
             raise GridError("epsilons and oam must be equal-length 1-D arrays")
         if np.any(np.diff(eps) <= 0.0):
@@ -165,17 +165,14 @@ def _parity_state(expansion: Decomposition) -> QuantumModeState:
     return QuantumModeState((mode.p - expansion.charges) // 2, expansion.charges, even, odd)
 
 
-def _check_helical(mode: ModeIndex, epsilons: np.ndarray) -> None:
+def _check_helical(mode: ModeIndex) -> None:
     if mode.m < 1:
         raise InvalidModeError("helical states need m >= 1 (no odd partner for m = 0)")
-    bad = ~(epsilons > 0.0)
-    if bad.any():
-        raise InvalidModeError(f"ellipticity must be positive, got {epsilons[bad][0]}")
 
 
 def _helical_ladders(mode: ModeIndex, sign, epsilons: np.ndarray):
-    """Sign, charges l (descending) and even and odd LG weights at each epsilons[i]; odd padded with 0 at l = 0."""
-    _check_helical(mode, epsilons)
+    """Sign, charges l (descending) and even and odd LG weights at each epsilons[i], a checked eps > 0 grid; odd padded with 0 at l = 0."""
+    _check_helical(mode)
     sign = _as_sign(sign)
     charges, even = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.EVEN), epsilons)
     _, odd = _ladder_weights(ModeIndex(mode.p, mode.m, Parity.ODD), epsilons)
@@ -190,7 +187,7 @@ def helical_state(mode: ModeIndex, sign, ellipticity: float) -> QuantumModeState
     The even and odd ladders are solved as ``decompose`` solves one, on a
     one-point eps grid, without building a ``Decomposition`` for either.
     """
-    sign, charges, even, odd = _helical_ladders(mode, sign, np.array([_scalar_ellipticity(ellipticity)]))
+    sign, charges, even, odd = _helical_ladders(mode, sign, [_scalar_ellipticity(ellipticity, positive=True)])
     phase = 1j * sign.value_int / math.sqrt(2.0)
     return QuantumModeState(
         n=(mode.p - charges) // 2,
@@ -230,20 +227,13 @@ def oam_distribution(state: QuantumModeState) -> dict:
 
 
 def oam_curve(mode: ModeIndex, sign, epsilons) -> OamCurve:
-    """<Lz>(eps) of the helical state over a strictly increasing eps grid.
+    """<Lz>(eps) of the helical state over a strictly increasing eps grid, a 1-D iterable of positive finite reals.
 
     <Lz> = s * sum_l l * D_even(l) * D_odd(l), summed in ladder order, with
     both weight ladders solved for the whole grid at once in kernel stacks
     of at most ``ince._CHUNK_BYTES`` = 128 KiB each, whatever the grid length.
     """
-    try:
-        grid = list(epsilons)
-    except TypeError:  # one number, not a grid
-        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
-    try:
-        eps = np.asarray(grid, dtype=float)
-    except (TypeError, ValueError):  # entries that are not real numbers
-        raise InvalidModeError(f"ellipticity grid must hold real numbers, got {epsilons!r}") from None
+    eps = _ellipticity_grid(epsilons, mode.p, positive=True)
     sign, charges, even, odd = _helical_ladders(mode, sign, eps)
     values = np.zeros(eps.size)
     for j in range(charges.size):  # an l = 0 row adds 0.0, leaving every bit of the sum

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamGeometry, ComplexField, eval_hig, sample_grid
-from .errors import GridError, InvalidModeError
-from .ince import ModeIndex
+from .errors import GridError
+from .ince import ModeIndex, _ellipticity_grid, _scalar_ellipticity
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,9 @@ def find_vortices(field: ComplexField):
 def census_window(waist: float, ellipticity: float) -> float:
     """Half-width of the adaptive sampling window for a vortex census.
 
-    The ellipticity must be positive and finite.
+    The ellipticity must be one real number, positive and finite, or it is an invalid mode.
     """
-    if not 0.0 < ellipticity < math.inf:
-        raise InvalidModeError(f"ellipticity must be positive and finite, got {ellipticity}")
-    semifocal = waist * math.sqrt(ellipticity / 2.0)
+    semifocal = waist * math.sqrt(_scalar_ellipticity(ellipticity, positive=True) / 2.0)
     return max(6.0 * waist, 3.0 * semifocal)
 
 
@@ -202,15 +200,12 @@ def vortex_census(
     Samples the helical field per ellipticity on an adaptive window (six
     waists, or three semifocal separations if larger) and runs
     find_vortices.  Returns [(eps, [Vortex, ...]), ...] in input order.
+    ``epsilons`` is a 1-D iterable of positive finite reals, all checked before the first field.
     """
-    try:
-        grid = list(epsilons)
-    except TypeError:  # one number, not a grid
-        raise InvalidModeError(f"ellipticity grid must be 1-D, got shape {np.shape(epsilons)}") from None
     geometry = BeamGeometry(waist=waist, wavenumber=wavenumber)
     results = []
-    for eps in grid:
+    for eps in _ellipticity_grid(epsilons, mode.p, positive=True).tolist():
         half_width = census_window(waist, eps)
         field = sample_grid(lambda x, y: eval_hig(mode, sign, eps, geometry, x, y), half_width, resolution)
-        results.append((float(eps), find_vortices(field)))
+        results.append((eps, find_vortices(field)))
     return results

@@ -140,6 +140,11 @@ class TestLaguerreGauss:
             with pytest.raises(InvalidModeError, match=re.escape(message)):
                 eval_lg(n, l, "even", geo, 0.1, 0.1)
         assert eval_lg(1.0, np.int64(2), "odd", geo, 0.3, 0.1) == eval_lg(1, 2, "odd", geo, 0.3, 0.1)
+        # a string is refused, not compared with 0
+        with pytest.raises(InvalidModeError, match=re.escape("LG indices must be non-negative integers, got n='1', l=1")):
+            eval_lg("1", 1, "even", geo, 0.1, 0.2)
+        with pytest.raises(InvalidModeError, match=re.escape("HG indices must be non-negative integers, got nx_index='1'")):
+            eval_hg("1", 1, geo, 0.1, 0.2)
 
 
 def closed_form_errors(evaluate, oracle, order, z):
@@ -523,6 +528,9 @@ class TestHermiteGauss:
         hg = eval_hg(2, 0, geo, X, Y)
         overlap = abs(np.sum(np.conj(hg) * ig * W)) ** 2
         assert overlap >= 0.999
+        # at the edge of the double range, where the kernel's residual once overflowed
+        ig = eval_ig(ModeIndex(2, 0, Parity.EVEN), 1e300, geo, X, Y)
+        assert abs(np.sum(np.conj(eval_hg(0, 2, geo, X, Y)) * ig * W)) ** 2 >= 0.999
 
 
 class TestInceGauss:

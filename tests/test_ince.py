@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elliptic_oam import beams, ince, quantum
+from elliptic_oam import beams, ince, quantum, vortex
 from elliptic_oam.errors import InvalidModeError, SolverError
 from elliptic_oam.ince import (
     ModeIndex,
@@ -58,10 +59,11 @@ class TestModeIndex:
             (2, math.nan, "even"),
             (2, math.inf, "odd"),
             (3, 1, "sideways"),
+            ("a", 1, "even"),
         ],
     )
     def test_non_finite_order_or_unknown_parity_is_an_invalid_mode(self, p, m, parity):
-        # int(inf) raised OverflowError, int(nan) and Parity("sideways") ValueError
+        # int(inf) raised OverflowError, int(nan) and Parity("sideways") ValueError, and 0 <= "a" TypeError
         with pytest.raises(InvalidModeError):
             ModeIndex(p, m, parity)
 
@@ -165,6 +167,7 @@ class TestRecurrenceMatrix:
             (lambda mode, eps: beams.eval_ig(mode, eps, geometry(), 0.1, 0.2), ONE_NUMBER),
             (lambda mode, eps: beams.eval_hig(mode, "plus", eps, geometry(), 0.1, 0.2), ONE_NUMBER),
             (lambda mode, eps: quantum.oam_curve(mode, "plus", 2.0), r"ellipticity grid must be 1-D, got shape \(\)$"),
+            (lambda mode, eps: ince.rank_eigenpairs(mode, ["a"]), r"ellipticity grid must hold real numbers, got \['a'\]$"),
         ],
         ids=[
             "decompose",
@@ -173,12 +176,34 @@ class TestRecurrenceMatrix:
             "eval_ig",
             "eval_hig",
             "oam_curve",
+            "rank_eigenpairs-non-numeric",
         ],
     )
     def test_eps_that_is_not_one_number_is_an_invalid_mode(self, call, message):
         # the error names the caller's shape (2,), not a one-point grid (1, 2) built from it
         with pytest.raises(InvalidModeError, match=message):
             call(ModeIndex(5, 3, Parity.EVEN), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("eps", ["2", b"2", np.array("2"), None, 2j], ids=["string", "bytes", "string-array", "none", "complex"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda mode, eps: quantum.decompose(mode, eps),
+            lambda mode, eps: solve_ince(mode, eps),
+            lambda mode, eps: build_recurrence_matrix(mode, eps),
+            lambda mode, eps: quantum.helical_state(mode, "plus", eps),
+            lambda mode, eps: beams.eval_ig(mode, eps, geometry(), 0.1, 0.2),
+            lambda mode, eps: beams.eval_hig(mode, "plus", eps, geometry(), 0.1, 0.2),
+            lambda mode, eps: geometry().semifocal(eps),
+            lambda mode, eps: vortex.census_window(1.0, eps),
+        ],
+        ids=["decompose", "solve_ince", "build_recurrence_matrix", "helical_state", "eval_ig", "eval_hig", "semifocal",
+             "census_window"],
+    )
+    def test_eps_that_is_not_a_real_number_is_an_invalid_mode(self, call, eps):
+        # a string is refused, not parsed, and a complex number not cast with its imaginary part dropped
+        with pytest.raises(InvalidModeError, match=re.escape(f"ellipticity must be one real number, got {eps!r}")):
+            call(ModeIndex(5, 3, Parity.EVEN), eps)
 
 
 class TestSolveInce:
@@ -434,6 +459,38 @@ class TestOneRoute:
         }
         assert imported & private == set()
         assert not any(hasattr(quantum, name) for name in private)
+
+    def test_one_ellipticity_contract(self):
+        # the ellipticity domain is decided in ince alone: no other module converts an eps argument,
+        # compares one with 0 or inf or raises its own "ellipticity ..." refusal; ince itself does all three
+        eps_name = re.compile(r"(eps|epsilons?|ellipticit(y|ies)|grid)$")
+        converters = {"list", "tuple", "float", "asarray", "asanyarray", "array", "atleast_1d", "fromiter"}
+
+        def decisions(path):
+            found = []
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and node.args:
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    argument = node.args[0]
+                    if name in converters and isinstance(argument, ast.Name) and eps_name.match(argument.id):
+                        found.append(("converts", node.lineno))
+                elif isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    bounds = [o for o in operands if getattr(o, "value", None) == 0 or getattr(o, "attr", None) == "inf"]
+                    if bounds and any(isinstance(o, ast.Name) and eps_name.match(o.id) for o in operands):
+                        found.append(("compares", node.lineno))
+                elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                    message = node.exc.args[0]
+                    if isinstance(message, ast.JoinedStr):
+                        message = message.values[0]
+                    if isinstance(message, ast.Constant) and str(message.value).startswith("ellipticity"):
+                        found.append(("refuses", node.lineno))
+            return found
+
+        package = Path(ince.__file__).parent
+        found = {path.name: decisions(path) for path in sorted(package.glob("*.py"))}
+        assert {name: lines for name, lines in found.items() if lines and name != "ince.py"} == {}
+        assert {kind for kind, _ in found["ince.py"]} == {"converts", "compares", "refuses"}
 
     def test_solve_ince_makes_one_kernel_call(self, monkeypatch):
         calls = []

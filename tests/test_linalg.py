@@ -187,6 +187,16 @@ class TestSymmetricEigenpairs:
         assert abs(values[0, 1]) < 1e-3
         assert np.max(np.abs(vectors[0, :, 0] - [1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0)])) < 1e-15
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_residual_near_the_double_range_does_not_overflow(self):
+        # eigenvalues near 1e300 with couplings of 1: the residual's squares overflowed to inf, which
+        # raised a RuntimeWarning and then refused correct pairs; in units of the scale they stay finite
+        diag = np.array([[-1e300, 0.0, 1e300], [1e300, 2e300, 3e300]])
+        values, vectors = eigen_tridiagonal(diag, np.array([[1.0, 1.0], [1.0, 0.5]]), [0, 1, 2])
+        # rounding at the matrix's scale: eigvalsh gives +-1e300 to 1.5e284
+        assert np.max(np.abs(values - diag)) <= 1e-15 * 3e300
+        assert np.max(np.abs(vectors - np.eye(3))) <= 2e-300
+
     @pytest.mark.parametrize(
         "solve",
         [

@@ -5,17 +5,23 @@ Hypothesis draws stacks of symmetric tridiagonal matrices of dimension 1 to
 admissible modes of order p <= 20 and log-uniform ellipticities in
 [1e-3, 1e3] (in [1e-3, 50] for the rank labelling), alone or as sorted
 grids, and synthetic curve pairs whose samples tie and touch often; runs
-are derandomized, so they repeat.
+are derandomized, so they repeat.  Every public entry point that takes an
+ellipticity or mode indices is also fed both in many wrong forms, and must
+return a result or raise an ``EllipticOamError``, never another exception;
+an ellipticity given as a string, numeric or not, is always an invalid mode.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elliptic_oam import ince
-from elliptic_oam.ince import ModeIndex, Parity
+from elliptic_oam.beams import BeamGeometry, eval_hg, eval_hig, eval_ig, eval_lg
+from elliptic_oam.errors import EllipticOamError, InvalidModeError
+from elliptic_oam.ince import ModeIndex, Parity, solve_ince
 from elliptic_oam.linalg import eigen_tridiagonal
 from elliptic_oam.quantum import (
     OamCurve,
@@ -27,6 +33,7 @@ from elliptic_oam.quantum import (
     oam_distribution,
     oam_expectation,
 )
+from elliptic_oam.vortex import census_window, vortex_census
 
 from oracles import loop_crossings, loop_turning_points
 
@@ -181,3 +188,74 @@ def test_curve_analysis_matches_the_per_sample_loops(pair):
         assert _bits(find_turning_points(a)) == _bits(loop_turning_points(a))
         assert _bits(find_turning_points(b)) == _bits(loop_turning_points(b))
     assert _bits(find_crossings(a, b)) == _bits(loop_crossings(a, b))
+
+
+# ellipticities at the edges of the double range, and ordinary ones that the entry points accept
+EPS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf]),
+    st.floats(0.01, 50.0),
+)
+# each builds the eps argument afresh from the drawn values, as a generator is read once
+EPS_FORMS = {
+    "float": lambda values: values[0] if values else 1.0,
+    "0-d array": lambda values: np.array(values[0] if values else 1.0),
+    "1-D array": lambda values: np.array(values),
+    "2-D array": lambda values: np.array(values).reshape(1, -1),
+    "complex array": lambda values: np.array(values, dtype=complex),
+    "list": list,
+    "sorted unique list": lambda values: sorted(set(values)),
+    "tuple": tuple,
+    "generator": lambda values: (value for value in values),
+    "numeric string": lambda values: repr(values[0] if values else 1.0),
+    "non-numeric string": lambda values: "ab",
+    "bytes": lambda values: repr(values[0] if values else 1.0).encode(),
+    "list of strings": lambda values: [repr(value) for value in values] + ["a"],
+    "list of numeric strings": lambda values: [repr(value) for value in values] or ["1.0"],
+    "numeric string array": lambda values: np.array([repr(value) for value in values] or ["1.0"]),
+    "None": lambda values: None,
+}
+INDICES = st.one_of(
+    st.integers(-1, 12),
+    st.integers(-1, 12).map(float),
+    st.floats(-1.0, 12.0).filter(lambda index: index != int(index)),
+    st.sampled_from(["1", "a", math.nan, math.inf, -math.inf]),
+)
+# admissible (p, m) of order p <= 12 half the time, so the entry points get past the indices
+INDEX_TRIPLES = st.one_of(
+    st.integers(0, 12).flatmap(lambda p: st.tuples(st.just(p), st.sampled_from(range(p % 2, p + 1, 2)), st.just("even"))),
+    st.tuples(INDICES, INDICES, st.sampled_from(["even", "odd"])),
+)
+GEOMETRY = BeamGeometry(waist=1.0, wavenumber=2.0 * math.pi)
+# every public entry point that takes an ellipticity or mode indices; the LG and HG fields read (p, m) as their two
+# indices, and the parity as the LG kind
+ENTRY_POINTS = {
+    "decompose": lambda p, m, parity, eps: decompose(ModeIndex(p, m, parity), eps),
+    "helical_state": lambda p, m, parity, eps: helical_state(ModeIndex(p, m, parity), "plus", eps),
+    "solve_ince": lambda p, m, parity, eps: solve_ince(ModeIndex(p, m, parity), eps),
+    "oam_curve": lambda p, m, parity, eps: oam_curve(ModeIndex(p, m, parity), "plus", eps),
+    "rank_eigenpairs": lambda p, m, parity, eps: ince.rank_eigenpairs(ModeIndex(p, m, parity), eps),
+    "eval_ig": lambda p, m, parity, eps: eval_ig(ModeIndex(p, m, parity), eps, GEOMETRY, 0.1, 0.2),
+    "eval_hig": lambda p, m, parity, eps: eval_hig(ModeIndex(p, m, parity), "plus", eps, GEOMETRY, 0.1, 0.2),
+    "eval_lg": lambda p, m, parity, eps: eval_lg(p, m, parity, GEOMETRY, 0.1, 0.2),
+    "eval_hg": lambda p, m, parity, eps: eval_hg(p, m, GEOMETRY, 0.1, 0.2),
+    "vortex_census": lambda p, m, parity, eps: vortex_census(ModeIndex(p, m, parity), "plus", eps, 16),
+    "census_window": lambda p, m, parity, eps: census_window(1.0, eps),
+    "ModeIndex": lambda p, m, parity, eps: ModeIndex(p, m, parity),
+}
+STRING_FORMS = {"numeric string", "non-numeric string", "bytes", "list of strings", "list of numeric strings", "numeric string array"}
+TAKES_NO_EPS = {"eval_lg", "eval_hg", "ModeIndex"}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@PROPERTY
+@given(INDEX_TRIPLES, st.sampled_from(sorted(EPS_FORMS)), st.lists(EPS_VALUES, max_size=8))
+def test_entry_point_returns_or_raises_a_named_error(entry, indices, form, values):
+    # grids of at most 8 points, fields of 16 x 16 and orders p <= 12 (LG and HG orders <= 36) keep every example small
+    if form in STRING_FORMS and entry not in TAKES_NO_EPS:
+        with pytest.raises(InvalidModeError):  # a string is refused, never parsed into numbers
+            ENTRY_POINTS[entry](*indices, EPS_FORMS[form](values))
+        return
+    try:
+        ENTRY_POINTS[entry](*indices, EPS_FORMS[form](values))
+    except EllipticOamError:
+        pass

@@ -167,7 +167,12 @@ class TestLadderWeights:
         with pytest.raises(InvalidModeError):
             oam_curve(ModeIndex(7, 5, Parity.EVEN), "plus", grid)
 
-    @pytest.mark.parametrize("grid", ["ab", ["a", "b"]], ids=["string", "list-of-strings"])
+    @pytest.mark.parametrize(
+        "grid",
+        ["ab", ["a", "b"], "12", "", b"12", ["1.5", "2.5"], np.array(["1.5", "2.5"]), [0.5, None], [0.5, 1j]],
+        ids=["string", "list-of-strings", "numeric-string", "empty-string", "bytes", "list-of-numeric-strings",
+             "numeric-string-array", "none-entry", "complex-entry"],
+    )
     def test_non_numeric_grid_is_invalid_and_named(self, grid):
         with pytest.raises(InvalidModeError, match=re.escape(repr(grid))):
             oam_curve(ModeIndex(5, 3, Parity.EVEN), "plus", grid)
@@ -386,6 +391,16 @@ class TestOamCurve:
             oam_curve(M22, "plus", [0.0, 1.0])
         with pytest.raises(InvalidModeError):
             oam_curve(M22, "plus", [math.nan, 1.0])
+
+    def test_caller_grid_stays_writeable_and_detached(self):
+        samples = np.geomspace(0.1, 10.0, 6)
+        grid = samples[1:]
+        curve = oam_curve(M22, "plus", grid)
+        assert grid.flags.writeable and samples.flags.writeable
+        assert not curve.epsilons.flags.writeable and not np.shares_memory(curve.epsilons, samples)
+        samples[:] = 0.0
+        grid *= 2.0
+        assert curve.epsilons.tolist() == np.geomspace(0.1, 10.0, 6)[1:].tolist()
 
     def test_grid_must_increase(self):
         with pytest.raises(GridError):

@@ -394,7 +394,22 @@ class TestCensus:
         with pytest.raises(InvalidModeError, match=r"ellipticity grid must be 1-D, got shape \(\)$"):
             vortex_census(M53, "plus", 2.0, 64)
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            0.0,
+            -1.0,
+            math.nan,
+            math.inf,
+            pytest.param(np.array([1.0, 2.0]), id="array"),
+            pytest.param([1.0, 2.0], id="list"),
+            pytest.param("a", id="string"),
+            pytest.param("12", id="numeric-string"),
+        ],
+    )
     def test_rejects_ellipticity_outside_the_window_domain(self, eps):
+        # an eps that is not one number makes the grid [eps] 2-D or non-numeric, and the window refuses it
         with pytest.raises(InvalidModeError, match="ellipticity"):
             vortex_census(M22, "plus", [eps], 64)
+        with pytest.raises(InvalidModeError, match="ellipticity"):
+            census_window(1.0, eps)
