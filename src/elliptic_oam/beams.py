@@ -241,14 +241,16 @@ def _mode_coefficients(mode: ModeIndex, sign, eps: float) -> np.ndarray:
     """
     if sign is None:
         return _hg_block_coefficients((mode,), [eps])[0, 0].astype(complex)
-    modes = (ModeIndex(mode.p, mode.m, Parity.EVEN), ModeIndex(mode.p, mode.m, Parity.ODD))
+    other = ModeIndex(mode.p, mode.m, Parity.ODD if mode.is_even else Parity.EVEN)
+    modes = (mode, other) if mode.is_even else (other, mode)
     if mode.p % 2:
         even, odd = _hg_block_coefficients(modes, [eps])[:, 0]
     else:
         even, odd = (_hg_block_coefficients((parity,), [eps])[0, 0] for parity in modes)
-    coefficients = np.empty(mode.p + 1, dtype=complex)
-    coefficients.real = even / math.sqrt(2.0)
-    coefficients.imag = sign * odd / math.sqrt(2.0)
+    # sign is +-1, so odd / (sign root) is sign odd / root to the bit
+    root, coefficients = math.sqrt(2.0), np.empty(mode.p + 1, dtype=complex)
+    np.divide(even, root, out=coefficients.real)
+    np.divide(odd, sign * root, out=coefficients.imag)
     return coefficients
 
 

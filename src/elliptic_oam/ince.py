@@ -312,18 +312,19 @@ def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
     (``verify._lg_to_hg``), the sign of its first block row s.  ``beams.eval_lg`` reads it there.
     """
     epsilons, p = _ellipticity_grid(epsilons, modes[0].p), modes[0].p
-    # the blocks split one pencil of the order by the parity of k: p - k is even on an even mode's rows
-    starts = [(p + (not mode.is_even)) % 2 for mode in modes]
-    rows = np.add.outer(starts, np.arange(0, p + 1 - starts[0], 2))
     diag, slope, coupling = _hg_pencil(p)
-    count, size = len(modes), rows.shape[1]
-    diag = (diag[rows][:, None] + epsilons[:, None] * slope[rows][:, None]).reshape(-1, size)
-    coupling = np.repeat(coupling[rows[:, :-1]], epsilons.size, axis=0)
-    spectra, vectors = eigen_tridiagonal(diag, coupling, [eigenvalue_rank(modes[0])])
-    _check_simple_spectrum(modes, epsilons, spectra.reshape(count, epsilons.size, size))
-    vectors = vectors[:, :, 0].reshape(count, epsilons.size, size)
-    vectors[..., 1::2] *= -1.0
-    coefficients = np.zeros((count, epsilons.size, p + 1))
+    # the blocks split the order's pencil by the parity of k: p - k is even on an even mode's rows
+    starts, pencil = [(p + (not mode.is_even)) % 2 for mode in modes], diag + epsilons[:, None] * slope
+    spectra, vectors = eigen_tridiagonal(
+        np.concatenate([pencil[:, start::2] for start in starts]),
+        np.repeat([coupling[start::2] for start in starts], epsilons.size, axis=0),
+        [eigenvalue_rank(modes[0])],
+    )
+    blocks = (len(modes), epsilons.size, spectra.shape[1])
+    _check_simple_spectrum(modes, epsilons, spectra.reshape(blocks))
+    vectors = vectors.reshape(blocks)
+    vectors[..., 1::2] *= -1.0  # (-1)^j on the block's row j
+    coefficients = np.zeros((len(modes), epsilons.size, p + 1))
     for mode, start, vector, out in zip(modes, starts, vectors, coefficients):
         sign = -1.0 if ((p - mode.m) // 2 + (mode.m - (not mode.is_even)) // 2) % 2 else 1.0
         np.multiply(vector, sign, out=out[:, start::2])

@@ -7,7 +7,11 @@ from twisted factorizations at its eigenvalue (``_pivots`` and
 ``_twisted_vectors``; Fernando, SIAM J. Matrix Anal. Appl. 18, 1013
 (1997); Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)), with the
 coupling-overflow guard, the residual check and the Sturm-sequence sign
-rule (``_sturm_flips``).  The Ince route of ``ince`` and its Hermite-Gauss
+rule (``_sturm_flips``).  The twisted passes run in one of two loops with
+the same bits: whole-array numpy passes over a stack, or, for a stack of
+at most ``_FLOAT_PAIRS`` (matrix, rank) pairs, a loop on Python floats,
+pair by pair (``_float_stack_vectors``), which skips the passes' fixed
+numpy calls.  The Ince route of ``ince`` and its Hermite-Gauss
 blocks, which give every field of ``beams`` its coefficients, solve through
 it, and so does the LG -> HG transform of ``verify``, their oracle.
 ``_tridiagonal_stack`` fills the dense stack that ``eigvalsh`` reduces;
@@ -18,6 +22,7 @@ window completes the module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +67,15 @@ class TridiagonalMatrix:
 
 # The largest coupling whose square, the product sub[i]*sup[i], is finite.
 _LARGEST_COUPLING = float(np.sqrt(np.finfo(float).max))
+_EPSILON = float(np.finfo(float).eps)
+# Each pair's residual bound, in units of 1 + the largest |eigenvalue| of its matrix.
+_RESIDUAL_BOUND = 1e-10
+# Stacks of at most this many (matrix, rank) pairs take the twisted passes on Python floats, pair
+# by pair; larger ones the whole-array passes.  Both give the same bits.  The loop saves the
+# passes' fixed numpy calls, about 90 at d = 3, and costs O(d) float operations per pair: one
+# rank's call, eigvalsh included, was faster on the loop up to 8 matrices at d = 3 and up to 6
+# at d = 6 to 20, slower from 10 and 8 (numpy 2.4 on a 2-CPU x86-64 machine)
+_FLOAT_PAIRS = 6
 
 
 def _sturm_flips(vector):
@@ -127,6 +141,104 @@ def _twisted_vectors(pivots, negated, fixed):
     return both[:, 0], np.add.reduce(np.square(both), axis=0)[0]
 
 
+def _float_pivots(diag, products, guard, lam) -> list:
+    """The forward pivots of one T - lam as ``_pivots`` gives them, on Python floats.
+
+    Each pivot below ``guard`` in size but the last is raised to it, keeping its sign bit, before
+    it divides.  The reversed ``diag`` and ``products`` give the backward pivots, reversed.
+    """
+    pivot, pivots = diag[0] - lam, []
+    for entry, product in zip(diag[1:], products):
+        if abs(pivot) < guard:  # a NaN pivot stays NaN, as np.maximum keeps it
+            pivot = math.copysign(guard, pivot)
+        pivots.append(pivot)
+        pivot = (entry - lam) - product / pivot
+    pivots.append(pivot)
+    return pivots
+
+
+def _float_twisted_vector(forward, backward, negated, twist):
+    """The twisted vector z of ``_twisted_vectors`` at ``twist`` on Python floats, and |z|^2 summed in index order.
+
+    ``forward`` holds the pivots D+ from 0 up to the twist, ``backward`` the pivots D- reversed,
+    from the end down to it, and ``negated`` the -b[i].
+    """
+    size = len(negated) + 1
+    vector = [1.0] * size
+    for i in range(twist - 1, -1, -1):
+        vector[i] = negated[i] / forward[i] * vector[i + 1]
+    for i in range(twist + 1, size):
+        vector[i] = negated[i - 1] / backward[size - 1 - i] * vector[i - 1]
+    squared = 0.0
+    for entry in vector:
+        squared += entry * entry
+    return vector, squared
+
+
+def _first_least(gammas) -> int:
+    """``np.argmin(np.abs(gammas))`` of a list: the first least |gamma|, or the first NaN."""
+    twist, least = 0, abs(gammas[0])
+    for i, gamma in enumerate(gammas):
+        if gamma != gamma:
+            return i
+        if abs(gamma) < least:
+            twist, least = i, abs(gamma)
+    return twist
+
+
+def _float_stack_vectors(diag, coupling, values, ranks) -> np.ndarray:
+    """The unit eigenvectors of ``eigen_tridiagonal`` for a stack of a few pairs, as a (d, N, r) array.
+
+    The whole-array passes' IEEE operations in their order, pair by pair on Python floats: the
+    guarded pivots, the first least |gamma| as the twist, the second pass at lam + gamma / |z|^2
+    with that twist, the sign bit of entry 0, and the residual, every sum in index order.  It
+    raises the error of the first pair, in (matrix, rank) order, whose residual exceeds the bound.
+    """
+    ranks, columns = ranks.tolist(), []
+    for row, bands, spectrum in zip(diag.tolist(), coupling.tolist(), values.tolist()):
+        size, low, high = len(row), -spectrum[0], spectrum[-1]
+        scale = 1.0 + (low if low >= high or low != low else high)  # np.maximum, NaN and all
+        guard, products = _EPSILON * scale, [band * band for band in bands]
+        negated, reversed_row, reversed_products = [-band for band in bands], row[::-1], products[::-1]
+        for rank in ranks:
+            if scale != scale:  # every residual of this matrix is NaN, so its first pair fails
+                raise _residual_error(rank, math.nan)
+            lam = spectrum[rank]
+            forward = _float_pivots(row, products, guard, lam)
+            backward = _float_pivots(reversed_row, reversed_products, guard, lam)
+            gammas = [forward[i] + backward[size - 1 - i] - (row[i] - lam) for i in range(size)]
+            twist = _first_least(gammas)
+            _, squared = _float_twisted_vector(forward, backward, negated, twist)
+            # the second pass needs only the pivots that divide, on each side of the twist
+            shifted = lam + gammas[twist] / squared
+            forward = _float_pivots(row[: twist + 1], products, guard, shifted)
+            backward = _float_pivots(reversed_row[: size - twist], reversed_products, guard, shifted)
+            vector, squared = _float_twisted_vector(forward, backward, negated, twist)
+            norm = math.sqrt(squared)
+            if math.copysign(1.0, vector[0]) < 0.0:  # the sign bit, as ``_sturm_flips`` reads it
+                norm = -norm
+            vector = [entry / norm for entry in vector]
+            residual = 0.0
+            for i in range(size):
+                error = (row[i] - lam) * vector[i]
+                if i + 1 < size:
+                    error += bands[i] * vector[i + 1]
+                if i:
+                    error += bands[i - 1] * vector[i - 1]
+                error /= scale
+                residual += error * error
+            residual = math.sqrt(residual)
+            if not residual <= _RESIDUAL_BOUND:
+                raise _residual_error(rank, residual * scale)
+            columns.append(vector)
+    # (d, N, r) in C order, as the whole-array passes lay out theirs
+    return np.array(columns).T.copy().reshape(diag.shape[1], diag.shape[0], len(ranks))
+
+
+def _residual_error(rank, residual) -> SolverError:
+    return SolverError(f"eigenpair {rank} residual {residual:.3e} exceeds bound; matrix badly scaled?")
+
+
 def _tridiagonal_stack(diag, sub, sup) -> np.ndarray:
     """The dense (N, d, d) stack of the tridiagonal matrices with bands ``diag[i]``, ``sub[i]`` and ``sup[i]``."""
     count, dimension = diag.shape
@@ -152,7 +264,12 @@ def eigen_tridiagonal(diag, coupling, ranks):
     signed so that entry 0 is positive: the sign of its twist entry is
     carried back to entry 0 by ``_sturm_flips``, however small entry 0 is.
     Each pair's residual is checked against the largest eigenvalue of its
-    matrix, the scale of the eigenvalue's error.
+    matrix, the scale of the eigenvalue's error.  A stack of at most
+    ``_FLOAT_PAIRS`` (matrix, rank) pairs, such as a field's HG blocks or
+    one ellipticity's Ince matrix, runs these steps pair by pair on Python
+    floats (``_float_stack_vectors``), a larger one, such as a chunk of an
+    eps grid, in whole-array numpy passes: the same IEEE operations in the
+    same order, so the same bits and the same ``SolverError``.
     """
     ranks, dimension = np.asarray(ranks), diag.shape[1]
     if coupling.max(initial=0.0) > _LARGEST_COUPLING:
@@ -161,11 +278,13 @@ def eigen_tridiagonal(diag, coupling, ranks):
         values = np.linalg.eigvalsh(_tridiagonal_stack(diag, coupling, coupling))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"tridiagonal eigensolve failed: {exc}") from exc
+    if diag.shape[0] * ranks.size <= _FLOAT_PAIRS:
+        return values, _float_stack_vectors(diag, coupling, values, ranks).transpose(1, 0, 2)
     chosen = values[:, ranks]
     # the values ascend, so the largest |value| is at one end; it sets the scale of their error
     scale = 1.0 + np.maximum(-values[:, :1], values[:, -1:])
     diag, band = _both_ways(diag), _both_ways(coupling)
-    products, negated, guard = band * band, -band, np.finfo(float).eps * scale
+    products, negated, guard = band * band, -band, _EPSILON * scale
     # the twist k minimizes |gamma[k]| = |D+[k] + D-[k] - (diag[k] - lam)|, and
     # (T - lam) z = gamma[k] e_k, so the Rayleigh quotient of z is lam + gamma[k] / |z|^2
     pivots = _pivots(chosen, diag, products, guard)
@@ -192,12 +311,9 @@ def eigen_tridiagonal(diag, coupling, ranks):
     error[1:] += band * vectors[:-1]
     # in units of the scale, so no square overflows where the eigenvalues near the double range
     residual = np.sqrt(np.sum(np.square(np.divide(error, scale, out=error), out=error), axis=0))
-    bad = ~(residual <= 1e-10)
+    bad = ~(residual <= _RESIDUAL_BOUND)
     if bad.any():
-        raise SolverError(
-            f"eigenpair {ranks[np.nonzero(bad)[1][0]]} residual {(residual * scale)[bad][0]:.3e} exceeds bound; "
-            "matrix badly scaled?"
-        )
+        raise _residual_error(ranks[np.nonzero(bad)[1][0]], (residual * scale)[bad][0])
     return values, vectors.transpose(1, 0, 2)
 
 

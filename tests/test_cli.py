@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from elliptic_oam.ince import ModeIndex, Parity
 
 from oracles import field_csv, geometry
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the benchmark's field-csv payload (tests/test_bench_contract.py)
 HELICAL_CSV = ["field", "-p", "5", "-m", "3", "-e", "3.1", "--kind", "helical_minus", "--z", "0.4",
@@ -30,6 +33,16 @@ CHECKSUM_CASES = [
 
 def run_cli(args):
     return cli.main(args)
+
+
+def run_child(args):
+    """This interpreter run on ``args`` in a child process, the checkout's ``src`` first on its PYTHONPATH.
+
+    The child inherits the caller's environment, which need not reach the package: pytest's
+    ``pythonpath`` setting extends the test process's ``sys.path`` only.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def read_manifest(path):
@@ -142,7 +155,7 @@ class TestOamCurve:
 
     def test_stdout_holds_the_csv_then_the_analysis(self):
         argv = ["oam-curve", "-p", "3", "-m", "3", "--eps-min", "0.1", "--eps-max", "2", "--steps", "8"]
-        proc = subprocess.run([sys.executable, "-m", "elliptic_oam.cli", *argv], capture_output=True, text=True)
+        proc = run_child(["-m", "elliptic_oam.cli", *argv])
         assert proc.returncode == 0, proc.stderr
         csv, analysis = proc.stdout.split("\n{", 1)
         assert csv.splitlines()[0] == "epsilon,oam" and len(csv.splitlines()) == 9
@@ -245,11 +258,9 @@ class TestField:
         # amplitudes near 1e155 square past the double range unless they are scaled first
         base = ["field", "-p", "0", "-m", "0", "--kind", "even", "-e", "1", "--resolution", "16", "--format", "pgm"]
         tiny, unit = tmp_path / "tiny.pgm", tmp_path / "unit.pgm"
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *base,
+        proc = run_child(
+            ["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *base,
              "--waist", "1e-155", "--window", "3e-155", "-o", str(tiny)],
-            capture_output=True,
-            text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert run_cli([*base, "--waist", "1", "--window", "3", "-o", str(unit)]) == 0
@@ -387,11 +398,7 @@ NON_FINITE_CASES = [
 class TestNonFiniteEllipticity:
     @pytest.mark.parametrize("argv", NON_FINITE_CASES, ids=" ".join)
     def test_domain_error_without_warnings(self, argv):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv])
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -408,11 +415,7 @@ OVERFLOW_CASES = [
 class TestHugeEllipticity:
     @pytest.mark.parametrize("argv", OVERFLOW_CASES, ids=" ".join)
     def test_overflow_is_a_numerical_failure(self, argv):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv])
         assert proc.returncode == 3, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -429,11 +432,7 @@ class TestHugeEllipticity:
         argv = ["-p", "1", "-m", "1", "--parity", "even", "-e", "1e200"]
         documents = {}
         for command in ("solve-ince", "decompose"):
-            proc = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", command, *argv],
-                capture_output=True,
-                text=True,
-            )
+            proc = run_child(["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", command, *argv])
             assert proc.returncode == 0 and proc.stderr == "", proc.stderr
             documents[command] = json.loads(proc.stdout)
         assert documents["solve-ince"]["fourier"] == [1.0]
@@ -461,11 +460,7 @@ class TestFarPlane:
         # z^2 passes the double range here; 1/R must not overflow on the way
         out = tmp_path / "far.csv"
         argv = ["field", "-p", "1", "-m", "1", "--kind", "helical_plus", "-e", "2", "--resolution", "16", "--z", z]
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv, "-o", str(out)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv, "-o", str(out)])
         assert "internal failure" not in proc.stderr
         assert proc.returncode == 0 or (proc.returncode == 2 and proc.stderr.startswith("error: ")), proc.stderr
         if proc.returncode == 0:
@@ -493,11 +488,7 @@ DOMAIN_CASES = [
 class TestDomainErrors:
     @pytest.mark.parametrize("argv, message", DOMAIN_CASES, ids=[" ".join([a[0], *a[-2:]]) for a, _ in DOMAIN_CASES])
     def test_named_before_sampling(self, argv, message):
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-W", "error::RuntimeWarning", "-m", "elliptic_oam.cli", *argv])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(f"error: {message}"), proc.stderr
 
@@ -505,11 +496,9 @@ class TestDomainErrors:
 class TestOverflowingWindow:
     @pytest.mark.parametrize("warnings", ["default", "error::RuntimeWarning"])
     def test_non_finite_field_prints_only_the_error(self, warnings):
-        proc = subprocess.run(
-            [sys.executable, "-W", warnings, "-m", "elliptic_oam.cli", "field", "-p", "5", "-m", "3",
+        proc = run_child(
+            ["-W", warnings, "-m", "elliptic_oam.cli", "field", "-p", "5", "-m", "3",
              "--kind", "helical_plus", "-e", "2", "--window", "1e308", "--resolution", "32"],
-            capture_output=True,
-            text=True,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
@@ -519,21 +508,15 @@ class TestOverflowingWindow:
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "poly.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "elliptic_oam.cli", "solve-ince", "-p", "1", "-m", "1",
+        proc = run_child(
+            ["-m", "elliptic_oam.cli", "solve-ince", "-p", "1", "-m", "1",
              "--parity", "even", "-e", "0.25", "-o", str(out)],
-            capture_output=True,
-            text=True,
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["eigenvalue"] == pytest.approx(1.25, abs=1e-12)
 
     def test_import_leaves_scipy_unloaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, elliptic_oam.cli; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child(["-c", "import sys, elliptic_oam.cli; print('scipy' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import elliptic_oam
-from elliptic_oam import verify
+from elliptic_oam import beams, ince, linalg, verify
 from elliptic_oam.beams import eval_hig, eval_ig, eval_lg
 from elliptic_oam.errors import SolverError
-from elliptic_oam.ince import ModeIndex, Parity, solve_ince
+from elliptic_oam.ince import ModeIndex, Parity, series_harmonics, solve_ince
 from elliptic_oam.linalg import TridiagonalMatrix, eigen_tridiagonal, plane_quadrature_grid
 from elliptic_oam.quantum import decompose
 
@@ -197,6 +197,29 @@ class TestSymmetricEigenpairs:
         assert np.max(np.abs(values - diag)) <= 1e-15 * 3e300
         assert np.max(np.abs(vectors - np.eye(3))) <= 2e-300
 
+    def test_both_loops_raise_one_residual_error(self, monkeypatch):
+        # a spectrum off by far more than rounding fails the residual bound: the Python-float loop
+        # of a small stack and the whole-array passes name the same first failing pair and residual
+        rng = np.random.default_rng(3)
+        diag, coupling, ranks = rng.uniform(-3.0, 3.0, (3, 5)), rng.uniform(0.1, 2.0, (3, 4)), [0, 3]
+        assert diag.shape[0] * len(ranks) <= linalg._FLOAT_PAIRS
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(stack):
+            values = eigvalsh(stack)
+            values[1, 3] += 1e-3
+            values[2, 0] -= 1e-3
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        messages = []
+        for pairs in (linalg._FLOAT_PAIRS, 0):
+            monkeypatch.setattr(linalg, "_FLOAT_PAIRS", pairs)
+            with pytest.raises(SolverError, match="^eigenpair 3 residual") as caught:
+                eigen_tridiagonal(diag, coupling, ranks)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize(
         "solve",
         [
@@ -322,6 +345,22 @@ def test_ig_fields_solve_their_hg_blocks_and_build_no_lg_to_hg_table(monkeypatch
     for parity in Parity:
         eval_ig(ModeIndex(7, 3, parity), 2.5, geo, 0.3, 0.2)
     assert len(calls) == 2
+
+
+def test_small_stacks_take_the_float_loop_and_chunks_the_whole_array_passes(monkeypatch):
+    # a helical field's odd-order blocks and a one-eps Ince solve are stacks of one or two pairs;
+    # a full chunk of an eps grid runs the two whole-array passes
+    calls = []
+    for name in ("_float_stack_vectors", "_pivots"):
+        function = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _f=function: calls.append(_f.__name__) or _f(*args))
+    mode = ModeIndex(5, 3, Parity.EVEN)
+    beams._mode_coefficients(mode, 1, 3.1)
+    solve_ince(mode, 2.0)
+    assert calls == ["_float_stack_vectors"] * 2
+    calls.clear()
+    ince.rank_eigenpairs(mode, np.geomspace(0.1, 10.0, ince._chunk_size(series_harmonics(mode).size)))
+    assert calls == ["_pivots"] * 2
 
 
 def test_fields_make_no_eigen_kernel_call_of_their_own():

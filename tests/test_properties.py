@@ -1,8 +1,9 @@
 """Property tests of the eigen kernel, rank labelling, LG expansion, OAM algebra and curve analysis.
 
-Hypothesis draws stacks of symmetric tridiagonal matrices of dimension 1 to
-12 with repeated diagonals and couplings of 0, 1e-170, 1e-13 and O(1),
-admissible modes of order p <= 20 and log-uniform ellipticities in
+Hypothesis draws stacks of 1 to 8 symmetric tridiagonal matrices of
+dimension 1 to 12 with repeated diagonals and couplings of 0, 1e-170, 1e-13
+and O(1), each band of a matrix scaled by 1 or by a power of ten up to
+1e+-150, admissible modes of order p <= 20 and log-uniform ellipticities in
 [1e-3, 1e3] (in [1e-3, 50] for the rank labelling), alone or as sorted
 grids, and synthetic curve pairs whose samples tie and touch often; runs
 are derandomized, so they repeat.  Every public entry point that takes an
@@ -12,13 +13,14 @@ an ellipticity given as a string, numeric or not, is always an invalid mode.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elliptic_oam import ince
+from elliptic_oam import ince, linalg
 from elliptic_oam.beams import BeamGeometry, eval_hg, eval_hig, eval_ig, eval_lg
 from elliptic_oam.errors import EllipticOamError, InvalidModeError
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince
@@ -50,23 +52,26 @@ def modes(draw, helical=False):
     return ModeIndex(p, m, parity)
 
 
-# repeated diagonals, and couplings that vanish, underflow when squared, sit at rounding or are O(1)
+# repeated diagonals, and couplings that vanish, underflow when squared, sit at rounding or are O(1),
+# each matrix times a scale of 1 or a power of ten far from it
 DIAGONALS = st.one_of(st.sampled_from([-2.0, 0.0, 0.5, 1.0, 3.0]), st.floats(-5.0, 5.0))
 COUPLINGS = st.one_of(st.sampled_from([0.0, 1e-170, 1e-13, 1.0]), st.floats(0.01, 3.0))
+SCALES = st.one_of(st.just(1.0), st.sampled_from([1e-150, 1e150]), st.integers(-150, 150).map(lambda k: 10.0**k))
 
 
 @st.composite
 def tridiagonal_stacks(draw):
-    """Diagonals (N, d) and couplings (N, d - 1) of N symmetric tridiagonal matrices, and 1 to 3 ranks."""
-    count, dimension = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    """Diagonals (N, d) and couplings (N, d - 1) of N <= 8 symmetric tridiagonal matrices, 1 to 4 ranks, and each matrix's scale."""
+    count, dimension = draw(st.integers(1, 8)), draw(st.integers(1, 12))
     rows = lambda elements, size: [draw(st.lists(elements, min_size=size, max_size=size)) for _ in range(count)]
-    diag = np.array(rows(DIAGONALS, dimension), dtype=float)
-    coupling = np.array(rows(COUPLINGS, dimension - 1), dtype=float).reshape(count, dimension - 1)
-    return diag, coupling, draw(st.lists(st.integers(0, dimension - 1), min_size=1, max_size=3))
+    scale = np.array(draw(st.lists(SCALES, min_size=count, max_size=count)))[:, None]
+    diag = np.array(rows(DIAGONALS, dimension), dtype=float) * scale
+    coupling = np.array(rows(COUPLINGS, dimension - 1), dtype=float).reshape(count, dimension - 1) * scale
+    return diag, coupling, draw(st.lists(st.integers(0, dimension - 1), min_size=1, max_size=4)), scale[:, 0]
 
 
-def sturm_negatives(diag, coupling, value, first):
-    """Parity of the negative terms among q_0 ... q_(first - 1) at ``value``; None if one is near 0.
+def sturm_negatives(diag, coupling, value, first, unit=1.0):
+    """Parity of the negative terms among q_0 ... q_(first - 1) at ``value``; None if one is near 0 in units of ``unit``.
 
     q_0 = value - diag[0], q_i = value - diag[i] - coupling[i - 1]^2 / q_(i - 1), in Python floats;
     entry ``first`` of the eigenvector has the sign of entry 0 times -1 to that parity.
@@ -74,7 +79,7 @@ def sturm_negatives(diag, coupling, value, first):
     odd, q = False, 1.0
     for i in range(first):
         q = value - diag[i] - (coupling[i - 1] ** 2 / q if i else 0.0)
-        if abs(q) < 1e-8:
+        if abs(q) < 1e-8 * unit:
             return None
         odd ^= q < 0.0
     return odd
@@ -86,8 +91,11 @@ def test_eigen_kernel_matches_eigh_and_the_sturm_rule(stack):
     # np.linalg.eigh, the oracle, errs by about eps (1 + |T|) / gap, as the kernel does, whose
     # guard and residual bound take the same scale 1 + max|lambda|; the largest ratio to that
     # over 20000 random stacks like these was 3.4
-    diag, coupling, ranks = stack
-    values, vectors = eigen_tridiagonal(diag, coupling, ranks)
+    # the stack takes the whole-array passes and each row the Python-float loop: the two agree bit for bit
+    diag, coupling, ranks, scales = stack
+    assert len(ranks) <= linalg._FLOAT_PAIRS
+    with mock.patch.object(linalg, "_FLOAT_PAIRS", 0):
+        values, vectors = eigen_tridiagonal(diag, coupling, ranks)
     for i in range(diag.shape[0]):
         one_values, one_vectors = eigen_tridiagonal(diag[i : i + 1], coupling[i : i + 1], ranks)
         assert np.array_equal(one_values[0], values[i]) and np.array_equal(one_vectors[0], vectors[i])
@@ -101,9 +109,13 @@ def test_eigen_kernel_matches_eigh_and_the_sturm_rule(stack):
             gap = np.min(np.abs(np.delete(oracle_values, rank) - oracle_values[rank]), initial=math.inf)
             if gap > 0.0:
                 oracle = oracle_vectors[:, rank] * math.copysign(1.0, oracle_vectors[:, rank] @ vector)
-                assert np.max(np.abs(vector - oracle)) <= 16.0 * np.finfo(float).eps * scale / gap
+                # times the gap, not over it: at scales far from 1 the quotient can pass the double range
+                error = np.max(np.abs(vector - oracle))
+                assert error == 0.0 or error * gap <= 16.0 * np.finfo(float).eps * scale
             first = int(np.argmax(np.abs(vector) > 1e-8))
-            odd = sturm_negatives(diag[i], coupling[i], values[i, rank], first)
+            # the kernel's pivot guard, eps (1 + max|lambda|), is absolute below |T| = 1, so a q is
+            # near 0 in units of the matrix's scale only from scale 1 up
+            odd = sturm_negatives(diag[i], coupling[i], values[i, rank], first, max(1.0, scales[i]))
             if odd is not None:
                 assert (vector[first] < 0.0) == odd
 

@@ -128,3 +128,27 @@ class TestBatteryWork:
         monkeypatch.setattr(quantum, "_expansion_sign", lambda n, l, p, m: -original(n, l, p, m))
         failing = {r.name for r in verify.run_checks("fast").results if not r.passed}
         assert {f"decomposition-overlap-p5-eps{eps:g}" for eps in (0.5, 2.0, 5.0)} <= failing
+
+
+class TestFaultsCaught:
+    """Faults injected one at a time into the curve analysis; each must fail exactly the rows that read it."""
+
+    @staticmethod
+    def failing(monkeypatch, module, name, fault):
+        monkeypatch.setattr(module, name, fault)
+        return {r.name for r in verify.run_checks("fast").results if not r.passed}
+
+    def test_turning_point_at_the_middle_sample(self, monkeypatch):
+        fault = lambda x0, x1, x2, y0, y1, y2: x1  # the grid sample nearest the extremum, unrefined
+        assert self.failing(monkeypatch, quantum, "_parabolic_vertex", fault) == {
+            "turning-point-73",
+            "turning-point-75",
+        }
+
+    def test_crossing_at_the_next_sample(self, monkeypatch):
+        original = quantum.find_crossings
+
+        def fault(a, b):  # the sample after each crossing, uninterpolated
+            return a.epsilons[np.searchsorted(a.epsilons, original(a, b), side="right")].tolist()
+
+        assert self.failing(monkeypatch, quantum, "find_crossings", fault) == {"crossing-75x77"}
