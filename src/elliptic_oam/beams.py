@@ -9,12 +9,12 @@ profile with w(z), f(z) scaled together plus curvature and Gouy phases.
 Every LG, HG, IG and helical IG field has one Gouy order p, and every field
 of order p is a sum over the Hermite-Gauss modes HG_(k, p - k) of that order.
 An IG mode's HG coefficients are the eigenvector of its parity's block of
-the HG pencil L_z^2 + eps*diag(2k - p) (``ince._hg_block_coefficients``),
-so its field pays for one small kernel stack and its grid, with no LG
-expansion on the way; a helical field's two blocks are one stack at odd
-order.  An IG mode at eps = 0 is the LG mode of radial number (p - m)/2 and
-charge m, sign included, so the LG fields read the same blocks at eps = 0
-through the same even/odd/helical assembly, ``_mode_coefficients``.  The HG
+the HG pencil L_z^2 + eps*diag(2k - p), and ``ince._hg_coefficients`` gives
+the even, odd or helical field's, so a field pays for one or two small
+kernel stacks and its grid, with no LG expansion on the way.  The IG fields
+check their eps once, with the order, and hand the checked eps on.  An IG
+mode at eps = 0 is the LG mode of radial number (p - m)/2 and charge m,
+sign included, so the LG fields read the same function at eps = 0.  The HG
 sum separates in x and y: on a grid it is one matrix product of 1-D
 Hermite-function rows, and its curvature phase is an outer product of two
 1-D phases.  The Laguerre-Gauss sum, the LG -> HG transform
@@ -26,13 +26,14 @@ suite and in ``verify``.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import GridError, InvalidModeError
-from .ince import ModeIndex, Parity, _hg_block_coefficients, _integer_indices, _scalar_ellipticity
+from .ince import ModeIndex, Parity, _hg_coefficients, _integer_indices, _scalar_ellipticity
 from .quantum import _as_sign, _check_helical
 
 # Entries in one block's table of Hermite rows at scattered points, (order
@@ -42,13 +43,17 @@ _ROW_TABLE = 1 << 15
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Waist w(0), wavenumber k, and evaluation plane z."""
+    """Waist w(0), wavenumber k, and evaluation plane z: real numbers, else an invalid mode that names the field."""
 
     waist: float
     wavenumber: float
     z: float = 0.0
 
     def __post_init__(self):
+        # the type first, so a string is never compared
+        for name in ("waist", "wavenumber", "z"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise InvalidModeError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not 0.0 < self.waist < math.inf:
             raise InvalidModeError(f"waist must be positive and finite, got {self.waist}")
         if not 0.0 < self.wavenumber < math.inf:
@@ -228,32 +233,6 @@ def _hg_sum(coefficients: np.ndarray, geometry: BeamGeometry, x, y):
     return out[()]
 
 
-def _mode_coefficients(mode: ModeIndex, sign, eps: float) -> np.ndarray:
-    """HG coefficients C of an IG mode at one eps >= 0, read off its HG blocks.
-
-    With ``sign`` None it is the even or odd mode of ``mode``'s parity, and C is real.  With
-    ``sign`` +1 or -1 it is the helical mode (even +- i odd)/sqrt(2), m >= 1: the real part is the
-    even mode's C over sqrt(2), the imaginary part ``sign`` times the odd mode's; the two sit on
-    disjoint rows.  The even and odd blocks of an odd order have (p + 1)/2 rows each and one rank,
-    so they are one kernel stack; an even order's take two.  At eps = 0 the IG mode (p, m) is the
-    LG mode of radial number (p - m)/2 and charge m, sign included, which is how ``eval_lg`` reads
-    its coefficients.
-    """
-    if sign is None:
-        return _hg_block_coefficients((mode,), [eps])[0, 0].astype(complex)
-    other = ModeIndex(mode.p, mode.m, Parity.ODD if mode.is_even else Parity.EVEN)
-    modes = (mode, other) if mode.is_even else (other, mode)
-    if mode.p % 2:
-        even, odd = _hg_block_coefficients(modes, [eps])[:, 0]
-    else:
-        even, odd = (_hg_block_coefficients((parity,), [eps])[0, 0] for parity in modes)
-    # sign is +-1, so odd / (sign root) is sign odd / root to the bit
-    root, coefficients = math.sqrt(2.0), np.empty(mode.p + 1, dtype=complex)
-    np.divide(even, root, out=coefficients.real)
-    np.divide(odd, sign * root, out=coefficients.imag)
-    return coefficients
-
-
 def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     """Normalized Laguerre-Gauss mode of radial number n and charge l >= 0.
 
@@ -270,7 +249,7 @@ def eval_lg(n: int, l: int, kind: str, geometry: BeamGeometry, x, y):
     if l == 0 and kind != "even":
         raise InvalidModeError(f"odd and helical LG modes require l >= 1, got n={n}, l=0")
     mode = ModeIndex(2 * n + l, l, Parity.ODD if kind == "odd" else Parity.EVEN)
-    return _hg_sum(_mode_coefficients(mode, {"helical_plus": 1, "helical_minus": -1}.get(kind), 0.0), geometry, x, y)
+    return _hg_sum(_hg_coefficients(mode, {"helical_plus": 1, "helical_minus": -1}.get(kind), 0.0)[0], geometry, x, y)
 
 
 def eval_hg(nx_index: int, ny_index: int, geometry: BeamGeometry, x, y):
@@ -288,15 +267,15 @@ def eval_ig(mode: ModeIndex, ellipticity: float, geometry: BeamGeometry, x, y):
     its HG block; all terms share p, so the field propagates exactly.
     Even and odd fields are both real at the waist, to the last bit.
     """
-    eps = _scalar_ellipticity(ellipticity, positive=True)
-    return _hg_sum(_mode_coefficients(mode, None, eps), geometry, x, y)
+    eps = _scalar_ellipticity(ellipticity, mode.p, positive=True)
+    return _hg_sum(_hg_coefficients(mode, None, eps)[0], geometry, x, y)
 
 
 def eval_hig(mode: ModeIndex, sign, ellipticity: float, geometry: BeamGeometry, x, y):
     """Helical Ince-Gauss field (even +- i odd)/sqrt(2); requires m >= 1 and eps > 0."""
-    eps = _scalar_ellipticity(ellipticity, positive=True)
+    eps = _scalar_ellipticity(ellipticity, mode.p, positive=True)
     _check_helical(mode)
-    return _hg_sum(_mode_coefficients(mode, _as_sign(sign).value_int, eps), geometry, x, y)
+    return _hg_sum(_hg_coefficients(mode, _as_sign(sign).value_int, eps)[0], geometry, x, y)
 
 
 def sample_grid(field, window_half_width: float, resolution: int) -> ComplexField:
@@ -310,7 +289,8 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
     A new C-ordered complex square that nothing else references, which is
     what the evaluators return, becomes the field's values without a copy;
     any other result is copied, so an array the callable keeps stays
-    writeable.
+    writeable.  A result that does not broadcast to the square, or whose
+    entries are not numbers, is a ``GridError`` that names its type and shape.
     """
     if not (16 <= resolution < math.inf and resolution == int(resolution)):
         raise GridError(f"resolution must be an integer of at least 16, got {resolution}")
@@ -331,7 +311,13 @@ def sample_grid(field, window_half_width: float, resolution: int) -> ComplexFiel
         and sys.getrefcount(values) <= 2
     )
     if not fresh:
-        values = np.array(np.broadcast_to(values, (resolution, resolution)), dtype=complex, order="C")
+        try:
+            values = np.array(np.broadcast_to(values, (resolution, resolution)), dtype=complex, order="C")
+        except (TypeError, ValueError):  # a shape that does not broadcast, or entries that are not numbers
+            raise GridError(
+                f"field returned {type(values).__name__} of shape {np.shape(values)}, "
+                f"not complex samples broadcastable to ({resolution}, {resolution})"
+            ) from None
     return ComplexField(
         nx=resolution,
         ny=resolution,

@@ -15,8 +15,9 @@ by ``lg_scale`` into Fourier vectors (``solve_ince`` at one eps).
 Moved into the Hermite-Gauss basis, the same eigenproblem splits by parity
 into two blocks of L_z^2 + eps*diag(2k - p) with eps on the diagonal only
 (``_hg_pencil``); an IG mode's block eigenvector is its field's HG
-coefficients, which ``_hg_block_coefficients`` gives the field evaluators
-of ``beams``, LG fields at eps = 0.  ``build_recurrence_matrix`` and its
+coefficients.  ``_hg_coefficients``, the one owner of the block layout,
+gives them to every field evaluator of ``beams``, LG fields at eps = 0, as
+the even, odd or helical field's.  ``build_recurrence_matrix`` and its
 ``TridiagonalMatrix`` serve only the benchmark and the tests.  The ODE residual oracle below enforces the
 matrix entries; the frozen-band test in ``tests/test_ince.py`` only
 guards them against unintended change.  Every eps argument of the package, one number or a grid, and
@@ -296,38 +297,52 @@ def rank_eigenpairs(mode: ModeIndex, epsilons):
     return values, vectors
 
 
-def _hg_block_coefficients(modes, epsilons) -> np.ndarray:
-    """HG coefficients C of each IG mode at each epsilons[i]: shape (len(modes), N, p + 1).
+def _hg_coefficients(mode: ModeIndex, sign, epsilons) -> np.ndarray:
+    """HG coefficients C, complex (N, p + 1), of an IG field at each eps of a checked grid or one checked eps.
 
-    An IG mode of order p is the finite sum sum_k C_k HG_(k, p - k), and C on the rows of the
-    mode's block of the ``_hg_pencil`` is that block's eigenvector v of rank
-    ``eigenvalue_rank(mode)``; the other rows are zero.  The modes share one block size and rank
-    (one mode, or both parities of one odd-order (p, m)), so all their blocks at all the eps are
-    one ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule, checked for
-    eigenvalue collisions.  C_j = s (-1)^j v_j, with s = (-1)^(n + floor((m - o)/2)),
-    n = (p - m)/2 and o = 1 for odd modes: every coupling is nonzero and free of eps, so v_0 is
-    nonzero at every eps >= 0 and its sign, positive by the kernel's rule, is that of the eps -> 0
-    limit.  At eps = 0 the block's eigenvalues are the squared charges of its rows, distinct, and v
-    is the LG mode of radial number n and charge m: C is its column of the LG -> HG transform
-    (``verify._lg_to_hg``), the sign of its first block row s.  ``beams.eval_lg`` reads it there.
+    With ``sign`` None the field is the even or odd mode of ``mode``'s parity, and C is real; with
+    ``sign`` +1 or -1 it is the helical mode (even +- i odd)/sqrt(2), m >= 1: the even mode's C over
+    sqrt(2) plus i times the odd mode's over sign sqrt(2).  An IG mode of order p is the finite sum
+    sum_k C_k HG_(k, p - k), and C on the rows of the mode's block of the ``_hg_pencil`` is that
+    block's eigenvector v of rank ``eigenvalue_rank(mode)``; the other rows are zero.  The even and
+    odd blocks of an odd order share one size and rank, so all of a field's blocks at all the eps
+    are one ``linalg.eigen_tridiagonal`` stack, with its residual bound and sign rule; an even
+    order's are two.  Each stack is checked for eigenvalue collisions.  C_j = s (-1)^j v_j, with
+    s = (-1)^(n + floor((m - o)/2)), n = (p - m)/2 and o = 1 for odd modes: every coupling is
+    nonzero and free of eps, so v_0 is nonzero at every eps >= 0 and its sign, positive by the
+    kernel's rule, is that of the eps -> 0 limit.  At eps = 0 the block's eigenvalues are the
+    squared charges of its rows, distinct, and v is the LG mode of radial number n and charge m:
+    C is its column of the LG -> HG transform (``verify._lg_to_hg``), the sign of its first block
+    row s.  ``beams.eval_lg`` reads it there.
     """
-    epsilons, p = _ellipticity_grid(epsilons, modes[0].p), modes[0].p
+    p, column = mode.p, np.reshape(epsilons, (-1, 1))
     diag, slope, coupling = _hg_pencil(p)
-    # the blocks split the order's pencil by the parity of k: p - k is even on an even mode's rows
-    starts, pencil = [(p + (not mode.is_even)) % 2 for mode in modes], diag + epsilons[:, None] * slope
-    spectra, vectors = eigen_tridiagonal(
-        np.concatenate([pencil[:, start::2] for start in starts]),
-        np.repeat([coupling[start::2] for start in starts], epsilons.size, axis=0),
-        [eigenvalue_rank(modes[0])],
-    )
-    blocks = (len(modes), epsilons.size, spectra.shape[1])
-    _check_simple_spectrum(modes, epsilons, spectra.reshape(blocks))
-    vectors = vectors.reshape(blocks)
-    vectors[..., 1::2] *= -1.0  # (-1)^j on the block's row j
-    coefficients = np.zeros((len(modes), epsilons.size, p + 1))
-    for mode, start, vector, out in zip(modes, starts, vectors, coefficients):
-        sign = -1.0 if ((p - mode.m) // 2 + (mode.m - (not mode.is_even)) // 2) % 2 else 1.0
-        np.multiply(vector, sign, out=out[:, start::2])
+    pencil, root = diag + column * slope, np.sqrt(2.0)
+    coefficients = np.zeros((column.shape[0], p + 1), dtype=complex)
+    if sign is None:
+        blocks = [(mode, coefficients.real, 1.0)]
+    else:
+        partner = ModeIndex(p, mode.m, Parity.ODD if mode.is_even else Parity.EVEN)
+        even, odd = (mode, partner) if mode.is_even else (partner, mode)
+        # the odd mode's whole row over sign sqrt(2): its zeros on the even block's rows are -0.0 at sign -1
+        coefficients.imag = 0.0 / (sign * root)
+        blocks = [(even, coefficients.real, root), (odd, coefficients.imag, sign * root)]
+    for stack in [blocks] if p % 2 else [[block] for block in blocks]:
+        modes = [one for one, _, _ in stack]
+        # the blocks split the order's pencil by the parity of k: p - k is even on an even mode's rows
+        starts = [(p + (not one.is_even)) % 2 for one in modes]
+        spectra, vectors = eigen_tridiagonal(
+            np.concatenate([pencil[:, start::2] for start in starts]),
+            np.repeat([coupling[start::2] for start in starts], column.shape[0], axis=0),
+            [eigenvalue_rank(modes[0])],
+        )
+        shape = (len(stack), column.shape[0], spectra.shape[1])
+        _check_simple_spectrum(modes, column[:, 0], spectra.reshape(shape))
+        vectors = vectors.reshape(shape)
+        vectors[..., 1::2] *= -1.0  # (-1)^j on the block's row j
+        for (one, part, divisor), start, vector in zip(stack, starts, vectors):
+            s = -1.0 if ((p - one.m) // 2 + (one.m - (not one.is_even)) // 2) % 2 else 1.0
+            np.divide(np.multiply(vector, s), divisor, out=part[:, start::2])
     return coefficients
 
 

@@ -243,7 +243,7 @@ def _tridiagonal_stack(diag, sub, sup) -> np.ndarray:
     """The dense (N, d, d) stack of the tridiagonal matrices with bands ``diag[i]``, ``sub[i]`` and ``sup[i]``."""
     count, dimension = diag.shape
     stack = np.zeros((count, dimension, dimension))
-    flat = stack.reshape(count, -1)  # a view, whose three bands are strided slices
+    flat = stack.reshape(count, dimension * dimension)  # a view, whose three bands are strided slices
     flat[:, :: dimension + 1] = diag
     flat[:, 1 :: dimension + 1] = sup
     flat[:, dimension :: dimension + 1] = sub

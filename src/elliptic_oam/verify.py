@@ -5,9 +5,9 @@ reports one line.  The battery crosses every analytic path in the package
 against an independent one: ODE residuals for the eigenproblem, quadrature
 overlaps of the elliptic-series fields for the expansion weights, the LG
 pencil's weights through the LG -> HG table ``_lg_to_hg``, which no field
-reads, for the HG-block coefficients of the fields (order <= 12, or 40 at
-``full``, eps from 1e-3 to 1e6), Gram matrices for the field
-normalizations, and limit anchors for the OAM algebra.
+reads, for the fields' HG-block coefficients ``ince._hg_coefficients``
+(order <= 12, or 40 at ``full``, eps from 1e-3 to 1e6), Gram matrices for
+the field normalizations, and limit anchors for the OAM algebra.
 
 One table serves the battery: each mode solved once over all its eps by
 ``ince._fourier_polynomials``, its LG weights read off one
@@ -266,14 +266,14 @@ def _pencil_gap(order: int, epsilons: np.ndarray) -> float:
 
     One route takes each mode's LG weights of the Ince pencil (one ``quantum._ladder_weights`` stack) to the
     HG modes by the order's ``_lg_to_hg`` table, built once; the other reads them off the HG block
-    (``ince._hg_block_coefficients``), as the fields do.  The two pencils share only the kernel.
+    (``ince._hg_coefficients``), as the fields do.  The two pencils share only the kernel.
     """
     transform, worst = _lg_to_hg(order), 0.0
     for mode in (mode for mode in valid_modes(order) if mode.p == order):
         charges, weights = quantum._ladder_weights(mode, epsilons)
         columns = (order + charges) // 2 if mode.is_even else (order - charges) // 2
         lg_route = weights @ transform[:, columns].T
-        worst = max(worst, float(np.max(np.abs(lg_route - ince._hg_block_coefficients((mode,), epsilons)[0]))))
+        worst = max(worst, float(np.max(np.abs(lg_route - ince._hg_coefficients(mode, None, epsilons).real))))
     return worst
 
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from elliptic_oam import beams, verify
+from elliptic_oam import beams, ince, verify
 from elliptic_oam.beams import (
     BeamGeometry,
     ComplexField,
@@ -19,7 +19,7 @@ from elliptic_oam.beams import (
     eval_lg,
     sample_grid,
 )
-from elliptic_oam.errors import GridError, InvalidModeError
+from elliptic_oam.errors import GridError, InvalidModeError, SolverError
 from elliptic_oam.ince import ModeIndex, Parity, valid_modes
 from elliptic_oam.linalg import plane_quadrature_grid
 from elliptic_oam.quantum import QuantumModeState, _parity_state, decompose, helical_state
@@ -81,6 +81,17 @@ class TestGaussian:
                     {"wavenumber": math.inf}, {"z": math.nan}, {"z": math.inf}, {"z": -math.inf}):
             with pytest.raises(InvalidModeError, match=next(iter(bad))):
                 BeamGeometry(**{"waist": 1.0, "wavenumber": 1.0, **bad})
+
+    @pytest.mark.parametrize("name", ["waist", "wavenumber", "z"])
+    @pytest.mark.parametrize("value", ["1", b"1", None, 1j, [1.0], np.array(1.0)], ids=repr)
+    def test_geometry_needs_real_numbers(self, name, value):
+        # compared before its type was checked, a string raised a raw TypeError
+        with pytest.raises(InvalidModeError, match=f"^{name} must be a real number"):
+            BeamGeometry(**{"waist": 1.0, "wavenumber": 2.0, name: value})
+
+    def test_geometry_takes_every_real_number_type(self):
+        geo = BeamGeometry(waist=1, wavenumber=np.float64(2.0), z=np.float32(0.5))
+        assert geo.rayleigh_range == 1.0 and geo.z == 0.5
 
     def test_inverse_curvature_keeps_its_bits_where_z_squared_is_finite(self):
         for z in np.concatenate([np.geomspace(1e-300, 1e150, 451), -np.geomspace(1e-3, 1e150, 154)]).tolist():
@@ -404,6 +415,23 @@ class TestHgBlockRoute:
         with pytest.raises(InvalidModeError, match="must be positive"):
             eval_ig(ModeIndex(5, 3, Parity.EVEN), eps, geometry(), 0.1, 0.2)
 
+    def test_each_field_checks_its_ellipticity_once(self, monkeypatch):
+        # the IG fields check their eps with the order, so the band overflow keeps its text; the
+        # coefficients take the checked eps as it is, and the LG fields have none to check
+        calls, check = [], ince._check_ellipticity
+        monkeypatch.setattr(ince, "_check_ellipticity", lambda *args: calls.append(args[1:]) or check(*args))
+        geo = geometry()
+        eval_ig(ModeIndex(5, 3, Parity.ODD), 2.0, geo, 0.1, 0.2)
+        assert calls == [(5, True)]
+        calls.clear()
+        eval_hig(ModeIndex(6, 2, Parity.EVEN), "minus", 2.0, geo, 0.1, 0.2)
+        assert calls == [(6, True)]
+        calls.clear()
+        eval_lg(1, 3, "helical_plus", geo, 0.1, 0.2)
+        assert calls == []
+        with pytest.raises(SolverError, match="^ellipticity 1e\\+308 overflows the recurrence bands for p=5$"):
+            eval_ig(ModeIndex(5, 3, Parity.EVEN), 1e308, geo, 0.1, 0.2)
+
 
 def gouy_order_parts(state):
     """The rows of a state split by Gouy order: [(order, sub-state), ...]."""
@@ -722,6 +750,16 @@ class TestSampleGrid:
     def test_resolution_must_be_an_integer(self, resolution):
         with pytest.raises(GridError, match="resolution must be an integer"):
             sample_grid(lambda x, y: x, 1.0, resolution)
+
+    @pytest.mark.parametrize(
+        "result, named",
+        [(np.zeros(3), "ndarray of shape (3,)"), ("a", "str of shape ()")],
+        ids=["unbroadcastable", "string"],
+    )
+    def test_unusable_field_result_is_a_grid_error(self, result, named):
+        # a raw ValueError from broadcast_to or complex() escaped before
+        with pytest.raises(GridError, match=re.escape(f"field returned {named}")):
+            sample_grid(lambda x, y: result, 1.0, 16)
 
     def test_integral_float_resolution_is_the_integer(self):
         field = sample_grid(lambda x, y: x + 0j * y, 1.0, 16.0)

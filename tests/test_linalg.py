@@ -355,7 +355,7 @@ def test_small_stacks_take_the_float_loop_and_chunks_the_whole_array_passes(monk
         function = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, _f=function: calls.append(_f.__name__) or _f(*args))
     mode = ModeIndex(5, 3, Parity.EVEN)
-    beams._mode_coefficients(mode, 1, 3.1)
+    ince._hg_coefficients(mode, 1, 3.1)
     solve_ince(mode, 2.0)
     assert calls == ["_float_stack_vectors"] * 2
     calls.clear()
@@ -368,6 +368,33 @@ def test_fields_make_no_eigen_kernel_call_of_their_own():
     # table is an oracle in verify
     path = Path(elliptic_oam.__file__).parent / "beams.py"
     assert _calls(path, ("eigen_tridiagonal",), ("eigen_tridiagonal",)) == []
+
+
+def test_fields_read_their_coefficients_from_one_ince_function():
+    # the block layout of the HG pencil lives in ince alone: beams takes the mode, the eps contract
+    # and the coefficients from it, and nothing of the pencil, its blocks or the kernel
+    tree = ast.parse((Path(elliptic_oam.__file__).parent / "beams.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "ince"
+        for alias in node.names
+    }
+    assert imported == {"ModeIndex", "Parity", "_hg_coefficients", "_integer_indices", "_scalar_ellipticity"}
+
+
+@pytest.mark.parametrize("pairs", [linalg._FLOAT_PAIRS, 0], ids=["default", "no-float-pairs"])
+def test_empty_stack_gives_empty_eigenpairs(monkeypatch, pairs):
+    # reshaping the empty dense stack by -1 raised a raw ValueError
+    monkeypatch.setattr(linalg, "_FLOAT_PAIRS", pairs)
+    values, vectors = eigen_tridiagonal(np.zeros((0, 3)), np.zeros((0, 2)), [0, 2])
+    assert values.shape == (0, 3) and vectors.shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("mode", [ModeIndex(5, 3, Parity.EVEN), ModeIndex(6, 2, Parity.ODD), ModeIndex(0, 0, Parity.EVEN)])
+def test_hg_coefficients_of_an_empty_grid(mode):
+    for sign in (None, 1) if mode.m else (None,):
+        assert ince._hg_coefficients(mode, sign, np.zeros(0)).shape == (0, mode.p + 1)
 
 
 class TestIntegratePlane:

@@ -6,10 +6,12 @@ and O(1), each band of a matrix scaled by 1 or by a power of ten up to
 1e+-150, admissible modes of order p <= 20 and log-uniform ellipticities in
 [1e-3, 1e3] (in [1e-3, 50] for the rank labelling), alone or as sorted
 grids, and synthetic curve pairs whose samples tie and touch often; runs
-are derandomized, so they repeat.  Every public entry point that takes an
-ellipticity or mode indices is also fed both in many wrong forms, and must
+are derandomized, and pinned examples add the far scales every run.  Every
+public entry point that takes an ellipticity or mode indices, and each
+number of ``BeamGeometry``, is also fed in many wrong forms, and must
 return a result or raise an ``EllipticOamError``, never another exception;
-an ellipticity given as a string, numeric or not, is always an invalid mode.
+an ellipticity or geometry number given as a string, numeric or not, is
+always an invalid mode.
 """
 
 import math
@@ -17,7 +19,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elliptic_oam import ince, linalg
@@ -85,8 +87,19 @@ def sturm_negatives(diag, coupling, value, first, unit=1.0):
     return odd
 
 
+def scaled_stack(*scales):
+    """A fixed stack of three matrices, with an underflowing and a rounding-size coupling, each matrix times its scale."""
+    scale = np.array(scales)
+    diag = np.array([[0.5, -2.0, 3.0, 0.0], [1.0, 1.0, 1.0, 1.0], [-2.0, 0.5, 0.0, 3.0]]) * scale[:, None]
+    coupling = np.array([[1.0, 1e-170, 0.5], [1e-13, 1.0, 0.0], [2.0, 0.01, 1.0]]) * scale[:, None]
+    return diag, coupling, [0, 3, 1], scale
+
+
+# the far scales run every time, whatever the draws
 @PROPERTY
 @given(tridiagonal_stacks())
+@example(scaled_stack(1e-17, 1e-150, 1e150))
+@example(scaled_stack(1.0, 1e-17, 1e17))
 def test_eigen_kernel_matches_eigh_and_the_sturm_rule(stack):
     # np.linalg.eigh, the oracle, errs by about eps (1 + |T|) / gap, as the kernel does, whose
     # guard and residual bound take the same scale 1 + max|lambda|; the largest ratio to that
@@ -238,8 +251,8 @@ INDEX_TRIPLES = st.one_of(
     st.tuples(INDICES, INDICES, st.sampled_from(["even", "odd"])),
 )
 GEOMETRY = BeamGeometry(waist=1.0, wavenumber=2.0 * math.pi)
-# every public entry point that takes an ellipticity or mode indices; the LG and HG fields read (p, m) as their two
-# indices, and the parity as the LG kind
+# every public entry point that takes an ellipticity or mode indices, and each BeamGeometry number in the eps forms;
+# the LG and HG fields read (p, m) as their two indices, and the parity as the LG kind
 ENTRY_POINTS = {
     "decompose": lambda p, m, parity, eps: decompose(ModeIndex(p, m, parity), eps),
     "helical_state": lambda p, m, parity, eps: helical_state(ModeIndex(p, m, parity), "plus", eps),
@@ -252,6 +265,9 @@ ENTRY_POINTS = {
     "eval_hg": lambda p, m, parity, eps: eval_hg(p, m, GEOMETRY, 0.1, 0.2),
     "vortex_census": lambda p, m, parity, eps: vortex_census(ModeIndex(p, m, parity), "plus", eps, 16),
     "census_window": lambda p, m, parity, eps: census_window(1.0, eps),
+    "BeamGeometry.waist": lambda p, m, parity, eps: BeamGeometry(waist=eps, wavenumber=2.0),
+    "BeamGeometry.wavenumber": lambda p, m, parity, eps: BeamGeometry(waist=1.0, wavenumber=eps),
+    "BeamGeometry.z": lambda p, m, parity, eps: BeamGeometry(waist=1.0, wavenumber=2.0, z=eps),
     "ModeIndex": lambda p, m, parity, eps: ModeIndex(p, m, parity),
 }
 STRING_FORMS = {"numeric string", "non-numeric string", "bytes", "list of strings", "list of numeric strings", "numeric string array"}

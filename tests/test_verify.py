@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from elliptic_oam import beams, ince, quantum, verify
+from elliptic_oam import beams, ince, linalg, quantum, verify
 from elliptic_oam.ince import ModeIndex, Parity, solve_ince, valid_modes
 
 from oracles import geometry, per_mode_quadrature_weights, per_mode_series_ig
@@ -131,7 +131,7 @@ class TestBatteryWork:
 
 
 class TestFaultsCaught:
-    """Faults injected one at a time into the curve analysis; each must fail exactly the rows that read it."""
+    """Faults injected one at a time into the analytic paths; each must fail exactly the rows that read it."""
 
     @staticmethod
     def failing(monkeypatch, module, name, fault):
@@ -152,3 +152,40 @@ class TestFaultsCaught:
             return a.epsilons[np.searchsorted(a.epsilons, original(a, b), side="right")].tolist()
 
         assert self.failing(monkeypatch, quantum, "find_crossings", fault) == {"crossing-75x77"}
+
+    def test_odd_hg_coefficients_negated(self, monkeypatch):
+        original = ince._hg_coefficients
+
+        def fault(mode, sign, epsilons):  # the odd block negated: an odd field, or a helical field's imaginary part
+            coefficients = original(mode, sign, epsilons)
+            return coefficients.conj() if sign is not None else coefficients if mode.is_even else -coefficients
+
+        monkeypatch.setattr(beams, "_hg_coefficients", fault)
+        assert self.failing(monkeypatch, ince, "_hg_coefficients", fault) == {
+            "decomposition-overlap-p5-eps0.5",
+            "decomposition-overlap-p5-eps2",
+            "decomposition-overlap-p5-eps5",
+            "hg-block-vs-lg-pencil-p12",
+            "vortex-onaxis-plus-count-53",
+        }
+
+    def test_hermite_row_2_negated(self, monkeypatch):
+        original = beams._hermite_rows
+
+        def fault(order, u):
+            rows = original(order, u)
+            rows[2:3] *= -1.0
+            return rows
+
+        assert self.failing(monkeypatch, beams, "_hermite_rows", fault) == {
+            "decomposition-overlap-p5-eps0.5",
+            "decomposition-overlap-p5-eps2",
+            "decomposition-overlap-p5-eps5",
+            "vortex-onaxis-plus-count-53",
+        }
+
+    def test_sturm_sign_rule_inverted(self, monkeypatch):
+        # only the whole-array passes read the rule through _sturm_flips; the Python-float loop reads the bit itself
+        original = linalg._sturm_flips
+        fault = lambda vector: ~original(vector)
+        assert self.failing(monkeypatch, linalg, "_sturm_flips", fault) == {"hg-block-vs-lg-pencil-p12"}
